@@ -7,9 +7,8 @@ evaluation harness around it.
 """
 
 from .autodiff import (AdamState, BatchNormState, Tape, Tensor, adam_init, adam_step,
-                       backward, batch_norm, concat_cols, concat_rows, dropout,
-                       elementwise, finite_diff_check, loss, matmul, max_pool_rows,
-                       relu, sigmoid, stack_rows, sum_all)
+                       backward, batch_norm, concat_cols, dropout, finite_diff_check,
+                       loss, matmul, max_pool_rows, relu, stack_rows, sum_all)
 from .evaluation import (EvalReport, GainRow, GroupStat, PredictionRow, StabilityReport,
                          build_eval_report, compare_models, grouped_pcc, pearson,
                          ranked_gains, stability_report)

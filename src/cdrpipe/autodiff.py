@@ -1,11 +1,16 @@
 """Reverse-mode automatic differentiation over small dense tensors.
 
-Provides exactly the operations the drug-response model needs: matrix
-products, bias addition, elementwise nonlinearities, row concatenation and
-stacking, masked max-pooling, batch normalization, inverted dropout, and
-mse/bce losses, plus an Adam optimizer and a central-finite-difference
+Provides exactly the operations the drug-response regression model needs:
+matrix products, bias addition, relu, column concatenation, row stacking,
+masked max-pooling, batch normalization, inverted dropout and the mean
+squared error, plus an Adam optimizer and a central-finite-difference
 gradient checker. Everything is float64 and at most rank 2, recorded on an
 explicit :class:`Tape` so independent runs share no mutable state.
+
+Only leaves (tensors that no operation on the tape produced, such as
+parameters) hold a gradient buffer. Operation outputs carry none:
+:func:`backward` passes their gradients along in a local map and drops each
+one as soon as the node that produced it has consumed it.
 """
 
 from __future__ import annotations
@@ -19,8 +24,11 @@ import numpy as np
 class Tensor:
     """A dense float64 array of rank <= 2 with an optional gradient buffer.
 
-    Gradients accumulate across backward passes; callers zero them between
-    optimizer steps (see :meth:`zero_grad`).
+    A tensor built with ``requires_grad=True`` is a leaf: it gets a zeroed
+    ``grad`` buffer at construction, gradients accumulate into it across
+    backward passes, and callers zero it between optimizer steps (see
+    :meth:`zero_grad`). Operation outputs also report ``requires_grad``
+    when an input does, but their ``grad`` stays None.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -68,10 +76,11 @@ class Tape:
 
 def _result(tape: Tape | None, inputs: tuple[Tensor, ...], data: np.ndarray,
             backward_fn) -> Tensor:
-    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
-    if out.requires_grad:
+    out = Tensor(data)
+    if any(t.requires_grad for t in inputs):
         if tape is None:
             raise ValueError("operation on tensors requiring grad needs a tape")
+        out.requires_grad = True  # differentiable, but no gradient buffer
         tape.nodes.append(TapeNode(inputs, out, backward_fn))
     return out
 
@@ -113,43 +122,13 @@ def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     return _result(tape, (a, b), a.data + b.data, backward_fn)
 
 
-_ELEMENTWISE: dict[str, tuple[Callable, Callable]] = {
-    # name -> (forward, derivative as fn of (x, y=f(x)))
-    "relu": (lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0.0).astype(np.float64)),
-    "tanh": (np.tanh, lambda x, y: 1.0 - y * y),
-    "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)), lambda x, y: y * (1.0 - y)),
-    "log1p": (np.log1p, lambda x, y: 1.0 / (1.0 + x)),
-}
-
-
-def elementwise(tape: Tape | None, op: str, x: Tensor) -> Tensor:
-    """Apply one of {relu, tanh, sigmoid, log1p} per element."""
-    try:
-        fwd, deriv = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    y = fwd(x.data)
+def relu(tape: Tape | None, x: Tensor) -> Tensor:
+    """max(x, 0) per element; the gradient at 0 is taken as 0."""
 
     def backward_fn(g):
-        return (g * deriv(x.data, y),)
+        return (g * (x.data > 0.0),)
 
-    return _result(tape, (x,), y, backward_fn)
-
-
-def relu(tape: Tape | None, x: Tensor) -> Tensor:
-    return elementwise(tape, "relu", x)
-
-
-def tanh(tape: Tape | None, x: Tensor) -> Tensor:
-    return elementwise(tape, "tanh", x)
-
-
-def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
-    return elementwise(tape, "sigmoid", x)
-
-
-def log1p(tape: Tape | None, x: Tensor) -> Tensor:
-    return elementwise(tape, "log1p", x)
+    return _result(tape, (x,), np.maximum(x.data, 0.0), backward_fn)
 
 
 def _as_row(t: Tensor) -> np.ndarray:
@@ -158,19 +137,6 @@ def _as_row(t: Tensor) -> np.ndarray:
     if t.data.ndim == 2 and t.data.shape[0] == 1:
         return t.data
     raise ValueError(f"expected a single-row vector, got shape {t.data.shape}")
-
-
-def concat_rows(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two row vectors into one 1 x (p+q) row."""
-    ra, rb = _as_row(a), _as_row(b)
-    p = ra.shape[1]
-
-    def backward_fn(g):
-        ga = g[:, :p].reshape(a.data.shape) if a.requires_grad else None
-        gb = g[:, p:].reshape(b.data.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _result(tape, (a, b), np.concatenate([ra, rb], axis=1), backward_fn)
 
 
 def concat_cols(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
@@ -311,38 +277,20 @@ def sum_all(tape: Tape | None, x: Tensor) -> Tensor:
     return _result(tape, (x,), np.array([[x.data.sum()]]), backward_fn)
 
 
-def loss(tape: Tape | None, pred: Tensor, target: Tensor, kind: str) -> Tensor:
-    """Mean squared error or mean binary cross-entropy as a 1 x 1 tensor."""
+def loss(tape: Tape | None, pred: Tensor, target: Tensor) -> Tensor:
+    """Mean squared error as a 1 x 1 tensor."""
     if pred.data.shape != target.data.shape:
         raise ValueError(f"loss shape mismatch: {pred.data.shape} vs {target.data.shape}")
     n = pred.data.size
-    if kind == "mse":
-        diff = pred.data - target.data
-        value = np.array([[np.mean(diff * diff)]])
+    diff = pred.data - target.data
 
-        def backward_fn(g):
-            scale = g.reshape(-1)[0] * 2.0 / n
-            gp = scale * diff if pred.requires_grad else None
-            gt = -scale * diff if target.requires_grad else None
-            return gp, gt
+    def backward_fn(g):
+        scale = g.reshape(-1)[0] * 2.0 / n
+        gp = scale * diff if pred.requires_grad else None
+        gt = -scale * diff if target.requires_grad else None
+        return gp, gt
 
-    elif kind == "bce":
-        p, t = pred.data, target.data
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
-            raise ValueError("bce predictions must lie strictly inside (0, 1)")
-        if not np.all((t == 0.0) | (t == 1.0)):
-            raise ValueError("bce targets must be exactly 0 or 1")
-        value = np.array([[-np.mean(t * np.log(p) + (1.0 - t) * np.log1p(-p))]])
-
-        def backward_fn(g):
-            scale = g.reshape(-1)[0] / n
-            gp = scale * (p - t) / (p * (1.0 - p)) if pred.requires_grad else None
-            gt = scale * (np.log1p(-p) - np.log(p)) if target.requires_grad else None
-            return gp, gt
-
-    else:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    return _result(tape, (pred, target), value, backward_fn)
+    return _result(tape, (pred, target), np.array([[np.mean(diff * diff)]]), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +298,20 @@ def loss(tape: Tape | None, pred: Tensor, target: Tensor, kind: str) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(tape: Tape, loss_node: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into t.grad for every requires_grad tensor
-    reachable from the scalar loss_node."""
+    """Accumulate d(loss)/d(t) into t.grad for every requires_grad leaf
+    reachable from the scalar loss_node.
+
+    A leaf is a tensor that no node on the tape produced. Gradients of
+    operation outputs live only in a local map, and each is dropped once
+    its producing node has passed it on to that node's inputs.
+    """
     if loss_node.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss_node.data.shape}")
+    produced = {id(node.output) for node in tape.nodes}
     flows: dict[int, np.ndarray] = {id(loss_node): np.ones_like(loss_node.data)}
-    owners: dict[int, Tensor] = {id(loss_node): loss_node}
+    leaves: list[Tensor] = []
     for node in reversed(tape.nodes):
-        g_out = flows.get(id(node.output))
+        g_out = flows.pop(id(node.output), None)
         if g_out is None:
             continue  # not on a path to the loss
         for tensor, g in zip(node.inputs, node.backward_fn(g_out)):
@@ -368,11 +322,10 @@ def backward(tape: Tape, loss_node: Tensor) -> None:
                 flows[key] = flows[key] + g
             else:
                 flows[key] = g
-                owners[key] = tensor
-    for key, tensor in owners.items():
-        if tensor.grad is None:
-            tensor.grad = np.zeros_like(tensor.data)
-        tensor.grad += flows[key]
+                if key not in produced:
+                    leaves.append(tensor)
+    for tensor in leaves:
+        tensor.grad += flows[id(tensor)]
 
 
 # ---------------------------------------------------------------------------

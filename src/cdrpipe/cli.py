@@ -5,8 +5,8 @@ file names every input; a single master seed expands into per-purpose
 sub-seeds (split, training, fold sampling) so runs are bit-reproducible and
 enabling one feature never perturbs another's random stream.
 
-Exit codes are stable contracts: 0 ok, 2 ingest problem, 3 training
-problem, 4 evaluation problem, 5 report problem.
+Exit codes are stable contracts: 0 ok, 2 ingest or configuration problem,
+3 training problem, 4 evaluation problem, 5 report problem.
 """
 
 from __future__ import annotations
@@ -71,13 +71,27 @@ def _split_dims(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.replace(" ", "").split(",") if part)
 
 
+def _optional_int(raw: str) -> int | None:
+    return int(raw) if raw.strip() else None
+
+
 def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig:
+    """Resolve a config file plus overrides; any bad value is a ConfigError."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
-    cp.read(path, encoding="utf-8")
+    cp = configparser.ConfigParser(converters={"dims": _split_dims, "optint": _optional_int})
+    try:
+        cp.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     base = path.parent
+
+    def get(getter, section, key, fallback):
+        try:
+            return getter(section, key, fallback=fallback)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
 
     paths = {}
     if cp.has_section("paths"):
@@ -98,33 +112,36 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
         raise ConfigError(f"unknown feature source {source_raw!r}")
 
     model = {
-        "gcn_layer_dims": _split_dims(cp.get("model", "gcn_layer_dims", fallback="256,128")),
-        "cell_branch_dims": _split_dims(cp.get("model", "cell_branch_dims", fallback="128")),
-        "head_dims": _split_dims(cp.get("model", "head_dims", fallback="128,1")),
-        "dropout_rate": cp.getfloat("model", "dropout_rate", fallback=0.1),
-        "use_batch_norm": cp.getboolean("model", "use_batch_norm", fallback=True),
-        "task": cp.get("model", "task", fallback="regression"),
-        "n_max_atoms": cp.getint("model", "n_max_atoms", fallback=100),
+        "gcn_layer_dims": get(cp.getdims, "model", "gcn_layer_dims", (256, 128)),
+        "cell_branch_dims": get(cp.getdims, "model", "cell_branch_dims", (128,)),
+        "head_dims": get(cp.getdims, "model", "head_dims", (128, 1)),
+        "dropout_rate": get(cp.getfloat, "model", "dropout_rate", 0.1),
+        "use_batch_norm": get(cp.getboolean, "model", "use_batch_norm", True),
+        "n_max_atoms": get(cp.getint, "model", "n_max_atoms", 100),
     }
+    if cp.has_section("model"):
+        unknown = [key for key in cp.options("model") if key not in model]
+        if unknown:
+            raise ConfigError(f"{path}: unknown key(s) in [model]: {', '.join(unknown)}")
 
-    patience_raw = cp.get("train", "early_stop_patience", fallback="").strip()
-    train_cfg = TrainConfig(
-        epochs=cp.getint("train", "epochs", fallback=20),
-        batch_size=cp.getint("train", "batch_size", fallback=32),
-        lr=cp.getfloat("train", "lr", fallback=1e-3),
-        seed=0,  # overwritten per purpose below
-        early_stop_patience=int(patience_raw) if patience_raw else None,
-    )
+    train_values = {
+        "epochs": get(cp.getint, "train", "epochs", 20),
+        "batch_size": get(cp.getint, "train", "batch_size", 32),
+        "lr": get(cp.getfloat, "train", "lr", 1e-3),
+        "early_stop_patience": get(cp.getoptint, "train", "early_stop_patience", None),
+    }
+    split_values = {
+        "test_fraction": get(cp.getfloat, "split", "test_fraction", 0.05),
+        "train_cap": get(cp.getoptint, "split", "train_cap", 90_000),
+        "cap_mode": cp.get("split", "cap_mode", fallback="slice"),
+    }
+    try:  # seeds are derived per purpose later
+        train_cfg = TrainConfig(seed=0, **train_values)
+        split = SplitSpec(seed=0, **split_values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
-    cap_raw = cp.get("split", "train_cap", fallback="90000").strip()
-    split = SplitSpec(
-        test_fraction=cp.getfloat("split", "test_fraction", fallback=0.05),
-        train_cap=int(cap_raw) if cap_raw else None,
-        cap_mode=cp.get("split", "cap_mode", fallback="slice"),
-        seed=0,
-    )
-
-    master = seed if seed is not None else cp.getint("run", "seed", fallback=0)
+    master = seed if seed is not None else get(cp.getint, "run", "seed", 0)
     variants_raw = cp.get("lodo", "variants", fallback="scgpt").replace(" ", "")
     variants = [SOURCE_ALIASES.get(v, v) for v in variants_raw.split(",") if v]
     baseline = cp.get("lodo", "baseline", fallback="raw")
@@ -137,7 +154,7 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
         model=model,
         train_cfg=train_cfg,
         split=split,
-        lodo_n_drugs=cp.getint("lodo", "n_drugs", fallback=20),
+        lodo_n_drugs=get(cp.getint, "lodo", "n_drugs", 20),
         lodo_variants=variants,
         lodo_baseline=SOURCE_ALIASES.get(baseline, baseline),
     )
@@ -197,7 +214,10 @@ def assemble_dataset(cfg: RunConfig, source: str) -> tuple[ResponseDataset, dict
 
 
 def model_config(cfg: RunConfig, cell_dim: int) -> ModelConfig:
-    return ModelConfig(cell_input_dim=cell_dim, **cfg.model)
+    try:
+        return ModelConfig(cell_input_dim=cell_dim, **cfg.model)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.config_path}: {exc}") from None
 
 
 def _split_sets(cfg: RunConfig, dataset: ResponseDataset):

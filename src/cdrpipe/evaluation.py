@@ -237,7 +237,11 @@ def write_history_csv(path, model_name: str, history: Sequence) -> None:
 
 
 def read_history_csv(path) -> dict[str, list]:
-    """Inverse of write_history_csv; returns model -> EpochRecord-like rows."""
+    """Inverse of write_history_csv; returns model -> EpochRecord-like rows.
+
+    A row with the wrong field count or a non-numeric value is a
+    ReportError naming the file and line.
+    """
     from .training import EpochRecord
 
     out: dict[str, list] = {}
@@ -245,13 +249,17 @@ def read_history_csv(path) -> dict[str, list]:
         header = fh.readline().strip().split(",")
         if header != ["epoch", "model", "val_pcc", "train_loss"]:
             raise ReportError(f"{path}: not a history table (header {header})")
-        for line in fh:
-            epoch, model, pcc, loss = line.strip().split(",")
-            out.setdefault(model, []).append(EpochRecord(
-                epoch=int(epoch),
-                train_loss=float(loss),
-                val_pcc=None if pcc == UNDEFINED_MARKER else float(pcc),
-            ))
+        for line_no, line in enumerate(fh, start=2):
+            try:
+                epoch, model, pcc, loss = line.strip().split(",")
+                record = EpochRecord(
+                    epoch=int(epoch),
+                    train_loss=float(loss),
+                    val_pcc=None if pcc == UNDEFINED_MARKER else float(pcc),
+                )
+            except ValueError as exc:
+                raise ReportError(f"{path}, line {line_no}: malformed history row ({exc})") from None
+            out.setdefault(model, []).append(record)
     return out
 
 

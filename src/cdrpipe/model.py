@@ -4,8 +4,8 @@ MLP head over the concatenated embeddings.
 
 Batch normalization sits after each hidden linear layer of the cell branch
 and head, before the activation; the graph encoder carries none so its
-output stays padding-invariant. Regression emits the raw head output,
-classification a sigmoid probability.
+output stays padding-invariant. The head's last layer emits the IC50
+regression output directly, with no activation.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .molgraph import ATOM_FEATURE_DIM, PaddedGraph
-
-TASKS = ("regression", "classification")
 
 CHECKPOINT_MAGIC = "cdr-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -37,7 +35,6 @@ class ModelConfig:
     head_dims: tuple[int, ...] = (128, 1)
     dropout_rate: float = 0.1
     use_batch_norm: bool = True
-    task: str = "regression"
     n_max_atoms: int = 100
     cell_input_dim: int = 512
     atom_input_dim: int = ATOM_FEATURE_DIM
@@ -55,8 +52,6 @@ class ModelConfig:
             raise ValueError(f"the head must end in width 1, got {self.head_dims[-1]}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
-        if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if min(self.n_max_atoms, self.cell_input_dim, self.atom_input_dim) <= 0:
             raise ValueError("sizes must be positive")
 
@@ -201,12 +196,9 @@ def encode_cell(tape: ad.Tape, features: ad.Tensor, params: ModelParams,
 def predict(tape: ad.Tape, drug_emb: ad.Tensor, cell_emb: ad.Tensor,
             params: ModelParams, cfg: ModelConfig, mode: str,
             rng: np.random.Generator | None = None) -> ad.Tensor:
-    """Head MLP over the concatenated embeddings; sigmoid for classification."""
+    """Head MLP over the concatenated embeddings: one regressed IC50 per row."""
     h = ad.concat_cols(tape, drug_emb, cell_emb)
-    out = _dense_stack(tape, h, params.head, cfg, mode, rng, activate_last=False)
-    if cfg.task == "classification":
-        out = ad.sigmoid(tape, out)
-    return out
+    return _dense_stack(tape, h, params.head, cfg, mode, rng, activate_last=False)
 
 
 def forward_batch(tape: ad.Tape, graphs: Sequence[PaddedGraph], cell_matrix,
@@ -262,26 +254,30 @@ def save_checkpoint(path, cfg: ModelConfig, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
-    """Read a checkpoint, rejecting version or shape mismatches."""
+    """Read a checkpoint, rejecting version, header-key or shape mismatches."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise CheckpointError(f"{path}: not a checkpoint file") from None
-        if header.get("magic") != CHECKPOINT_MAGIC:
+        if not isinstance(header, dict) or header.get("magic") != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
         if header.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path}: checkpoint version {header.get('version')} is not supported "
                 f"(expected {CHECKPOINT_VERSION})")
-        cfg = ModelConfig(**header["config"])
+        try:
+            cfg = ModelConfig(**header["config"])
+            declared = [(d["name"], tuple(d["shape"])) for d in header["arrays"]]
+        except KeyError as exc:
+            raise CheckpointError(f"{path}: checkpoint header has no key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: checkpoint header does not fit this model: {exc}") from None
         params = init_params(cfg, seed=0)
         expected = list(params.named_arrays())
-        declared = header["arrays"]
-        if [d["name"] for d in declared] != [n for n, _ in expected]:
+        if [name for name, _ in declared] != [n for n, _ in expected]:
             raise CheckpointError(f"{path}: checkpoint arrays do not match the configuration")
-        for decl, (name, arr) in zip(declared, expected):
-            shape = tuple(decl["shape"])
+        for (_, shape), (name, arr) in zip(declared, expected):
             if shape != arr.shape:
                 raise CheckpointError(
                     f"{path}: array {name} has shape {shape}, expected {arr.shape}")

@@ -154,7 +154,6 @@ def train(train_set: ResponseDataset, val_set: ResponseDataset,
     dropout_rng = np.random.default_rng(derive_seed(train_cfg.seed, "dropout"))
     tensors = params.parameters()
     opt = ad.adam_init(tensors, lr=train_cfg.lr)
-    loss_kind = "mse" if model_cfg.task == "regression" else "bce"
 
     records = train_set.records
     history: list[EpochRecord] = []
@@ -173,7 +172,7 @@ def train(train_set: ResponseDataset, val_set: ResponseDataset,
 
             tape = ad.Tape()
             pred = forward_batch(tape, graphs, cells, params, model_cfg, "train", dropout_rng)
-            batch_loss = ad.loss(tape, pred, target, loss_kind)
+            batch_loss = ad.loss(tape, pred, target)
             value = float(batch_loss.data[0, 0])
             if not math.isfinite(value):
                 raise DivergenceError(

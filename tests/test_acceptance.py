@@ -61,19 +61,14 @@ def _check_single_ops(seed):
 
     u = ad.Tensor(rng.normal(size=(1, 3)))
     w = ad.Tensor(rng.normal(size=(4, 1)))
-    for op in ("relu", "tanh", "sigmoid", "log1p"):
-        x0 = away_from_zero((3, 4))
-        if op == "log1p":
-            x0 = np.abs(x0)
-        worst = max(worst, ad.finite_diff_check(
-            lambda t, x, op=op: ad.matmul(t, ad.matmul(t, u, ad.elementwise(t, op, x)), w),
-            ad.Tensor(x0)))
-
-    right = ad.Tensor(rng.normal(size=(1, 3)))
-    w7 = ad.Tensor(rng.normal(size=(7, 1)))
     worst = max(worst, ad.finite_diff_check(
-        lambda t, x: ad.matmul(t, ad.concat_rows(t, x, right), w7),
+        lambda t, x: ad.matmul(t, ad.matmul(t, u, ad.relu(t, x)), w),
+        ad.Tensor(away_from_zero((3, 4)))))
+    other_row = ad.Tensor(rng.normal(size=(1, 4)))
+    worst = max(worst, ad.finite_diff_check(
+        lambda t, x: ad.matmul(t, ad.matmul(t, u, ad.stack_rows(t, [x, other_row, x])), w),
         ad.Tensor(rng.normal(size=(1, 4)))))
+
     wide = ad.Tensor(rng.normal(size=(3, 2)))
     w5 = ad.Tensor(rng.normal(size=(5, 1)))
     ones = ad.Tensor(np.ones((1, 3)))
@@ -94,11 +89,9 @@ def _check_single_ops(seed):
         st.beta.data[:] = rng.normal(size=(1, 3))
         st.running_mean[:] = rng.normal(size=3)
         st.running_var[:] = rng.uniform(0.5, 2.0, size=3)
-        u4 = ad.Tensor(rng.normal(size=(1, 4)))
-        w3 = ad.Tensor(rng.normal(size=(3, 1)))
+        bn_target = ad.Tensor(rng.normal(size=(4, 3)))
         worst = max(worst, ad.finite_diff_check(
-            lambda t, x, mode=mode: ad.matmul(
-                t, ad.matmul(t, u4, ad.tanh(t, ad.batch_norm(t, x, st, mode))), w3),
+            lambda t, x, mode=mode: ad.loss(t, ad.batch_norm(t, x, st, mode), bn_target),
             ad.Tensor(rng.normal(size=(4, 3)))))
 
     drop_seed = int(rng.integers(1 << 30))
@@ -111,11 +104,7 @@ def _check_single_ops(seed):
 
     target = ad.Tensor(rng.normal(size=(4, 1)))
     worst = max(worst, ad.finite_diff_check(
-        lambda t, x: ad.loss(t, x, target, "mse"), ad.Tensor(rng.normal(size=(4, 1)))))
-    labels = ad.Tensor((rng.random((4, 1)) < 0.5).astype(float))
-    worst = max(worst, ad.finite_diff_check(
-        lambda t, x: ad.loss(t, x, labels, "bce"),
-        ad.Tensor(rng.uniform(0.15, 0.85, size=(4, 1)))))
+        lambda t, x: ad.loss(t, x, target), ad.Tensor(rng.normal(size=(4, 1)))))
     return worst
 
 
@@ -152,12 +141,12 @@ def _check_full_model(seed):
     def loss_value():
         tape = ad.Tape()
         pred = forward_batch(tape, graphs, cells, params, cfg, "train")
-        return float(ad.loss(tape, pred, target, "mse").data[0, 0])
+        return float(ad.loss(tape, pred, target).data[0, 0])
 
     tape = ad.Tape()
     pred = forward_batch(tape, graphs, cells, params, cfg, "train")
     np.testing.assert_allclose(pred.data, reference, atol=1e-12)
-    ad.backward(tape, ad.loss(tape, pred, target, "mse"))
+    ad.backward(tape, ad.loss(tape, pred, target))
     return finite_diff_params(loss_value, params.parameters())
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline tests on synthetic fixture files."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ cell_branch_dims = 8
 head_dims = 8,1
 dropout_rate = 0.1
 use_batch_norm = true
-task = regression
 n_max_atoms = {n_max_atoms}
 """
 
@@ -113,6 +113,31 @@ class TestIngest:
         code = cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "declares 512" in capsys.readouterr().err
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("old, new, named", [
+        ("head_dims = 8,1", "head_dims = 8,2", "width 1"),
+        ("test_fraction = 0.1", "test_fraction = 1.5", "test_fraction"),
+        ("epochs = 2", "epochs = two", "[train] epochs"),
+        ("gcn_layer_dims = 12,8", "gcn_layer_dims = 12,x", "[model] gcn_layer_dims"),
+        ("use_batch_norm = true", "use_batch_norm = yes please", "[model] use_batch_norm"),
+        ("[model]", "[model]\ntask = classification", "unknown key(s) in [model]: task"),
+        ("[paths]", "stray line before any section\n[paths]", "no section headers"),
+    ], ids=["head_width", "test_fraction", "epochs", "dims", "boolean", "task",
+            "no_section"])
+    def test_bad_config_exits_2_naming_the_problem(self, fixture_dir, tmp_path, capsys,
+                                                   old, new, named):
+        config = write_config(tmp_path / "bad.ini", fixture_dir["files"],
+                              fixture_dir["bench"].n_max_atoms)
+        text = config.read_text()
+        assert old in text
+        config.write_text(text.replace(old, new, 1))
+        code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestTrain:
@@ -230,6 +255,19 @@ class TestEval:
                          "--checkpoint", str(fixture_dir["root"] / "ghost.ckpt")])
         assert code == 4
 
+    def test_checkpoint_with_a_task_key_exits_4(self, fixture_dir, tmp_path, capsys):
+        """Checkpoints written while the model still had a task field no longer load."""
+        head, _, body = (fixture_dir["root"] / "t1" / "checkpoint.ckpt").read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["config"]["task"] = "regression"
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+        code = cli.main(["eval", "--config", str(fixture_dir["config"]),
+                         "--out", str(tmp_path / "o"), "--checkpoint", str(old)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "old.ckpt" in err and "task" in err
+
 
 class TestLodo:
     def test_one_fold_yields_one_gain_row(self, fixture_dir, tmp_path):
@@ -295,3 +333,12 @@ class TestReport:
         assert cli.main(["report", str(tmp_path / "a"), str(run_b),
                          "--out", str(tmp_path / "o")]) == 5
         assert "disjoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["2,m,0.6", "2,m,0.6,1.0,9", "two,m,0.6,1.0",
+                                     "2,m,0.6,high"])
+    def test_malformed_history_row_exits_5(self, tmp_path, capsys, row):
+        self.make_run(tmp_path / "run", "m", [0.5])
+        history = tmp_path / "run" / "history.csv"
+        history.write_text(history.read_text() + row + "\n")
+        assert cli.main(["report", str(tmp_path / "run"), "--out", str(tmp_path / "o")]) == 5
+        assert f"{history}, line 3" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Model construction, forward passes, invariances, and checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -29,10 +31,6 @@ class TestConfig:
     def test_bad_dropout(self):
         with pytest.raises(ValueError, match="dropout"):
             m.ModelConfig(dropout_rate=1.0)
-
-    def test_bad_task(self):
-        with pytest.raises(ValueError, match="task"):
-            m.ModelConfig(task="ranking")
 
 
 class TestInitParams:
@@ -149,15 +147,6 @@ class TestPredict:
         cells = rng.normal(size=(n, cfg.cell_input_dim))
         return graphs, cells
 
-    def test_classification_output_in_unit_interval(self):
-        cfg = m.ModelConfig(gcn_layer_dims=(8,), cell_branch_dims=(5,), head_dims=(4, 1),
-                            task="classification", n_max_atoms=5, cell_input_dim=4,
-                            atom_input_dim=6)
-        params = m.init_params(cfg, seed=0)
-        graphs, cells = self.batch(cfg)
-        out = m.forward_batch(ad.Tape(), graphs, cells, params, cfg, "eval")
-        assert np.all((out.data > 0.0) & (out.data < 1.0))
-
     def test_eval_predictions_bit_identical(self):
         params = m.init_params(TINY, seed=4)
         graphs, cells = self.batch(TINY)
@@ -177,11 +166,11 @@ class TestPredict:
         def loss_value():
             tape = ad.Tape()
             pred = m.forward_batch(tape, graphs, cells, params, TINY, "train")
-            return float(ad.loss(tape, pred, target, "mse").data[0, 0])
+            return float(ad.loss(tape, pred, target).data[0, 0])
 
         tape = ad.Tape()
         pred = m.forward_batch(tape, graphs, cells, params, TINY, "train")
-        ad.backward(tape, ad.loss(tape, pred, target, "mse"))
+        ad.backward(tape, ad.loss(tape, pred, target))
         rel_err, small_err = finite_diff_params(loss_value, params.parameters())
         assert rel_err < 1e-4
         assert small_err < 1e-9
@@ -219,6 +208,29 @@ class TestCheckpoint:
         path.write_bytes(b"\x00\x01\x02 not a checkpoint\n")
         with pytest.raises(m.CheckpointError, match="not a checkpoint"):
             m.load_checkpoint(path)
+
+    def test_rejects_a_header_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "number.ckpt"
+        path.write_bytes(b"42\n")
+        with pytest.raises(m.CheckpointError, match="not a checkpoint"):
+            m.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda h: h["config"].update(task="regression"), "task"),
+        (lambda h: h.pop("arrays"), "arrays"),
+        (lambda h: h.pop("config"), "config"),
+        (lambda h: h["arrays"][0].pop("shape"), "shape"),
+    ], ids=["unknown_config_key", "no_arrays", "no_config", "no_shape"])
+    def test_malformed_header_names_file_and_key(self, tmp_path, edit, named):
+        path = tmp_path / "model.ckpt"
+        m.save_checkpoint(path, TINY, m.init_params(TINY, 0))
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(m.CheckpointError, match=named) as caught:
+            m.load_checkpoint(path)
+        assert str(path) in str(caught.value)
 
     def test_rejects_truncation(self, tmp_path):
         path = tmp_path / "model.ckpt"
