@@ -27,9 +27,7 @@ graph = MolecularGraph(
     adjacency=[(0, 1), (1, 2)],
     degrees=np.array([1, 2, 1]),
 )
-print("normalized adjacency with self loops:\n",
-      normalized_adjacency(graph, self_loops=True).round(3))
-print("without self loops:\n", normalized_adjacency(graph, self_loops=False).round(3))
+print("normalized adjacency with self loops:\n", normalized_adjacency(graph).round(3))
 
 # Graphs round-trip exactly through their three-file form.
 with tempfile.TemporaryDirectory() as tmp:
@@ -40,7 +38,8 @@ with tempfile.TemporaryDirectory() as tmp:
           and back.adjacency == graph.adjacency)
 
 # ---------------------------------------------------------------------------
-# 2. Padding embeds the graph top-left; the mask marks real atoms.
+# 2. Padding embeds the graph top-left up to a fixed capacity; the mask marks
+#    real atoms, and the encoder reads only those.
 # ---------------------------------------------------------------------------
 padded = pad_graph(graph, n_max=6)
 print("mask:", padded.mask)
@@ -65,7 +64,5 @@ relabeled = MolecularGraph(
 permuted = encode_drug(Tape(), pad_graph(relabeled, 6), params, cfg, "eval")
 print("permutation gap:", float(np.max(np.abs(base.data - permuted.data))))
 
-cfg_wide = ModelConfig(gcn_layer_dims=(16, 8), cell_branch_dims=(4,), head_dims=(1,),
-                       n_max_atoms=40, cell_input_dim=4)
-wide = encode_drug(Tape(), pad_graph(g, 40), params, cfg_wide, "eval")
+wide = encode_drug(Tape(), pad_graph(g, 40), params, cfg, "eval")
 print("padding gap:", float(np.max(np.abs(base.data - wide.data))))

@@ -2,7 +2,7 @@
 
 Provides exactly the operations the drug-response regression model needs:
 matrix products, bias addition, relu, column concatenation, row stacking,
-masked max-pooling, batch normalization, inverted dropout and the mean
+column-wise max-pooling, batch normalization, inverted dropout and the mean
 squared error, plus an Adam optimizer and a central-finite-difference
 gradient checker. Everything is float64 and at most rank 2, recorded on an
 explicit :class:`Tape` so independent runs share no mutable state.
@@ -172,21 +172,17 @@ def stack_rows(tape: Tape | None, rows: Sequence[Tensor]) -> Tensor:
     return _result(tape, rows, np.concatenate(mats, axis=0), backward_fn)
 
 
-def max_pool_rows(tape: Tape | None, x: Tensor, mask) -> Tensor:
-    """Column-wise maximum over unmasked rows of an n x d tensor.
+def max_pool_rows(tape: Tape | None, x: Tensor) -> Tensor:
+    """Column-wise maximum over the rows of an n x d tensor, n >= 1.
 
     Each column's gradient is routed to its argmax row; ties break toward
     the lowest row index.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if x.data.ndim != 2 or mask.shape != (x.data.shape[0],):
-        raise ValueError(f"mask of shape {mask.shape} does not fit tensor {x.data.shape}")
-    if not mask.any():
-        raise ValueError("max_pool_rows: every row is masked out")
-    masked = np.where(mask[:, None], x.data, -np.inf)
-    winners = np.argmax(masked, axis=0)  # first maximal row per column
+    if x.data.ndim != 2 or x.data.shape[0] == 0:
+        raise ValueError(f"max_pool_rows needs at least one row, got shape {x.data.shape}")
+    winners = np.argmax(x.data, axis=0)  # first maximal row per column
     cols = np.arange(x.data.shape[1])
-    out = masked[winners, cols].reshape(1, -1)
+    out = x.data[winners, cols].reshape(1, -1)
 
     def backward_fn(g):
         gx = np.zeros_like(x.data)

@@ -15,7 +15,7 @@ import argparse
 import configparser
 import hashlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +80,8 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(converters={"dims": _split_dims, "optint": _optional_int})
+    cp = configparser.ConfigParser(interpolation=None,
+                                   converters={"dims": _split_dims, "optint": _optional_int})
     try:
         cp.read(path, encoding="utf-8")
     except configparser.Error as exc:
@@ -221,8 +222,7 @@ def model_config(cfg: RunConfig, cell_dim: int) -> ModelConfig:
 
 
 def _split_sets(cfg: RunConfig, dataset: ResponseDataset):
-    spec = SplitSpec(test_fraction=cfg.split.test_fraction, train_cap=cfg.split.train_cap,
-                     cap_mode=cfg.split.cap_mode, seed=derive_seed(cfg.seed, "split"))
+    spec = replace(cfg.split, seed=derive_seed(cfg.seed, "split"))
     train_records, test_records = split_dataset(dataset.records, spec)
     return dataset.subset(train_records), dataset.subset(test_records)
 
@@ -267,9 +267,7 @@ def cmd_train(cfg: RunConfig) -> int:
     dataset, entries = assemble_dataset(cfg, cfg.feature_source)
     train_set, test_set = _split_sets(cfg, dataset)
     mcfg = model_config(cfg, dataset.cells.dim)
-    tcfg = TrainConfig(epochs=cfg.train_cfg.epochs, batch_size=cfg.train_cfg.batch_size,
-                       lr=cfg.train_cfg.lr, seed=derive_seed(cfg.seed, "train"),
-                       early_stop_patience=cfg.train_cfg.early_stop_patience)
+    tcfg = replace(cfg.train_cfg, seed=derive_seed(cfg.seed, "train"))
     params, history = train(train_set, test_set, mcfg, tcfg)
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -342,10 +340,7 @@ def cmd_lodo(cfg: RunConfig) -> int:
             train_set = ds.subset([r for r in ds.records if r.drug_id != drug])
             test_set = ds.subset([r for r in ds.records if r.drug_id == drug])
             mcfg = model_config(cfg, ds.cells.dim)
-            tcfg = TrainConfig(
-                epochs=cfg.train_cfg.epochs, batch_size=cfg.train_cfg.batch_size,
-                lr=cfg.train_cfg.lr, seed=derive_seed(cfg.seed, f"lodo:{source}:{drug}"),
-                early_stop_patience=cfg.train_cfg.early_stop_patience)
+            tcfg = replace(cfg.train_cfg, seed=derive_seed(cfg.seed, f"lodo:{source}:{drug}"))
             try:
                 params, _ = train(train_set, test_set, mcfg, tcfg)
             except (DivergenceError, SplitError) as exc:

@@ -239,27 +239,32 @@ def write_history_csv(path, model_name: str, history: Sequence) -> None:
 def read_history_csv(path) -> dict[str, list]:
     """Inverse of write_history_csv; returns model -> EpochRecord-like rows.
 
-    A row with the wrong field count or a non-numeric value is a
-    ReportError naming the file and line.
+    A file that is not UTF-8 text is a ReportError naming the file; a row
+    with the wrong field count or a non-numeric value is one naming the
+    file and line.
     """
     from .training import EpochRecord
 
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ReportError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    header = (lines[0] if lines else "").strip().split(",")
+    if header != ["epoch", "model", "val_pcc", "train_loss"]:
+        raise ReportError(f"{path}: not a history table (header {header})")
     out: dict[str, list] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["epoch", "model", "val_pcc", "train_loss"]:
-            raise ReportError(f"{path}: not a history table (header {header})")
-        for line_no, line in enumerate(fh, start=2):
-            try:
-                epoch, model, pcc, loss = line.strip().split(",")
-                record = EpochRecord(
-                    epoch=int(epoch),
-                    train_loss=float(loss),
-                    val_pcc=None if pcc == UNDEFINED_MARKER else float(pcc),
-                )
-            except ValueError as exc:
-                raise ReportError(f"{path}, line {line_no}: malformed history row ({exc})") from None
-            out.setdefault(model, []).append(record)
+    for line_no, line in enumerate(lines[1:], start=2):
+        try:
+            epoch, model, pcc, loss = line.strip().split(",")
+            record = EpochRecord(
+                epoch=int(epoch),
+                train_loss=float(loss),
+                val_pcc=None if pcc == UNDEFINED_MARKER else float(pcc),
+            )
+        except ValueError as exc:
+            raise ReportError(f"{path}, line {line_no}: malformed history row ({exc})") from None
+        out.setdefault(model, []).append(record)
     return out
 
 

@@ -1,11 +1,12 @@
-"""The predictive network: a graph-convolutional drug encoder with masked
-max-pool readout, a dense branch over precomputed cell-line vectors, and an
-MLP head over the concatenated embeddings.
+"""The predictive network: a graph-convolutional drug encoder with max-pool
+readout, a dense branch over precomputed cell-line vectors, and an MLP head
+over the concatenated embeddings.
 
-Batch normalization sits after each hidden linear layer of the cell branch
-and head, before the activation; the graph encoder carries none so its
-output stays padding-invariant. The head's last layer emits the IC50
-regression output directly, with no activation.
+The graph encoder reads only a drug's real atoms, never its padding, and
+carries no batch normalization, so a drug's embedding depends only on its
+graph and the parameters. Batch normalization sits after each hidden linear
+layer of the cell branch and head, before the activation. The head's last
+layer emits the IC50 regression output directly, with no activation.
 """
 
 from __future__ import annotations
@@ -154,17 +155,19 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
 
 def encode_drug(tape: ad.Tape, graph: PaddedGraph, params: ModelParams,
                 cfg: ModelConfig, mode: str) -> ad.Tensor:
-    """Graph convolutions over the padded graph, then masked max-pool readout."""
-    if graph.features.shape != (cfg.n_max_atoms, cfg.atom_input_dim):
+    """Graph convolutions over the real atoms, then max-pool readout; the
+    padding's size and contents never reach the embedding."""
+    if graph.features.shape[1] != cfg.atom_input_dim:
         raise ValueError(
-            f"graph padded to {graph.features.shape}, model expects "
-            f"({cfg.n_max_atoms}, {cfg.atom_input_dim})")
-    adj = ad.Tensor(graph.norm_adjacency)
-    h = ad.Tensor(graph.features)
+            f"atom features of width {graph.features.shape[1]}, model expects "
+            f"{cfg.atom_input_dim}")
+    n = graph.n_atoms
+    adj = ad.Tensor(graph.norm_adjacency[:n, :n])
+    h = ad.Tensor(graph.features[:n])
     for layer in params.gcn:
         h = ad.matmul(tape, adj, ad.matmul(tape, h, layer.weight))
         h = ad.relu(tape, ad.add(tape, h, layer.bias))
-    return ad.max_pool_rows(tape, h, graph.mask)
+    return ad.max_pool_rows(tape, h)
 
 
 def _dense_stack(tape, x, layers: Sequence[DenseLayer], cfg, mode, rng,

@@ -3,8 +3,9 @@
 Each drug is described by a per-atom feature matrix (75 columns), an
 undirected adjacency list of 0-based atom index pairs, and a degree list.
 This module loads and validates that representation, builds the
-symmetrically normalized adjacency used by the graph encoder, and embeds
-graphs into fixed-size zero-padded matrices for batching.
+symmetrically normalized adjacency (with self loops) used by the graph
+encoder, and embeds graphs top-left into fixed-size zero-padded matrices,
+enforcing the atom capacity. The encoder reads only the real-atom block.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class MolecularGraph:
 
 @dataclass
 class PaddedGraph:
-    """A graph embedded top-left into fixed-size matrices for batching."""
+    """A graph embedded top-left into fixed-size matrices of capacity n_max."""
 
     features: np.ndarray        # n_max x ATOM_FEATURE_DIM, zero beyond n_atoms
     norm_adjacency: np.ndarray  # n_max x n_max, symmetric, zero beyond n_atoms
@@ -102,26 +103,22 @@ def _canonical_pairs(pairs) -> list[tuple[int, int]]:
     return [(min(i, j), max(i, j)) for i, j in pairs]
 
 
-def normalized_adjacency(graph: MolecularGraph, self_loops: bool = True) -> np.ndarray:
-    """Symmetrically normalized adjacency D^{-1/2} (A [+ I]) D^{-1/2}.
+def normalized_adjacency(graph: MolecularGraph) -> np.ndarray:
+    """Symmetrically normalized adjacency D^{-1/2} (A + I) D^{-1/2}.
 
-    With self loops the degree matrix is taken from A + I, so an isolated
-    atom keeps a unit self-entry. Without self loops, zero-degree atoms get
-    all-zero rows instead of a division by zero.
+    The self loops make every degree at least 1, so an isolated atom keeps
+    a unit self-entry.
     """
     n = graph.n_atoms
-    a = np.zeros((n, n))
+    a = np.eye(n)
     for i, j in graph.adjacency:
         a[i, j] = 1.0
         a[j, i] = 1.0
-    if self_loops:
-        a = a + np.eye(n)
-    deg = a.sum(axis=1)
-    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     return inv_sqrt[:, None] * a * inv_sqrt[None, :]
 
 
-def pad_graph(graph: MolecularGraph, n_max: int, self_loops: bool = True) -> PaddedGraph:
+def pad_graph(graph: MolecularGraph, n_max: int) -> PaddedGraph:
     """Zero-pad features and normalized adjacency to n_max atoms."""
     n = graph.n_atoms
     if n > n_max:
@@ -130,7 +127,7 @@ def pad_graph(graph: MolecularGraph, n_max: int, self_loops: bool = True) -> Pad
     features = np.zeros((n_max, ATOM_FEATURE_DIM))
     features[:n] = graph.features
     adj = np.zeros((n_max, n_max))
-    adj[:n, :n] = normalized_adjacency(graph, self_loops=self_loops)
+    adj[:n, :n] = normalized_adjacency(graph)
     mask = np.zeros(n_max, dtype=bool)
     mask[:n] = True
     return PaddedGraph(features=features, norm_adjacency=adj, mask=mask)

@@ -87,9 +87,9 @@ def lodo_splits(records: Sequence, n_drugs: int, seed: int) -> list[tuple[str, l
     """
     distinct = sorted({r.drug_id for r in records})
     if n_drugs > len(distinct):
-        raise ValueError(f"asked for {n_drugs} held-out drugs, dataset has {len(distinct)}")
+        raise SplitError(f"asked for {n_drugs} held-out drugs, dataset has {len(distinct)}")
     if n_drugs < 1:
-        raise ValueError("need at least one held-out drug")
+        raise SplitError("need at least one held-out drug")
     rng = np.random.default_rng(seed)
     chosen = [distinct[i] for i in rng.choice(len(distinct), size=n_drugs, replace=False)]
     folds = []

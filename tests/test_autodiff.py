@@ -128,30 +128,25 @@ class TestStackRows:
 
 class TestMaxPoolRows:
     def test_columnwise_max(self):
-        out = ad.max_pool_rows(None, ad.Tensor([[1.0, 5.0], [3.0, 2.0]]), [True, True])
+        out = ad.max_pool_rows(None, ad.Tensor([[1.0, 5.0], [3.0, 2.0]]))
         np.testing.assert_array_equal(out.data, [[3.0, 5.0]])
 
-    def test_mask_excludes_rows(self):
-        out = ad.max_pool_rows(None, ad.Tensor([[1.0, 5.0], [9.0, 9.0]]), [True, False])
-        np.testing.assert_array_equal(out.data, [[1.0, 5.0]])
-
-    def test_all_masked(self):
-        with pytest.raises(ValueError, match="masked"):
-            ad.max_pool_rows(None, ad.Tensor([[1.0]]), [False])
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            ad.max_pool_rows(None, ad.Tensor(np.zeros((0, 3))))
 
     def test_tie_gradient_goes_to_first_row(self):
         tape = ad.Tape()
         x = ad.Tensor([[1.0, 5.0], [1.0, 2.0]], requires_grad=True)
-        ad.backward(tape, ad.sum_all(tape, ad.max_pool_rows(tape, x, [True, True])))
+        ad.backward(tape, ad.sum_all(tape, ad.max_pool_rows(tape, x)))
         np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradient_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        mask = np.array([True, True, False, True])
 
         def f(tape, t):
-            return ad.sum_all(tape, ad.max_pool_rows(tape, t, mask))
+            return ad.sum_all(tape, ad.max_pool_rows(tape, t))
 
         # distinct entries keep the argmax stable under the probe epsilon
         x = rng.permutation(np.linspace(-2.0, 2.0, 20)).reshape(4, 5)

@@ -44,8 +44,6 @@ def _cases(rng, n, d):
 
     b, a, right, row = fixed(d, 3), fixed(2, n), fixed(n, 2), fixed(1, d)
     same, bias_base = fixed(n, d), fixed(n, d)
-    mask = rng.random(n) < 0.6
-    mask[rng.integers(n)] = True
     pool_x = rng.permutation(np.linspace(-2.0, 2.0, n * d)).reshape(n, d)  # distinct values
     bn_train, bn_eval = _bn_state(rng, d), _bn_state(rng, d)
     drop_seed = int(rng.integers(1 << 30))
@@ -61,7 +59,7 @@ def _cases(rng, n, d):
         "concat_cols_right": (to_scalar((n, d + 2), lambda t, x: ad.concat_cols(t, right, x)), x),
         "stack_rows": (to_scalar((3, d), lambda t, x: ad.stack_rows(t, [x, row, x])),
                        rng.normal(size=(1, d))),
-        "max_pool_rows": (to_scalar((1, d), lambda t, x: ad.max_pool_rows(t, x, mask)), pool_x),
+        "max_pool_rows": (to_scalar((1, d), ad.max_pool_rows), pool_x),
         "batch_norm_train": (to_scalar((n, d), lambda t, x: ad.batch_norm(t, x, bn_train, "train")),
                              x),
         "batch_norm_eval": (to_scalar((n, d), lambda t, x: ad.batch_norm(t, x, bn_eval, "eval")),

@@ -139,6 +139,14 @@ class TestConfigErrors:
         assert err.startswith("error: ") and named in err
         assert not (tmp_path / "o").exists()
 
+    def test_percent_sign_in_a_path_is_taken_literally(self, fixture_dir, tmp_path, capsys):
+        files = dict(fixture_dir["files"], drug_manifest="50%off/m.csv")
+        config = write_config(tmp_path / "pct.ini", files, fixture_dir["bench"].n_max_atoms)
+        code = cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: paths.drug_manifest does not exist: {tmp_path / '50%off/m.csv'}\n")
+
 
 class TestTrain:
     def test_fixed_seed_gives_identical_checkpoints(self, fixture_dir):
@@ -292,6 +300,15 @@ class TestLodo:
                          "--out", str(tmp_path / "o")]) == 2
         assert "non-baseline" in capsys.readouterr().err
 
+    def test_more_held_out_drugs_than_the_dataset_has_exits_2(self, fixture_dir, tmp_path,
+                                                                 capsys):
+        config = write_config(tmp_path / "lodo.ini", fixture_dir["files"],
+                              fixture_dir["bench"].n_max_atoms)
+        config.write_text(config.read_text().replace("n_drugs = 1", "n_drugs = 50"))
+        assert cli.main(["lodo", "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: asked for 50 held-out drugs")
+
 
 class TestReport:
     def make_run(self, path, name, pccs):
@@ -342,3 +359,10 @@ class TestReport:
         history.write_text(history.read_text() + row + "\n")
         assert cli.main(["report", str(tmp_path / "run"), "--out", str(tmp_path / "o")]) == 5
         assert f"{history}, line 3" in capsys.readouterr().err
+
+    def test_history_that_is_not_utf8_exits_5(self, tmp_path, capsys):
+        self.make_run(tmp_path / "run", "m", [0.5])
+        history = tmp_path / "run" / "history.csv"
+        history.write_bytes(history.read_bytes() + b"\xff\xfe\n")
+        assert cli.main(["report", str(tmp_path / "run"), "--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err.startswith(f"error: {history}: not UTF-8")

@@ -84,9 +84,9 @@ class TestEncodeDrug:
         out_solo = m.encode_drug(ad.Tape(), pad_graph(solo, 4), params, cfg, "eval")
         np.testing.assert_allclose(out_twin.data, out_solo.data, atol=1e-12)
 
-    def test_wrong_padding_is_a_shape_error(self):
-        g = random_padded_graph(np.random.default_rng(0), 2, 4, 6)
-        with pytest.raises(ValueError, match="model expects"):
+    def test_wrong_feature_width_is_a_shape_error(self):
+        g = random_padded_graph(np.random.default_rng(0), 2, 5, 7)
+        with pytest.raises(ValueError, match="width 7, model expects 6"):
             m.encode_drug(ad.Tape(), g, m.init_params(TINY, 0), TINY, "eval")
 
     @pytest.mark.parametrize("seed", range(8))

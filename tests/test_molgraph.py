@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdrpipe import molgraph as mg
-from cdrpipe.autodiff import Tensor, max_pool_rows
+from cdrpipe.autodiff import Tape
+from cdrpipe.model import ModelConfig, encode_drug, init_params
 from cdrpipe.synthetic import random_graph
 
 
@@ -73,11 +75,20 @@ class TestLoadGraph:
         with pytest.raises(mg.GraphFormatError, match="not numeric"):
             mg.load_graph(f, a, d)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_round_trip(self, tmp_path, seed):
+    @pytest.mark.parametrize("isolated", range(5))
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(n_bonded=st.integers(1, 19), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip(self, tmp_path_factory, isolated, n_bonded, seed):
+        """A connected graph plus `isolated` atoms without bonds, with features
+        across the float64 exponent range, loads back exactly."""
         rng = np.random.default_rng(seed)
-        g = random_graph(rng, f"d{seed}", int(rng.integers(1, 20)))
-        paths = (tmp_path / "f.csv", tmp_path / "a.csv", tmp_path / "d.csv")
+        bonded = random_graph(rng, "d", n_bonded)
+        n = n_bonded + isolated
+        scale = 10.0 ** rng.integers(-300, 300, size=(n, 1))
+        g = mg.MolecularGraph("d", rng.normal(size=(n, mg.ATOM_FEATURE_DIM)) * scale,
+                              bonded.adjacency, np.append(bonded.degrees, [0] * isolated))
+        tmp = tmp_path_factory.mktemp("round_trip")
+        paths = (tmp / "f.csv", tmp / "a.csv", tmp / "d.csv")
         mg.save_graph(g, *paths)
         back = mg.load_graph(*paths, drug_id=g.drug_id)
         assert back.adjacency == g.adjacency
@@ -88,20 +99,12 @@ class TestLoadGraph:
 class TestNormalizedAdjacency:
     def test_two_atoms_one_bond_with_self_loops(self):
         """Hand evaluation: A+I is all-ones, degrees 2, so every entry is 1/2."""
-        got = mg.normalized_adjacency(two_atom_graph(), self_loops=True)
+        got = mg.normalized_adjacency(two_atom_graph())
         np.testing.assert_allclose(got, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_isolated_atom_with_self_loops(self):
         g = mg.MolecularGraph("one", np.zeros((1, 75)), [], np.array([0]))
-        np.testing.assert_allclose(mg.normalized_adjacency(g, self_loops=True), [[1.0]])
-
-    def test_two_atoms_without_self_loops(self):
-        got = mg.normalized_adjacency(two_atom_graph(), self_loops=False)
-        np.testing.assert_allclose(got, [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_isolated_atom_without_self_loops_stays_zero(self):
-        g = mg.MolecularGraph("one", np.zeros((1, 75)), [], np.array([0]))
-        np.testing.assert_array_equal(mg.normalized_adjacency(g, self_loops=False), [[0.0]])
+        np.testing.assert_allclose(mg.normalized_adjacency(g), [[1.0]])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_symmetric_with_bounded_spectrum(self, seed):
@@ -109,7 +112,7 @@ class TestNormalizedAdjacency:
         stays within 1 + 1e-9."""
         rng = np.random.default_rng(seed)
         g = random_graph(rng, "d", int(rng.integers(2, 15)))
-        adj = mg.normalized_adjacency(g, self_loops=True)
+        adj = mg.normalized_adjacency(g)
         assert np.max(np.abs(adj - adj.T)) <= 1e-12
         v = rng.normal(size=adj.shape[0])
         for _ in range(200):
@@ -142,9 +145,19 @@ class TestPadGraph:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_padding_never_wins_the_max_pool(self, seed):
-        """Pooling the padded graph with its mask equals pooling unpadded."""
+        """The encoder never reads padding: NaN in every padded feature row and
+        adjacency row and column gives the zero-padded embedding exactly."""
         rng = np.random.default_rng(seed)
-        g = random_graph(rng, "d", int(rng.integers(2, 12)))
+        g = random_graph(rng, "d", int(rng.integers(1, 12)))
+        cfg = ModelConfig(gcn_layer_dims=(16, 8), cell_branch_dims=(4,), head_dims=(1,),
+                          n_max_atoms=40, cell_input_dim=4)
+        params = init_params(cfg, seed=seed)
         padded = mg.pad_graph(g, 40)
-        pooled = max_pool_rows(None, Tensor(padded.features), padded.mask)
-        np.testing.assert_array_equal(pooled.data[0], g.features.max(axis=0))
+        poisoned = mg.pad_graph(g, 40)
+        poisoned.features[g.n_atoms:] = np.nan
+        poisoned.norm_adjacency[g.n_atoms:] = np.nan
+        poisoned.norm_adjacency[:, g.n_atoms:] = np.nan
+        clean = encode_drug(Tape(), padded, params, cfg, "eval").data
+        dirty = encode_drug(Tape(), poisoned, params, cfg, "eval").data
+        assert np.all(np.isfinite(clean))
+        np.testing.assert_array_equal(dirty, clean)

@@ -112,7 +112,7 @@ class TestLodoSplits:
         assert a == b
 
     def test_too_many_drugs_requested(self):
-        with pytest.raises(ValueError, match="asked for 3"):
+        with pytest.raises(tr.SplitError, match="asked for 3"):
             tr.lodo_splits([Rec("A"), Rec("B")], n_drugs=3, seed=0)
 
 
