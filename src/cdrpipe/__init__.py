@@ -10,8 +10,8 @@ from .autodiff import (AdamState, BatchNormState, Tape, Tensor, adam_init, adam_
                        backward, batch_norm, concat_cols, dropout, finite_diff_check,
                        loss, matmul, max_pool_rows, relu, stack_rows, sum_all)
 from .evaluation import (EvalReport, GainRow, GroupStat, PredictionRow, StabilityReport,
-                         build_eval_report, compare_models, grouped_pcc, pearson,
-                         ranked_gains, stability_report)
+                         build_eval_report, grouped_pcc, pearson, ranked_gains,
+                         stability_report)
 from .model import (CheckpointError, ModelConfig, ModelParams, encode_cell, encode_drug,
                     forward_batch, init_params, load_checkpoint, predict,
                     predict_records, save_checkpoint)

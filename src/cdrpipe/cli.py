@@ -50,6 +50,26 @@ class ConfigError(ValueError):
     """The run configuration is missing or inconsistent."""
 
 
+# section -> key -> (ConfigParser getter, default): the only keys a config
+# may set, besides [paths], which is open because its keys name the inputs
+CONFIG_SCHEMA = {
+    "run": {"seed": ("getint", 0), "feature_source": ("get", "scgpt")},
+    "model": {
+        "gcn_layer_dims": ("getdims", (256, 128)),
+        "cell_branch_dims": ("getdims", (128,)),
+        "head_dims": ("getdims", (128, 1)),
+        "dropout_rate": ("getfloat", 0.1),
+        "use_batch_norm": ("getboolean", True),
+        "n_max_atoms": ("getint", 100),
+    },
+    "train": {"epochs": ("getint", 20), "batch_size": ("getint", 32), "lr": ("getfloat", 1e-3),
+              "early_stop_patience": ("getoptint", None)},
+    "split": {"test_fraction": ("getfloat", 0.05), "train_cap": ("getoptint", 90_000),
+              "cap_mode": ("get", "slice")},
+    "lodo": {"n_drugs": ("getint", 20), "variants": ("get", "scgpt"), "baseline": ("get", "raw")},
+}
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs, resolved from one config file plus overrides."""
@@ -86,13 +106,25 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
         cp.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for section in cp.sections():
+        if section == "paths":
+            continue
+        if section not in CONFIG_SCHEMA:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        unknown = [key for key in cp.options(section) if key not in CONFIG_SCHEMA[section]]
+        if unknown:
+            raise ConfigError(f"{path}: unknown key(s) in [{section}]: {', '.join(unknown)}")
+    conf: dict[str, dict] = {}
+    for section, schema in CONFIG_SCHEMA.items():
+        conf[section] = {}
+        for key, (getter, default) in schema.items():
+            try:
+                conf[section][key] = getattr(cp, getter)(section, key, fallback=default)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
     base = path.parent
-
-    def get(getter, section, key, fallback):
-        try:
-            return getter(section, key, fallback=fallback)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
 
     paths = {}
     if cp.has_section("paths"):
@@ -107,55 +139,30 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
     if not output_dir.is_absolute() and out is None:
         output_dir = base / output_dir
 
-    source_raw = feature_source or cp.get("run", "feature_source", fallback="scgpt")
+    source_raw = feature_source or conf["run"]["feature_source"]
     source = SOURCE_ALIASES.get(source_raw, source_raw)
     if source not in FEATURE_SOURCES:
         raise ConfigError(f"unknown feature source {source_raw!r}")
 
-    model = {
-        "gcn_layer_dims": get(cp.getdims, "model", "gcn_layer_dims", (256, 128)),
-        "cell_branch_dims": get(cp.getdims, "model", "cell_branch_dims", (128,)),
-        "head_dims": get(cp.getdims, "model", "head_dims", (128, 1)),
-        "dropout_rate": get(cp.getfloat, "model", "dropout_rate", 0.1),
-        "use_batch_norm": get(cp.getboolean, "model", "use_batch_norm", True),
-        "n_max_atoms": get(cp.getint, "model", "n_max_atoms", 100),
-    }
-    if cp.has_section("model"):
-        unknown = [key for key in cp.options("model") if key not in model]
-        if unknown:
-            raise ConfigError(f"{path}: unknown key(s) in [model]: {', '.join(unknown)}")
-
-    train_values = {
-        "epochs": get(cp.getint, "train", "epochs", 20),
-        "batch_size": get(cp.getint, "train", "batch_size", 32),
-        "lr": get(cp.getfloat, "train", "lr", 1e-3),
-        "early_stop_patience": get(cp.getoptint, "train", "early_stop_patience", None),
-    }
-    split_values = {
-        "test_fraction": get(cp.getfloat, "split", "test_fraction", 0.05),
-        "train_cap": get(cp.getoptint, "split", "train_cap", 90_000),
-        "cap_mode": cp.get("split", "cap_mode", fallback="slice"),
-    }
     try:  # seeds are derived per purpose later
-        train_cfg = TrainConfig(seed=0, **train_values)
-        split = SplitSpec(seed=0, **split_values)
+        train_cfg = TrainConfig(seed=0, **conf["train"])
+        split = SplitSpec(seed=0, **conf["split"])
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    master = seed if seed is not None else get(cp.getint, "run", "seed", 0)
-    variants_raw = cp.get("lodo", "variants", fallback="scgpt").replace(" ", "")
+    variants_raw = conf["lodo"]["variants"].replace(" ", "")
     variants = [SOURCE_ALIASES.get(v, v) for v in variants_raw.split(",") if v]
-    baseline = cp.get("lodo", "baseline", fallback="raw")
+    baseline = conf["lodo"]["baseline"]
     return RunConfig(
         config_path=path,
         paths=paths,
         output_dir=output_dir,
-        seed=master,
+        seed=seed if seed is not None else conf["run"]["seed"],
         feature_source=source,
-        model=model,
+        model=conf["model"],
         train_cfg=train_cfg,
         split=split,
-        lodo_n_drugs=get(cp.getint, "lodo", "n_drugs", 20),
+        lodo_n_drugs=conf["lodo"]["n_drugs"],
         lodo_variants=variants,
         lodo_baseline=SOURCE_ALIASES.get(baseline, baseline),
     )
@@ -184,7 +191,7 @@ def load_cells(cfg: RunConfig, source: str) -> tuple[CellFeatureSet, dict]:
     if source == "raw_expression":
         profiles = load_expression(_require_path(cfg, "expression"))
         genes = load_gene_list(_require_path(cfg, "gene_list"))
-        padded, dropped = alignment_stats(profiles[0], genes) if profiles else (0, 0)
+        padded, dropped = alignment_stats(profiles[0], genes)
         entries["expression.rows"] = len(profiles)
         entries["genes.canonical"] = len(genes)
         entries["genes.padded"] = padded

@@ -145,13 +145,6 @@ def ranked_gains(model_pccs: Mapping[str, Mapping[str, float]],
     return [GainRow(drug_id=d, rank=i + 1, gains=gains[d]) for i, d in enumerate(order)]
 
 
-def compare_models(report_a: Mapping[str, float], report_b: Mapping[str, float],
-                   baseline_report: Mapping[str, float],
-                   names: tuple[str, str] = ("model_a", "model_b")) -> list[GainRow]:
-    """Two models' per-drug gains over a shared baseline, rank-ordered."""
-    return ranked_gains({names[0]: report_a, names[1]: report_b}, baseline_report)
-
-
 # ---------------------------------------------------------------------------
 # training stability
 # ---------------------------------------------------------------------------

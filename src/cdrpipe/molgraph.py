@@ -138,8 +138,12 @@ def pad_graph(graph: MolecularGraph, n_max: int) -> PaddedGraph:
 # ---------------------------------------------------------------------------
 
 def _numeric_rows(path, kind: str) -> list[list[float]]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     rows = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -204,19 +208,22 @@ def load_drug_manifest(manifest_file) -> dict[str, MolecularGraph]:
     """
     base = Path(manifest_file).parent
     graphs: dict[str, MolecularGraph] = {}
-    with open(manifest_file, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise GraphFormatError(f"{manifest_file}: manifest is missing columns {missing}")
-        for row in reader:
-            drug_id = row["drug_id"].strip()
-            if not drug_id:
-                raise GraphFormatError(f"{manifest_file}: empty drug_id")
-            if drug_id in graphs:
-                raise GraphConsistencyError(f"{manifest_file}: duplicate drug_id {drug_id!r}")
-            paths = [base / row[c].strip() for c in MANIFEST_COLUMNS[1:]]
-            graphs[drug_id] = load_graph(*paths, drug_id=drug_id)
+    try:
+        with open(manifest_file, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or [])]
+            if missing:
+                raise GraphFormatError(f"{manifest_file}: manifest is missing columns {missing}")
+            for row in reader:
+                drug_id = row["drug_id"].strip()
+                if not drug_id:
+                    raise GraphFormatError(f"{manifest_file}: empty drug_id")
+                if drug_id in graphs:
+                    raise GraphConsistencyError(f"{manifest_file}: duplicate drug_id {drug_id!r}")
+                paths = [base / row[c].strip() for c in MANIFEST_COLUMNS[1:]]
+                graphs[drug_id] = load_graph(*paths, drug_id=drug_id)
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{manifest_file}: not UTF-8 text ({exc.reason})") from None
     return graphs
 
 

@@ -1,8 +1,10 @@
 """Cell-line feature ingestion: expression matrices, precomputed embedding
 files, response tables, and the join that assembles a training dataset.
 
-All inputs are comma-separated UTF-8 text with a header row. Gene alignment
-zero-pads genes missing from a profile and drops genes outside the canonical
+All inputs are comma-separated UTF-8 text with a header row. One streamed
+reader parses each expression or embedding table into a single matrix, so the
+profiles of one expression table share one gene list. Gene alignment
+zero-pads genes missing from a table and drops genes outside the canonical
 list; dropped/padded counts are surfaced so dataset shrinkage stays visible.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,7 +31,7 @@ class IngestError(ValueError):
 
 @dataclass
 class ExpressionProfile:
-    """One cell line's non-negative expression values over its own gene list."""
+    """One cell line's non-negative expression values over a gene list."""
 
     cell_line_id: str
     values: np.ndarray
@@ -116,48 +118,60 @@ class ResponseDataset:
 # loading
 # ---------------------------------------------------------------------------
 
-def _read_table(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+def _read_matrix(path) -> tuple[list[str], list[str], np.ndarray]:
+    """Stream a table keyed by ``cell_line_id`` into (ids, column names,
+    matrix), one matrix row per cell line in file order."""
+    ids: dict[str, None] = {}
+    rows = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if header[:1] != ["cell_line_id"]:
+                raise IngestError(f"{path}: first header column must be 'cell_line_id'")
+            for lineno, row in enumerate(reader, 2):
+                if len(row) != len(header):
+                    raise IngestError(f"{path}: row {lineno} has {len(row) - 1} values, "
+                                      f"expected {len(header) - 1}")
+                if row[0] in ids:
+                    raise IngestError(f"{path}: duplicate cell_line_id {row[0]!r} at row {lineno}")
+                ids[row[0]] = None
+                try:
+                    rows.append(np.array(row[1:], dtype=np.float64))
+                except ValueError:
+                    for col, raw in enumerate(row[1:], 2):
+                        try:
+                            float(raw)
+                        except ValueError:
+                            raise IngestError(f"{path}: row {lineno} column {col} "
+                                              f"is not numeric: {raw!r}") from None
+                    raise
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
-        raise IngestError(f"{path}: empty file")
-    return rows[0], rows[1:]
+        raise IngestError(f"{path}: no cell lines")
+    return list(ids), header[1:], np.stack(rows)
 
 
 def load_expression(matrix_file) -> list[ExpressionProfile]:
-    """Load an expression matrix: header of gene ids, one row per cell line."""
-    header, rows = _read_table(matrix_file)
-    if not header or header[0] != "cell_line_id":
-        raise IngestError(f"{matrix_file}: first header column must be 'cell_line_id'")
-    gene_ids = header[1:]
-    profiles = []
-    seen = set()
-    for lineno, row in enumerate(rows, 2):
-        if len(row) != len(header):
-            raise IngestError(f"{matrix_file}: row {lineno} has {len(row)} fields, "
-                              f"expected {len(header)}")
-        cid = row[0]
-        if cid in seen:
-            raise IngestError(f"{matrix_file}: duplicate cell_line_id {cid!r} at row {lineno}")
-        seen.add(cid)
-        values = np.empty(len(gene_ids))
-        for col, raw in enumerate(row[1:]):
-            try:
-                values[col] = float(raw)
-            except ValueError:
-                raise IngestError(f"{matrix_file}: row {lineno} column {col + 2} "
-                                  f"is not numeric: {raw!r}") from None
-        if np.any(values < 0) or not np.all(np.isfinite(values)):
-            bad = int(np.nonzero(~((values >= 0) & np.isfinite(values)))[0][0])
-            raise IngestError(f"{matrix_file}: row {lineno} column {bad + 2} is outside "
-                              f"the non-negative expression domain")
-        profiles.append(ExpressionProfile(cid, values, list(gene_ids)))
-    return profiles
+    """Load an expression matrix: header of gene ids, one row per cell line.
+    The profiles are the rows of one matrix and share the header's gene list."""
+    ids, genes, matrix = _read_matrix(matrix_file)
+    outside = ~(np.isfinite(matrix) & (matrix >= 0))
+    if outside.any():
+        row, col = np.argwhere(outside)[0]
+        raise IngestError(f"{matrix_file}: row {row + 2} column {col + 2} is outside "
+                          f"the non-negative expression domain")
+    return [ExpressionProfile(cid, values, genes) for cid, values in zip(ids, matrix)]
 
 
 def load_gene_list(path) -> list[str]:
     """One gene id per line; order defines the canonical feature layout."""
-    genes = [ln.strip() for ln in open(path, encoding="utf-8") if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            genes = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not genes:
         raise IngestError(f"{path}: empty gene list")
     if len(set(genes)) != len(genes):
@@ -165,20 +179,20 @@ def load_gene_list(path) -> list[str]:
     return genes
 
 
-def align_genes(profile: ExpressionProfile, canonical: Sequence[str]) -> np.ndarray:
-    """Reorder a profile onto the canonical gene list, zero-padding absentees.
+def align_genes(gene_ids: Sequence[str], values: np.ndarray,
+                canonical: Sequence[str]) -> np.ndarray:
+    """Reorder values whose last axis runs over ``gene_ids`` onto the
+    canonical gene list, zero-padding absentees.
 
-    Genes in the profile but not in the canonical list are dropped; use
+    Genes outside the canonical list are dropped; use
     :func:`alignment_stats` to count them for the ingestion report.
     """
     if len(set(canonical)) != len(canonical):
         raise IngestError("canonical gene list has duplicate entries")
-    index = {g: i for i, g in enumerate(profile.gene_ids)}
-    out = np.zeros(len(canonical))
-    for i, gene in enumerate(canonical):
-        j = index.get(gene)
-        if j is not None:
-            out[i] = profile.values[j]
+    index = {g: j for j, g in enumerate(gene_ids)}
+    present = [i for i, gene in enumerate(canonical) if gene in index]
+    out = np.zeros(values.shape[:-1] + (len(canonical),))
+    out[..., present] = values[..., [index[canonical[i]] for i in present]]
     return out
 
 
@@ -191,53 +205,43 @@ def alignment_stats(profile: ExpressionProfile, canonical: Sequence[str]) -> tup
 
 
 def cpm_log1p(values: np.ndarray) -> np.ndarray:
-    """Counts-per-million scaling followed by log1p.
+    """Counts-per-million scaling followed by log1p, along the last axis.
 
-    out[i] = log1p(values[i] / sum(values) * 1e6). Division by the total
-    makes the result invariant to exact rescaling of the input.
+    out[..., i] = log1p(values[..., i] / sum(values[..., :]) * 1e6). Division
+    by the total makes the result invariant to exact rescaling of the input.
     """
     values = np.asarray(values, dtype=np.float64)
-    total = values.sum()
-    if total <= 0:
+    total = values.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise IngestError("cpm normalization needs a positive total, got an all-zero vector")
     return np.log1p(values / total * 1e6)
 
 
 def load_embeddings(path, expected_source: str) -> CellFeatureSet:
     """Load a precomputed embedding table and check its declared width."""
-    if expected_source not in FEATURE_SOURCES:
-        raise IngestError(f"unknown feature source {expected_source!r}")
-    header, rows = _read_table(path)
-    if not header or header[0] != "cell_line_id":
-        raise IngestError(f"{path}: first header column must be 'cell_line_id'")
-    dim = len(header) - 1
+    ids, columns, matrix = _read_matrix(path)
+    dim = len(columns)
     expected = EXPECTED_EMBEDDING_DIM.get(expected_source)
     if expected is not None and dim != expected:
         raise IngestError(f"{path}: {dim} embedding columns but source "
                           f"{expected_source!r} declares {expected}")
-    if not rows:
-        raise IngestError(f"{path}: embedding file has no cell lines")
-    vectors: dict[str, np.ndarray] = {}
-    for lineno, row in enumerate(rows, 2):
-        if len(row) != dim + 1:
-            raise IngestError(f"{path}: row {lineno} has {len(row) - 1} values, expected {dim}")
-        cid = row[0]
-        if cid in vectors:
-            raise IngestError(f"{path}: duplicate cell_line_id {cid!r} at row {lineno}")
-        try:
-            vectors[cid] = np.array([float(v) for v in row[1:]])
-        except ValueError:
-            raise IngestError(f"{path}: row {lineno} has a non-numeric value") from None
-    return CellFeatureSet(source=expected_source, dim=dim, vectors=vectors)
+    return CellFeatureSet(source=expected_source, dim=dim, vectors=dict(zip(ids, matrix)))
 
 
 def expression_feature_set(profiles: Iterable[ExpressionProfile],
                            canonical: Sequence[str]) -> CellFeatureSet:
     """Raw-expression baseline features: align to the canonical list, then
-    apply the same CPM+log1p scaling the embedding pipeline used."""
-    vectors = {
-        p.cell_line_id: cpm_log1p(align_genes(p, canonical)) for p in profiles
-    }
+    apply the same CPM+log1p scaling the embedding pipeline used. The
+    profiles must share one gene list, as those of one table do."""
+    profiles = list(profiles)
+    genes = profiles[0].gene_ids if profiles else []
+    for p in profiles:
+        if p.gene_ids != genes:
+            raise IngestError(f"cell line {p.cell_line_id!r}: gene list differs from that "
+                              f"of {profiles[0].cell_line_id!r}")
+    matrix = np.array([p.values for p in profiles]).reshape(len(profiles), len(genes))
+    scaled = cpm_log1p(align_genes(genes, matrix, canonical))
+    vectors = {p.cell_line_id: row for p, row in zip(profiles, scaled)}
     return CellFeatureSet(source="raw_expression", dim=len(canonical), vectors=vectors)
 
 
@@ -247,27 +251,30 @@ def load_responses(path) -> list[ResponseRecord]:
     Referential checks against available drugs/cells happen at join time,
     where unmatched rows are counted rather than silently dropped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        missing = [c for c in ("drug_id", "cell_line_id", "ic50") if c not in fields]
-        if missing:
-            raise IngestError(f"{path}: response table is missing columns {missing}")
-        records = []
-        for lineno, row in enumerate(reader, 2):
-            try:
-                ic50 = float(row["ic50"])
-            except (TypeError, ValueError):
-                raise IngestError(f"{path}: row {lineno} ic50 is not numeric: "
-                                  f"{row['ic50']!r}") from None
-            if not math.isfinite(ic50):
-                raise IngestError(f"{path}: row {lineno} ic50 is not finite")
-            records.append(ResponseRecord(
-                drug_id=row["drug_id"],
-                cell_line_id=row["cell_line_id"],
-                ic50=ic50,
-                cancer_type=(row.get("cancer_type") or None),
-            ))
+    records = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            fields = reader.fieldnames or []
+            missing = [c for c in ("drug_id", "cell_line_id", "ic50") if c not in fields]
+            if missing:
+                raise IngestError(f"{path}: response table is missing columns {missing}")
+            for lineno, row in enumerate(reader, 2):
+                try:
+                    ic50 = float(row["ic50"])
+                except (TypeError, ValueError):
+                    raise IngestError(f"{path}: row {lineno} ic50 is not numeric: "
+                                      f"{row['ic50']!r}") from None
+                if not math.isfinite(ic50):
+                    raise IngestError(f"{path}: row {lineno} ic50 is not finite")
+                records.append(ResponseRecord(
+                    drug_id=row["drug_id"],
+                    cell_line_id=row["cell_line_id"],
+                    ic50=ic50,
+                    cancer_type=(row.get("cancer_type") or None),
+                ))
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return records
 
 

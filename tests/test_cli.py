@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -114,6 +115,37 @@ class TestIngest:
         assert code == 2
         assert "declares 512" in capsys.readouterr().err
 
+    def test_expression_table_without_cell_lines_exits_2(self, fixture_dir, tmp_path, capsys):
+        header = fixture_dir["files"]["expression"].read_text().splitlines()[0]
+        files = dict(fixture_dir["files"], expression=tmp_path / "header_only.csv")
+        files["expression"].write_text(header + "\n", encoding="utf-8")
+        config = write_config(tmp_path / "run.ini", files, fixture_dir["bench"].n_max_atoms)
+        code = cli.main(["ingest", "--config", str(config), "--feature-source", "raw",
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {files['expression']}: no cell lines\n"
+
+    @pytest.mark.parametrize("target, source", [
+        ("config", "scgpt"), ("responses", "scgpt"), ("embeddings", "scgpt"),
+        ("expression", "raw"), ("gene_list", "raw"), ("drug_manifest", "scgpt"),
+        ("adjacency", "scgpt"),
+    ])
+    def test_input_that_is_not_utf8_exits_2_naming_the_file(self, fixture_dir, tmp_path,
+                                                              capsys, target, source):
+        data = tmp_path / "data"
+        shutil.copytree(fixture_dir["files"]["drug_manifest"].parent, data)
+        files = {k: data / v.name for k, v in fixture_dir["files"].items()}
+        config = write_config(tmp_path / "run.ini", files, fixture_dir["bench"].n_max_atoms)
+        first_drug = next(iter(fixture_dir["bench"].graphs))
+        path = dict(files, config=config,
+                    adjacency=data / "drugs" / f"{first_drug}.adjacency.csv")[target]
+        path.write_bytes(path.read_bytes() + b"\xff\xfe")
+        code = cli.main(["ingest", "--config", str(config), "--feature-source", source,
+                         "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}: not UTF-8")
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("old, new, named", [
@@ -124,8 +156,12 @@ class TestConfigErrors:
         ("use_batch_norm = true", "use_batch_norm = yes please", "[model] use_batch_norm"),
         ("[model]", "[model]\ntask = classification", "unknown key(s) in [model]: task"),
         ("[paths]", "stray line before any section\n[paths]", "no section headers"),
+        ("epochs = 2", "epoch = 3", "unknown key(s) in [train]: epoch"),
+        ("test_fraction = 0.1", "test_fracton = 0.1", "unknown key(s) in [split]: test_fracton"),
+        ("[train]", "[trian]", "unknown section [trian]"),
+        ("seed = 0", "sede = 5", "unknown key(s) in [run]: sede"),
     ], ids=["head_width", "test_fraction", "epochs", "dims", "boolean", "task",
-            "no_section"])
+            "no_section", "train_key", "split_key", "section", "run_key"])
     def test_bad_config_exits_2_naming_the_problem(self, fixture_dir, tmp_path, capsys,
                                                    old, new, named):
         config = write_config(tmp_path / "bad.ini", fixture_dir["files"],

@@ -100,11 +100,12 @@ class TestGroupedPcc:
 class TestRankedGains:
     def test_identical_models_have_zero_gains(self):
         base = {"D0": 0.5, "D1": 0.7}
-        rows = ev.compare_models(base, base, base)
+        rows = ev.ranked_gains({"model_a": base, "model_b": base}, base)
         assert all(r.gains == {"model_a": 0.0, "model_b": 0.0} for r in rows)
 
     def test_single_drug_improvement(self):
-        rows = ev.compare_models({"D0": 0.7}, {"D0": 0.6}, {"D0": 0.5})
+        rows = ev.ranked_gains({"model_a": {"D0": 0.7}, "model_b": {"D0": 0.6}},
+                               {"D0": 0.5})
         assert len(rows) == 1
         assert rows[0].rank == 1
         np.testing.assert_allclose(rows[0].gains["model_a"], 0.2)
@@ -115,14 +116,14 @@ class TestRankedGains:
         base = {d: float(rng.uniform(-1, 1)) for d in drugs}
         a = {d: float(rng.uniform(-1, 1)) for d in drugs}
         b = {d: float(rng.uniform(-1, 1)) for d in drugs}
-        rows = ev.compare_models(a, b, base)
+        rows = ev.ranked_gains({"model_a": a, "model_b": b}, base)
         assert sorted(r.rank for r in rows) == list(range(1, 16))
         gains = [r.gains["model_a"] for r in rows]
         assert gains == sorted(gains)  # ascending by the first model's gain
 
     def test_mismatched_drug_sets(self):
         with pytest.raises(ev.ComparisonError, match="model_b"):
-            ev.compare_models({"D0": 0.1}, {"D1": 0.1}, {"D0": 0.0})
+            ev.ranked_gains({"model_a": {"D0": 0.1}, "model_b": {"D1": 0.1}}, {"D0": 0.0})
 
 
 def history(*pccs, start=1):

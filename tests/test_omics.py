@@ -1,7 +1,10 @@
 """Expression/embedding/response ingestion and the dataset join."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdrpipe import omics
 from cdrpipe.molgraph import pad_graph
@@ -43,18 +46,77 @@ class TestLoadExpression:
         assert ids == [pr.cell_line_id for pr in omics.load_expression(p)]
 
 
+# derandomized so that every run of the suite draws the same examples
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+TABLES = dict(n=st.integers(1, 30), m=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+
+
+def spread_values(rng, n, m):
+    """An n x m table with values across the float64 exponent range."""
+    return rng.normal(size=(n, m)) * 10.0 ** rng.integers(-300, 300, size=(n, m))
+
+
+def write_table(path, cells):
+    """Write rows of value strings under a cell_line_id header."""
+    lines = ["cell_line_id," + ",".join(f"g{j}" for j in range(len(cells[0])))]
+    lines += [f"C{i}," + ",".join(row) for i, row in enumerate(cells)]
+    return write_csv(path, "\n".join(lines) + "\n")
+
+
+def repr_cells(values):
+    return [[repr(float(v)) for v in row] for row in values]
+
+
+class TestTableProperties:
+    @PROPERTY
+    @given(**TABLES)
+    def test_table_loads_back_exactly(self, tmp_path_factory, n, m, seed):
+        values = spread_values(np.random.default_rng(seed), n, m)
+        tmp = tmp_path_factory.mktemp("table")
+        ids = [f"C{i}" for i in range(n)]
+
+        cells = omics.load_embeddings(write_table(tmp / "signed.csv", repr_cells(values)),
+                                      "raw_expression")
+        assert list(cells.vectors) == ids and cells.dim == m
+        assert np.array(list(cells.vectors.values())).tobytes() == values.tobytes()
+
+        counts = np.abs(values)
+        profiles = omics.load_expression(write_table(tmp / "counts.csv", repr_cells(counts)))
+        assert [p.cell_line_id for p in profiles] == ids
+        assert all(p.gene_ids == [f"g{j}" for j in range(m)] for p in profiles)
+        assert np.array([p.values for p in profiles]).tobytes() == counts.tobytes()
+
+    @PROPERTY
+    @given(token=st.sampled_from(["oops", "", "1.2.3", "0x1p3", "1e", "--1", "nan(1)"]),
+           **TABLES)
+    def test_bad_value_names_its_row_and_column(self, tmp_path_factory, token, n, m, seed):
+        rng = np.random.default_rng(seed)
+        cells = repr_cells(np.abs(spread_values(rng, n, m)))
+        row, col = int(rng.integers(n)), int(rng.integers(m))
+        cells[row][col] = token
+        path = write_table(tmp_path_factory.mktemp("bad") / "t.csv", cells)
+        message = re.escape(f"row {row + 2} column {col + 2} is not numeric: {token!r}")
+        with pytest.raises(omics.IngestError, match=message):
+            omics.load_embeddings(path, "raw_expression")
+        with pytest.raises(omics.IngestError, match=message):
+            omics.load_expression(path)
+
+
 class TestAlignGenes:
     def test_pad_and_reorder(self):
         p = omics.ExpressionProfile("A", np.array([4.0, 7.0]), ["g1", "g3"])
-        np.testing.assert_array_equal(omics.align_genes(p, ["g1", "g2", "g3"]), [4.0, 0.0, 7.0])
+        np.testing.assert_array_equal(omics.align_genes(p.gene_ids, p.values, ["g1", "g2", "g3"]),
+                                      [4.0, 0.0, 7.0])
 
     def test_empty_profile(self):
         p = omics.ExpressionProfile("A", np.zeros(0), [])
-        np.testing.assert_array_equal(omics.align_genes(p, ["g1", "g2"]), [0.0, 0.0])
+        np.testing.assert_array_equal(omics.align_genes(p.gene_ids, p.values, ["g1", "g2"]),
+                                      [0.0, 0.0])
 
     def test_subset_reorders_and_counts_drops(self):
         p = omics.ExpressionProfile("A", np.array([1.0, 2.0, 3.0]), ["g1", "g2", "g3"])
-        np.testing.assert_array_equal(omics.align_genes(p, ["g3", "g1"]), [3.0, 1.0])
+        np.testing.assert_array_equal(omics.align_genes(p.gene_ids, p.values, ["g3", "g1"]),
+                                      [3.0, 1.0])
         assert omics.alignment_stats(p, ["g3", "g1"]) == (0, 1)
 
     def test_output_length_matches_canonical(self):
@@ -63,7 +125,7 @@ class TestAlignGenes:
             genes = [f"g{i}" for i in range(n_prof)]
             p = omics.ExpressionProfile("A", rng.uniform(size=n_prof), genes)
             canonical = [f"g{i}" for i in range(0, 2 * n_canon, 2)]
-            assert omics.align_genes(p, canonical).shape == (len(canonical),)
+            assert omics.align_genes(p.gene_ids, p.values, canonical).shape == (len(canonical),)
 
 
 class TestCpmLog1p:
@@ -192,3 +254,21 @@ class TestJoin:
             cells.vectors["A"][:3],
             [12.429220196836383, 12.429220196836383, 13.122365377402328])
         assert cells.vectors["A"][3] == 0.0
+
+    def test_stacked_features_equal_each_profile_on_its_own(self):
+        """Aligning and scaling the stacked table is the per-profile arithmetic."""
+        rng = np.random.default_rng(4)
+        genes = [f"g{i}" for i in range(300)]
+        canonical = [f"g{i}" for i in rng.permutation(320)]  # drops none, pads 20
+        values = rng.integers(0, 10_000, size=(7, 300)).astype(float)
+        profiles = [omics.ExpressionProfile(f"C{i}", row, genes) for i, row in enumerate(values)]
+        cells = omics.expression_feature_set(profiles, canonical)
+        for p in profiles:
+            alone = omics.cpm_log1p(omics.align_genes(genes, p.values, canonical))
+            assert cells.vectors[p.cell_line_id].tobytes() == alone.tobytes()
+
+    def test_expression_feature_set_needs_one_gene_list(self):
+        profiles = [omics.ExpressionProfile("A", np.array([1.0, 2.0]), ["g1", "g2"]),
+                    omics.ExpressionProfile("B", np.array([2.0, 1.0]), ["g2", "g1"])]
+        with pytest.raises(omics.IngestError, match="cell line 'B': gene list differs"):
+            omics.expression_feature_set(profiles, ["g1", "g2"])
