@@ -1,9 +1,10 @@
 """Working with drug molecular graphs.
 
 Shows the three-file tabular representation, the symmetrically normalized
-adjacency the graph encoder propagates over, fixed-size padding, and the
-two structural invariances the encoder guarantees: atom order and padding
-size never change the pooled drug embedding.
+adjacency the graph encoder propagates over, fixed-size padding, the two
+structural invariances the encoder guarantees (atom order and padding size
+never change the pooled drug embedding), and packed encoding of several
+drugs in one call.
 """
 
 import tempfile
@@ -52,7 +53,7 @@ cfg = ModelConfig(gcn_layer_dims=(16, 8), cell_branch_dims=(4,), head_dims=(1,),
 params = init_params(cfg, seed=0)
 
 g = random_graph(rng, "bigger", 5)
-base = encode_drug(Tape(), pad_graph(g, 6), params, cfg, "eval")
+base = encode_drug(Tape(), [pad_graph(g, 6)], params, cfg)
 
 perm = rng.permutation(g.n_atoms)
 inverse = np.argsort(perm)
@@ -61,8 +62,16 @@ relabeled = MolecularGraph(
     sorted((min(inverse[a], inverse[b]), max(inverse[a], inverse[b]))
            for a, b in g.adjacency),
     g.degrees[perm])
-permuted = encode_drug(Tape(), pad_graph(relabeled, 6), params, cfg, "eval")
+permuted = encode_drug(Tape(), [pad_graph(relabeled, 6)], params, cfg)
 print("permutation gap:", float(np.max(np.abs(base.data - permuted.data))))
 
-wide = encode_drug(Tape(), pad_graph(g, 40), params, cfg, "eval")
+wide = encode_drug(Tape(), [pad_graph(g, 40)], params, cfg)
 print("padding gap:", float(np.max(np.abs(base.data - wide.data))))
+
+# ---------------------------------------------------------------------------
+# 4. A list of drugs is encoded as one packed graph, one pooled row per drug;
+#    packing with other drugs does not change a drug's row.
+# ---------------------------------------------------------------------------
+packed = encode_drug(Tape(), [padded, pad_graph(g, 6), pad_graph(relabeled, 6)], params, cfg)
+print("packed rows:", packed.shape[0], "- packing gap:",
+      float(np.max(np.abs(packed.data[1:2] - base.data))))

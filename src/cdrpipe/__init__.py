@@ -8,7 +8,7 @@ evaluation harness around it.
 
 from .autodiff import (AdamState, BatchNormState, Tape, Tensor, adam_init, adam_step,
                        backward, batch_norm, concat_cols, dropout, finite_diff_check,
-                       loss, matmul, max_pool_rows, relu, stack_rows, sum_all)
+                       gather_rows, loss, matmul, propagate, relu, segment_max, sum_all)
 from .evaluation import (EvalReport, GainRow, GroupStat, PredictionRow, StabilityReport,
                          build_eval_report, grouped_pcc, pearson, ranked_gains,
                          stability_report)

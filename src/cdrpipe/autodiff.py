@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation over small dense tensors.
 
 Provides exactly the operations the drug-response regression model needs:
-matrix products, bias addition, relu, column concatenation, row stacking,
-column-wise max-pooling, batch normalization, inverted dropout and the mean
-squared error, plus an Adam optimizer and a central-finite-difference
-gradient checker. Everything is float64 and at most rank 2, recorded on an
-explicit :class:`Tape` so independent runs share no mutable state.
+matrix products, bias addition, relu, column concatenation, row gathering,
+batch normalization, inverted dropout and the mean squared error, plus two
+for graphs packed as one disjoint union of row segments: ``propagate``
+(each graph's adjacency block times its own rows) and ``segment_max``
+(column-wise max-pool per graph). An Adam optimizer and a
+central-finite-difference gradient checker complete it. Everything is
+float64 and at most rank 2, recorded on an explicit :class:`Tape` so
+independent runs share no mutable state.
 
 Only leaves (tensors that no operation on the tape produced, such as
 parameters) hold a gradient buffer. Operation outputs carry none:
@@ -131,14 +134,6 @@ def relu(tape: Tape | None, x: Tensor) -> Tensor:
     return _result(tape, (x,), np.maximum(x.data, 0.0), backward_fn)
 
 
-def _as_row(t: Tensor) -> np.ndarray:
-    if t.data.ndim == 1:
-        return t.data.reshape(1, -1)
-    if t.data.ndim == 2 and t.data.shape[0] == 1:
-        return t.data
-    raise ValueError(f"expected a single-row vector, got shape {t.data.shape}")
-
-
 def concat_cols(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     """Concatenate two matrices with equal row counts along columns."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
@@ -153,43 +148,63 @@ def concat_cols(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     return _result(tape, (a, b), np.concatenate([a.data, b.data], axis=1), backward_fn)
 
 
-def stack_rows(tape: Tape | None, rows: Sequence[Tensor]) -> Tensor:
-    """Stack single-row tensors into a B x d matrix."""
-    if not rows:
-        raise ValueError("stack_rows needs at least one row")
-    mats = [_as_row(t) for t in rows]
-    width = mats[0].shape[1]
-    if any(m.shape[1] != width for m in mats):
-        raise ValueError("stack_rows: rows have differing widths")
-    rows = tuple(rows)
+def propagate(tape: Tape | None, blocks: Sequence[np.ndarray], x: Tensor) -> Tensor:
+    """Block-diagonal product: each square block multiplies its own segment
+    of x's rows, in order, so the blocks' sizes must add up to x's row count.
+
+    The block-diagonal matrix is never formed; the blocks are constants.
+    """
+    sizes = [b.shape[0] for b in blocks]
+    if any(b.shape != (n, n) for b, n in zip(blocks, sizes)) or sum(sizes) != x.data.shape[0]:
+        raise ValueError(f"propagate: blocks of sizes {sizes} do not tile {x.data.shape[0]} rows")
+    bounds = np.cumsum([0] + sizes)
+
+    def product(transpose, m):
+        out = np.empty_like(m)
+        for block, s, e in zip(blocks, bounds[:-1], bounds[1:]):
+            np.matmul(block.T if transpose else block, m[s:e], out=out[s:e])
+        return out
 
     def backward_fn(g):
-        return tuple(
-            g[i : i + 1].reshape(t.data.shape) if t.requires_grad else None
-            for i, t in enumerate(rows)
-        )
+        return (product(True, g),)
 
-    return _result(tape, rows, np.concatenate(mats, axis=0), backward_fn)
+    return _result(tape, (x,), product(False, x.data), backward_fn)
 
 
-def max_pool_rows(tape: Tape | None, x: Tensor) -> Tensor:
-    """Column-wise maximum over the rows of an n x d tensor, n >= 1.
+def segment_max(tape: Tape | None, x: Tensor, sizes: Sequence[int]) -> Tensor:
+    """Column-wise maximum over each consecutive segment of x's rows: one
+    output row per segment, every segment at least one row long.
 
-    Each column's gradient is routed to its argmax row; ties break toward
-    the lowest row index.
+    Each column's gradient is routed to its argmax row within the segment;
+    ties break toward the lowest row index.
     """
-    if x.data.ndim != 2 or x.data.shape[0] == 0:
-        raise ValueError(f"max_pool_rows needs at least one row, got shape {x.data.shape}")
-    winners = np.argmax(x.data, axis=0)  # first maximal row per column
+    if x.data.ndim != 2 or min(sizes, default=0) < 1 or sum(sizes) != x.data.shape[0]:
+        raise ValueError(f"segment_max needs segments of at least one row tiling the input, "
+                         f"got sizes {list(sizes)} for shape {x.data.shape}")
+    starts = np.cumsum([0] + list(sizes[:-1]))
+    winners = np.stack([s + np.argmax(x.data[s : s + n], axis=0)  # first maximal row
+                        for s, n in zip(starts, sizes)])
     cols = np.arange(x.data.shape[1])
-    out = x.data[winners, cols].reshape(1, -1)
 
     def backward_fn(g):
         gx = np.zeros_like(x.data)
-        gx[winners, cols] = g[0]
+        gx[winners, cols] = g
         return (gx,)
 
-    return _result(tape, (x,), out, backward_fn)
+    return _result(tape, (x,), x.data[winners, cols], backward_fn)
+
+
+def gather_rows(tape: Tape | None, x: Tensor, index: Sequence[int]) -> Tensor:
+    """The rows of x at ``index``, in that order; a row may repeat, and its
+    gradient is then the sum over its occurrences."""
+    index = np.asarray(index, dtype=np.intp)
+
+    def backward_fn(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, index, g)
+        return (gx,)
+
+    return _result(tape, (x,), x.data[index], backward_fn)
 
 
 class BatchNormState:
@@ -356,6 +371,9 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
 
     A parameter whose gradient is exactly all-zero is left untouched for
     that step (no moment decay), so zero gradients are a strict no-op.
+    Moments and parameters are updated in their own buffers through two
+    scratch arrays, in the operation order of the written-out update, so
+    the results match it bit for bit.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter, gradient, and state lists must align")
@@ -368,11 +386,21 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
         if not g.any():
             continue
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        m, v = state.m[i], state.v[i]
+        scratch = np.multiply(g, 1.0 - state.beta1)
+        m *= state.beta1
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - state.beta2
+        v *= state.beta2
+        v += scratch
+        denom = np.divide(v, bc2, out=scratch)
+        np.sqrt(denom, out=denom)
+        denom += state.epsilon
+        step = np.divide(m, bc1)
+        step *= state.lr
+        step /= denom
+        p.data -= step
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,6 @@ class EvalReport:
     overall_pcc: float | None
     n_predictions: int
     grouped: dict[str, dict[str, GroupStat]]
-    predictions: list[PredictionRow]
 
 
 def build_eval_report(rows: Sequence[PredictionRow]) -> EvalReport:
@@ -109,7 +108,6 @@ def build_eval_report(rows: Sequence[PredictionRow]) -> EvalReport:
         if len(rows) >= 2 else None,
         n_predictions=len(rows),
         grouped={kind: grouped_pcc(rows, kind) for kind in GROUP_KINDS},
-        predictions=list(rows),
     )
 
 

@@ -2,9 +2,12 @@
 readout, a dense branch over precomputed cell-line vectors, and an MLP head
 over the concatenated embeddings.
 
-The graph encoder reads only a drug's real atoms, never its padding, and
-carries no batch normalization, so a drug's embedding depends only on its
-graph and the parameters. Batch normalization sits after each hidden linear
+The graph encoder packs a list of drugs into one disjoint union: their real
+atoms (never the padding) stacked into one matrix, each graph's normalized
+adjacency applied to its own row segment, and one max-pooled row per graph.
+It carries no batch normalization or dropout, so a drug's embedding depends
+only on its graph and the parameters, and a prediction pass encodes each
+distinct drug once. Batch normalization sits after each hidden linear
 layer of the cell branch and head, before the activation. The head's last
 layer emits the IC50 regression output directly, with no activation.
 """
@@ -153,21 +156,30 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def encode_drug(tape: ad.Tape, graph: PaddedGraph, params: ModelParams,
-                cfg: ModelConfig, mode: str) -> ad.Tensor:
-    """Graph convolutions over the real atoms, then max-pool readout; the
-    padding's size and contents never reach the embedding."""
-    if graph.features.shape[1] != cfg.atom_input_dim:
-        raise ValueError(
-            f"atom features of width {graph.features.shape[1]}, model expects "
-            f"{cfg.atom_input_dim}")
-    n = graph.n_atoms
-    adj = ad.Tensor(graph.norm_adjacency[:n, :n])
-    h = ad.Tensor(graph.features[:n])
+def encode_drug(tape: ad.Tape, graphs: Sequence[PaddedGraph], params: ModelParams,
+                cfg: ModelConfig) -> ad.Tensor:
+    """One pooled embedding row per graph, in order.
+
+    The graphs' real atoms are stacked into one (total atoms) x features
+    matrix. Each GCN layer records one product with the layer weight, one
+    block-diagonal propagation over the graphs' normalized adjacencies, the
+    bias add and the relu; a per-graph column max is the readout. No graph's
+    padding, and no other graph in the list, reaches its row.
+    """
+    blocks, features = [], []
+    for g in graphs:
+        if g.features.shape[1] != cfg.atom_input_dim:
+            raise ValueError(
+                f"atom features of width {g.features.shape[1]}, model expects "
+                f"{cfg.atom_input_dim}")
+        n = g.n_atoms
+        blocks.append(g.norm_adjacency[:n, :n])
+        features.append(g.features[:n])
+    h = ad.Tensor(np.concatenate(features))
     for layer in params.gcn:
-        h = ad.matmul(tape, adj, ad.matmul(tape, h, layer.weight))
+        h = ad.propagate(tape, blocks, ad.matmul(tape, h, layer.weight))
         h = ad.relu(tape, ad.add(tape, h, layer.bias))
-    return ad.max_pool_rows(tape, h)
+    return ad.segment_max(tape, h, [b.shape[0] for b in blocks])
 
 
 def _dense_stack(tape, x, layers: Sequence[DenseLayer], cfg, mode, rng,
@@ -209,31 +221,40 @@ def forward_batch(tape: ad.Tape, graphs: Sequence[PaddedGraph], cell_matrix,
                   rng: np.random.Generator | None = None) -> ad.Tensor:
     """Predictions for a batch of (graph, cell vector) pairs.
 
-    Repeated graph objects are encoded once; the stacked rows route the
-    pooled gradient back through every occurrence.
+    The batch's distinct graph objects are encoded in one packed call; each
+    record gathers its drug's row, so a repeated graph's gradient sums over
+    its records.
     """
-    cache: dict[int, ad.Tensor] = {}
-    rows = []
-    for g in graphs:
-        key = id(g)
-        if key not in cache:
-            cache[key] = encode_drug(tape, g, params, cfg, mode)
-        rows.append(cache[key])
-    drug_emb = ad.stack_rows(tape, rows)
+    distinct = list({id(g): g for g in graphs}.values())
+    slot = {id(g): i for i, g in enumerate(distinct)}
+    drug_emb = ad.gather_rows(tape, encode_drug(tape, distinct, params, cfg),
+                              [slot[id(g)] for g in graphs])
     cell_emb = encode_cell(tape, ad.Tensor(np.asarray(cell_matrix)), params, cfg, mode, rng)
     return predict(tape, drug_emb, cell_emb, params, cfg, mode, rng)
 
 
 def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
                     batch_size: int = 256) -> np.ndarray:
-    """Eval-mode predictions for every record of a joined dataset."""
+    """Eval-mode predictions for every record of a joined dataset.
+
+    Drug embeddings are kept for the length of the call: each batch packs
+    only the drugs no earlier batch encoded, so every distinct drug is
+    encoded once.
+    """
     out = np.empty(len(dataset.records))
+    drug_rows: dict[str, np.ndarray] = {}
     for start in range(0, len(dataset.records), batch_size):
         batch = dataset.records[start : start + batch_size]
-        graphs = [dataset.graphs[r.drug_id] for r in batch]
+        new = list(dict.fromkeys(r.drug_id for r in batch if r.drug_id not in drug_rows))
+        if new:
+            pooled = encode_drug(ad.Tape(), [dataset.graphs[d] for d in new], params, cfg)
+            drug_rows.update(zip(new, pooled.data))
+        tape = ad.Tape()
+        drug_emb = ad.Tensor(np.stack([drug_rows[r.drug_id] for r in batch]))
         cells = np.stack([dataset.cells.vectors[r.cell_line_id] for r in batch])
-        pred = forward_batch(ad.Tape(), graphs, cells, params, cfg, "eval")
-        out[start : start + len(batch)] = pred.data[:, 0]
+        cell_emb = encode_cell(tape, cells, params, cfg, "eval")
+        out[start : start + len(batch)] = predict(tape, drug_emb, cell_emb, params, cfg,
+                                                  "eval").data[:, 0]
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -153,15 +154,23 @@ def _read_matrix(path) -> tuple[list[str], list[str], np.ndarray]:
     return list(ids), header[1:], np.stack(rows)
 
 
+def _reject_first(path, bad: np.ndarray, what: str) -> None:
+    """Raise naming the file row and column of the first True in ``bad``."""
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise IngestError(f"{path}: row {row + 2} column {col + 2} is {what}")
+
+
 def load_expression(matrix_file) -> list[ExpressionProfile]:
     """Load an expression matrix: header of gene ids, one row per cell line.
     The profiles are the rows of one matrix and share the header's gene list."""
     ids, genes, matrix = _read_matrix(matrix_file)
-    outside = ~(np.isfinite(matrix) & (matrix >= 0))
-    if outside.any():
-        row, col = np.argwhere(outside)[0]
-        raise IngestError(f"{matrix_file}: row {row + 2} column {col + 2} is outside "
-                          f"the non-negative expression domain")
+    repeated = [gene for gene, count in Counter(genes).items() if count > 1]
+    if repeated:
+        raise IngestError(f"{matrix_file}: gene {repeated[0]!r} appears more than once "
+                          f"in the header")
+    _reject_first(matrix_file, ~(np.isfinite(matrix) & (matrix >= 0)),
+                  "outside the non-negative expression domain")
     return [ExpressionProfile(cid, values, genes) for cid, values in zip(ids, matrix)]
 
 
@@ -218,8 +227,10 @@ def cpm_log1p(values: np.ndarray) -> np.ndarray:
 
 
 def load_embeddings(path, expected_source: str) -> CellFeatureSet:
-    """Load a precomputed embedding table and check its declared width."""
+    """Load a precomputed embedding table; every value must be finite and
+    the width must match the source's declared one."""
     ids, columns, matrix = _read_matrix(path)
+    _reject_first(path, ~np.isfinite(matrix), "not finite")
     dim = len(columns)
     expected = EXPECTED_EMBEDDING_DIM.get(expected_source)
     if expected is not None and dim != expected:

@@ -64,10 +64,14 @@ def _check_single_ops(seed):
     worst = max(worst, ad.finite_diff_check(
         lambda t, x: ad.matmul(t, ad.matmul(t, u, ad.relu(t, x)), w),
         ad.Tensor(away_from_zero((3, 4)))))
-    other_row = ad.Tensor(rng.normal(size=(1, 4)))
     worst = max(worst, ad.finite_diff_check(
-        lambda t, x: ad.matmul(t, ad.matmul(t, u, ad.stack_rows(t, [x, other_row, x])), w),
-        ad.Tensor(rng.normal(size=(1, 4)))))
+        lambda t, x: ad.matmul(t, ad.matmul(t, u, ad.gather_rows(t, x, [1, 0, 1])), w),
+        ad.Tensor(rng.normal(size=(2, 4)))))
+    blocks = [rng.normal(size=(2, 2)), rng.normal(size=(3, 3))]
+    u5 = ad.Tensor(rng.normal(size=(1, 5)))
+    worst = max(worst, ad.finite_diff_check(
+        lambda t, x: ad.matmul(t, ad.matmul(t, u5, ad.propagate(t, blocks, x)), w),
+        ad.Tensor(rng.normal(size=(5, 4)))))
 
     wide = ad.Tensor(rng.normal(size=(3, 2)))
     w5 = ad.Tensor(rng.normal(size=(5, 1)))
@@ -78,8 +82,9 @@ def _check_single_ops(seed):
 
     pool_in = rng.permutation(np.linspace(-2, 2, 20)).reshape(4, 5)  # distinct values
     w_pool = ad.Tensor(rng.normal(size=(5, 1)))
+    u2 = ad.Tensor(rng.normal(size=(1, 2)))
     worst = max(worst, ad.finite_diff_check(
-        lambda t, x: ad.matmul(t, ad.max_pool_rows(t, x), w_pool),
+        lambda t, x: ad.matmul(t, ad.matmul(t, u2, ad.segment_max(t, x, [3, 1])), w_pool),
         ad.Tensor(pool_in)))
 
     for mode in ("train", "eval"):
@@ -361,6 +366,7 @@ def test_criterion_6_invariances():
                             n_max_atoms=37, cell_input_dim=4)
     worst_perm = 0.0
     worst_pad = 0.0
+    graphs = []
     rng = np.random.default_rng(0)
     for i in range(100):
         g = random_graph(rng, f"d{i}", int(rng.integers(2, 16)))
@@ -374,15 +380,29 @@ def test_criterion_6_invariances():
                                 np.zeros((1, 4)), params, cfg_large, "eval")
         worst_perm = max(worst_perm, float(np.max(np.abs(base.data - out_perm.data))))
         worst_pad = max(worst_pad, float(np.max(np.abs(base.data - out_pad.data))))
+        graphs.append(pad_graph(g, 20))
     assert worst_perm < 1e-10
     assert worst_pad < 1e-10
+
+    # all 100 graphs packed in one batch (some repeated) against the padded,
+    # masked reference forward
+    cfg_packed = ModelConfig(gcn_layer_dims=(16, 8), cell_branch_dims=(4,), head_dims=(6, 1),
+                             dropout_rate=0.0, n_max_atoms=20, cell_input_dim=4)
+    batch = graphs + graphs[:20]
+    cells = rng.normal(size=(len(batch), 4))
+    params = init_params(cfg_packed, seed=100)
+    packed = forward_batch(ad.Tape(), batch, cells, params, cfg_packed, "train")
+    reference, _ = reference_forward(batch, cells, params, cfg_packed)
+    worst_packed = float(np.max(np.abs(packed.data - reference)))
+    assert worst_packed < 1e-10
 
     counts = rng.integers(0, 10_000, size=300).astype(float)
     counts[0] = 3.0
     for k in (2.0, 10.0, 1000.0):
         assert np.array_equal(omics.cpm_log1p(k * counts), omics.cpm_log1p(counts))
     report_pass(6, f"100 graphs: permutation gap {worst_perm:.1e}, padding gap "
-                   f"{worst_pad:.1e}; cpm_log1p exactly scale-invariant for k in 2,10,1000")
+                   f"{worst_pad:.1e}, packed-vs-padded gap {worst_packed:.1e}; "
+                   f"cpm_log1p exactly scale-invariant for k in 2,10,1000")
 
 
 # ---------------------------------------------------------------------------

@@ -107,49 +107,78 @@ class TestConcat:
         np.testing.assert_allclose(b2.grad, np.tile(w.data[2:].T, (2, 1)))
 
 
-class TestStackRows:
-    def test_stack_and_split_gradient(self):
+class TestGatherRows:
+    def test_gather_and_split_gradient(self):
         tape = ad.Tape()
-        r1 = ad.Tensor([[1.0, 2.0]], requires_grad=True)
-        r2 = ad.Tensor([[3.0, 4.0]], requires_grad=True)
-        out = ad.stack_rows(tape, [r1, r2])
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
+        x = ad.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        out = ad.gather_rows(tape, x, [1, 0])
+        np.testing.assert_array_equal(out.data, [[3.0, 4.0], [1.0, 2.0]])
         ad.backward(tape, ad.sum_all(tape, out))
-        np.testing.assert_array_equal(r1.grad, [[1.0, 1.0]])
-        np.testing.assert_array_equal(r2.grad, [[1.0, 1.0]])
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_repeated_row_accumulates(self):
         tape = ad.Tape()
-        r = ad.Tensor([[1.0, 2.0]], requires_grad=True)
-        out = ad.stack_rows(tape, [r, r, r])
+        x = ad.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        out = ad.gather_rows(tape, x, [0, 0, 0])
         ad.backward(tape, ad.sum_all(tape, out))
-        np.testing.assert_array_equal(r.grad, [[3.0, 3.0]])
+        np.testing.assert_array_equal(x.grad, [[3.0, 3.0], [0.0, 0.0]])
 
 
-class TestMaxPoolRows:
+class TestPropagate:
+    def test_equals_the_block_diagonal_product(self):
+        rng = np.random.default_rng(0)
+        blocks = [rng.normal(size=(n, n)) for n in (3, 1, 4)]
+        x = rng.normal(size=(8, 5))
+        dense = np.zeros((8, 8))
+        dense[:3, :3], dense[3:4, 3:4], dense[4:, 4:] = blocks
+        out = ad.propagate(None, blocks, ad.Tensor(x))
+        np.testing.assert_allclose(out.data, dense @ x, atol=1e-14)
+
+    def test_blocks_must_tile_the_rows(self):
+        with pytest.raises(ValueError, match="do not tile 5 rows"):
+            ad.propagate(None, [np.eye(2), np.eye(2)], ad.Tensor(np.zeros((5, 3))))
+        with pytest.raises(ValueError, match="do not tile"):
+            ad.propagate(None, [np.zeros((2, 3))], ad.Tensor(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradient_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        blocks = [rng.normal(size=(n, n)) for n in (2, 1, 3)]  # not symmetric
+        target = ad.Tensor(rng.normal(size=(6, 4)))
+
+        def f(tape, t):
+            return ad.loss(tape, ad.propagate(tape, blocks, t), target)
+
+        assert ad.finite_diff_check(f, ad.Tensor(rng.normal(size=(6, 4)))) < 1e-4
+
+
+class TestSegmentMax:
     def test_columnwise_max(self):
-        out = ad.max_pool_rows(None, ad.Tensor([[1.0, 5.0], [3.0, 2.0]]))
-        np.testing.assert_array_equal(out.data, [[3.0, 5.0]])
+        x = ad.Tensor([[1.0, 5.0], [3.0, 2.0], [-1.0, -4.0], [0.0, 7.0], [-2.0, -3.0]])
+        out = ad.segment_max(None, x, [2, 1, 2])
+        np.testing.assert_array_equal(out.data, [[3.0, 5.0], [-1.0, -4.0], [0.0, 7.0]])
 
-    def test_empty_matrix_rejected(self):
+    def test_empty_segment_rejected(self):
         with pytest.raises(ValueError, match="at least one row"):
-            ad.max_pool_rows(None, ad.Tensor(np.zeros((0, 3))))
+            ad.segment_max(None, ad.Tensor(np.zeros((2, 3))), [2, 0])
+        with pytest.raises(ValueError, match="at least one row"):
+            ad.segment_max(None, ad.Tensor(np.zeros((2, 3))), [1, 2])
 
     def test_tie_gradient_goes_to_first_row(self):
         tape = ad.Tape()
-        x = ad.Tensor([[1.0, 5.0], [1.0, 2.0]], requires_grad=True)
-        ad.backward(tape, ad.sum_all(tape, ad.max_pool_rows(tape, x)))
-        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0]])
+        x = ad.Tensor([[9.0, 9.0], [1.0, 5.0], [1.0, 2.0]], requires_grad=True)
+        ad.backward(tape, ad.sum_all(tape, ad.segment_max(tape, x, [1, 2])))
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradient_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
 
         def f(tape, t):
-            return ad.sum_all(tape, ad.max_pool_rows(tape, t))
+            return ad.sum_all(tape, ad.segment_max(tape, t, [1, 3, 2]))
 
         # distinct entries keep the argmax stable under the probe epsilon
-        x = rng.permutation(np.linspace(-2.0, 2.0, 20)).reshape(4, 5)
+        x = rng.permutation(np.linspace(-2.0, 2.0, 30)).reshape(6, 5)
         assert ad.finite_diff_check(f, ad.Tensor(x)) < 1e-4
 
 
@@ -363,6 +392,27 @@ class TestAdam:
         for _ in range(500):
             ad.adam_step([w], [2.0 * (w.data - 5.0)], state)
         assert abs(w.data[0, 0] - 5.0) < 0.01
+
+    def test_in_place_update_matches_the_textbook_formula_bytewise(self):
+        """Three steps, the second with an all-zero gradient, against the
+        update written out with fresh arrays."""
+        rng = np.random.default_rng(5)
+        p = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        grads = [rng.normal(size=(4, 3)), np.zeros((4, 3)), rng.normal(size=(4, 3))]
+        state = ad.adam_init([p], lr=0.01)
+        ref_p, ref_m, ref_v, t = p.data.copy(), np.zeros((4, 3)), np.zeros((4, 3)), 0
+        for g in grads:
+            ad.adam_step([p], [g], state)
+            t += 1
+            if g.any():
+                ref_m = 0.9 * ref_m + (1.0 - 0.9) * g
+                ref_v = 0.999 * ref_v + (1.0 - 0.999) * (g * g)
+                m_hat = ref_m / (1.0 - 0.9 ** t)
+                v_hat = ref_v / (1.0 - 0.999 ** t)
+                ref_p = ref_p - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert p.data.tobytes() == ref_p.tobytes()
+            assert state.m[0].tobytes() == ref_m.tobytes()
+            assert state.v[0].tobytes() == ref_v.tobytes()
 
     def test_shape_mismatch(self):
         p = ad.Tensor(np.zeros(3), requires_grad=True)

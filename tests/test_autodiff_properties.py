@@ -42,9 +42,11 @@ def _cases(rng, n, d):
         target = fixed(*shape)
         return lambda t, x: ad.loss(t, op(t, x), target)
 
-    b, a, right, row = fixed(d, 3), fixed(2, n), fixed(n, 2), fixed(1, d)
+    b, a, right = fixed(d, 3), fixed(2, n), fixed(n, 2)
     same, bias_base = fixed(n, d), fixed(n, d)
     pool_x = rng.permutation(np.linspace(-2.0, 2.0, n * d)).reshape(n, d)  # distinct values
+    blocks = [rng.normal(size=(1, 1)), rng.normal(size=(n - 1, n - 1))]
+    picks = rng.integers(0, n, size=n + 2)
     bn_train, bn_eval = _bn_state(rng, d), _bn_state(rng, d)
     drop_seed = int(rng.integers(1 << 30))
     x = rng.normal(size=(n, d))
@@ -57,9 +59,10 @@ def _cases(rng, n, d):
         "relu": (to_scalar((n, d), ad.relu), _away_from_zero(rng, (n, d))),
         "concat_cols_left": (to_scalar((n, d + 2), lambda t, x: ad.concat_cols(t, x, right)), x),
         "concat_cols_right": (to_scalar((n, d + 2), lambda t, x: ad.concat_cols(t, right, x)), x),
-        "stack_rows": (to_scalar((3, d), lambda t, x: ad.stack_rows(t, [x, row, x])),
-                       rng.normal(size=(1, d))),
-        "max_pool_rows": (to_scalar((1, d), ad.max_pool_rows), pool_x),
+        "gather_rows": (to_scalar((n + 2, d), lambda t, x: ad.gather_rows(t, x, picks)), x),
+        "propagate": (to_scalar((n, d), lambda t, x: ad.propagate(t, blocks, x)), x),
+        "segment_max": (to_scalar((2, d), lambda t, x: ad.segment_max(t, x, [n - 2, 2])),
+                        pool_x),
         "batch_norm_train": (to_scalar((n, d), lambda t, x: ad.batch_norm(t, x, bn_train, "train")),
                              x),
         "batch_norm_eval": (to_scalar((n, d), lambda t, x: ad.batch_norm(t, x, bn_eval, "eval")),

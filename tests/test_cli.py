@@ -125,6 +125,21 @@ class TestIngest:
         assert code == 2
         assert capsys.readouterr().err == f"error: {files['expression']}: no cell lines\n"
 
+    @pytest.mark.parametrize("token", ["nan", "-inf"])
+    def test_non_finite_embedding_exits_2_naming_row_and_column(self, fixture_dir, tmp_path,
+                                                                capsys, token):
+        lines = fixture_dir["files"]["embeddings"].read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[5] = token
+        lines[3] = ",".join(fields)
+        files = dict(fixture_dir["files"], embeddings=tmp_path / "emb.csv")
+        files["embeddings"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = write_config(tmp_path / "run.ini", files, fixture_dir["bench"].n_max_atoms)
+        code = cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {files['embeddings']}: row 4 column 6 is not finite\n")
+
     @pytest.mark.parametrize("target, source", [
         ("config", "scgpt"), ("responses", "scgpt"), ("embeddings", "scgpt"),
         ("expression", "raw"), ("gene_list", "raw"), ("drug_manifest", "scgpt"),

@@ -8,7 +8,8 @@ import pytest
 from cdrpipe import autodiff as ad
 from cdrpipe import model as m
 from cdrpipe.molgraph import MolecularGraph, pad_graph
-from cdrpipe.synthetic import random_graph
+from cdrpipe.omics import ResponseDataset
+from cdrpipe.synthetic import make_benchmark, random_graph
 from oracles import finite_diff_params, random_padded_graph
 
 TINY = m.ModelConfig(
@@ -67,7 +68,7 @@ class TestEncodeDrug:
         params = m.init_params(cfg, seed=3)
         rng = np.random.default_rng(0)
         g = random_padded_graph(rng, 1, 1, 6)
-        out = m.encode_drug(ad.Tape(), g, params, cfg, "eval")
+        out = m.encode_drug(ad.Tape(), [g], params, cfg)
         h = g.features[:1]
         for layer in params.gcn:
             h = np.maximum(h @ layer.weight.data + layer.bias.data, 0.0)
@@ -80,14 +81,14 @@ class TestEncodeDrug:
         cfg = m.ModelConfig(gcn_layer_dims=(8,), cell_branch_dims=(4,), head_dims=(1,),
                             n_max_atoms=4, cell_input_dim=4)
         params = m.init_params(cfg, seed=2)
-        out_twin = m.encode_drug(ad.Tape(), pad_graph(twin, 4), params, cfg, "eval")
-        out_solo = m.encode_drug(ad.Tape(), pad_graph(solo, 4), params, cfg, "eval")
+        out_twin = m.encode_drug(ad.Tape(), [pad_graph(twin, 4)], params, cfg)
+        out_solo = m.encode_drug(ad.Tape(), [pad_graph(solo, 4)], params, cfg)
         np.testing.assert_allclose(out_twin.data, out_solo.data, atol=1e-12)
 
     def test_wrong_feature_width_is_a_shape_error(self):
         g = random_padded_graph(np.random.default_rng(0), 2, 5, 7)
         with pytest.raises(ValueError, match="width 7, model expects 6"):
-            m.encode_drug(ad.Tape(), g, m.init_params(TINY, 0), TINY, "eval")
+            m.encode_drug(ad.Tape(), [g], m.init_params(TINY, 0), TINY)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_atom_permutation_invariance(self, seed):
@@ -97,9 +98,9 @@ class TestEncodeDrug:
         cfg = m.ModelConfig(gcn_layer_dims=(16, 8), cell_branch_dims=(4,), head_dims=(1,),
                             n_max_atoms=16, cell_input_dim=4)
         params = m.init_params(cfg, seed=seed)
-        out = m.encode_drug(ad.Tape(), pad_graph(g, 16), params, cfg, "eval")
-        out_p = m.encode_drug(ad.Tape(), pad_graph(permute_graph(g, perm), 16),
-                              params, cfg, "eval")
+        out = m.encode_drug(ad.Tape(), [pad_graph(g, 16)], params, cfg)
+        out_p = m.encode_drug(ad.Tape(), [pad_graph(permute_graph(g, perm), 16)],
+                              params, cfg)
         np.testing.assert_allclose(out.data, out_p.data, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -111,9 +112,28 @@ class TestEncodeDrug:
         cfg_large = m.ModelConfig(gcn_layer_dims=(16, 8), cell_branch_dims=(4,),
                                   head_dims=(1,), n_max_atoms=30, cell_input_dim=4)
         params = m.init_params(cfg_small, seed=seed)
-        out_small = m.encode_drug(ad.Tape(), pad_graph(g, 8), params, cfg_small, "eval")
-        out_large = m.encode_drug(ad.Tape(), pad_graph(g, 30), params, cfg_large, "eval")
+        out_small = m.encode_drug(ad.Tape(), [pad_graph(g, 8)], params, cfg_small)
+        out_large = m.encode_drug(ad.Tape(), [pad_graph(g, 30)], params, cfg_large)
         np.testing.assert_allclose(out_small.data, out_large.data, atol=1e-10)
+
+    def test_packed_rows_equal_each_graph_encoded_alone(self):
+        """A 1-atom graph, isolated atoms whose twin rows tie in every column,
+        connected graphs, and one graph object twice, in one packed call."""
+        rng = np.random.default_rng(4)
+        row = rng.normal(size=75)
+        one = MolecularGraph("one", row.reshape(1, -1), [], np.array([0]))
+        isolated = MolecularGraph("iso", np.stack([row, -row, row]), [], np.zeros(3))
+        cfg = m.ModelConfig(gcn_layer_dims=(16, 8), cell_branch_dims=(4,), head_dims=(1,),
+                            n_max_atoms=12, cell_input_dim=4)
+        params = m.init_params(cfg, seed=1)
+        chain = pad_graph(random_graph(rng, "chain", 9), 12)
+        graphs = [pad_graph(one, 12), chain, pad_graph(isolated, 12),
+                  pad_graph(random_graph(rng, "big", 12), 12), chain]
+        packed = m.encode_drug(ad.Tape(), graphs, params, cfg)
+        assert packed.shape == (5, 8)
+        for i, g in enumerate(graphs):
+            alone = m.encode_drug(ad.Tape(), [g], params, cfg)
+            np.testing.assert_allclose(packed.data[i : i + 1], alone.data, rtol=0, atol=1e-12)
 
 
 class TestEncodeCell:
@@ -174,6 +194,44 @@ class TestPredict:
         rel_err, small_err = finite_diff_params(loss_value, params.parameters())
         assert rel_err < 1e-4
         assert small_err < 1e-9
+
+
+class TestPredictRecords:
+    def dataset(self):
+        bench = make_benchmark(n_cells=20, cell_dim=4, n_drugs=9, atom_range=(1, 8),
+                               n_records=150, seed=3)
+        cfg = m.ModelConfig(gcn_layer_dims=(8, 6), cell_branch_dims=(5,), head_dims=(7, 1),
+                            n_max_atoms=bench.n_max_atoms, cell_input_dim=4)
+        return ResponseDataset(bench.records, bench.padded, bench.cells), cfg
+
+    def test_each_distinct_drug_is_encoded_once(self, monkeypatch):
+        dataset, cfg = self.dataset()
+        encoded = []
+        original = m.encode_drug
+
+        def counting(tape, graphs, *rest):
+            encoded.extend(graphs)
+            return original(tape, graphs, *rest)
+
+        monkeypatch.setattr(m, "encode_drug", counting)
+        m.predict_records(m.init_params(cfg, seed=0), cfg, dataset, batch_size=16)
+        drugs = {r.drug_id for r in dataset.records}
+        assert len(encoded) == len(drugs) == 9
+        assert {id(g) for g in encoded} == {id(dataset.graphs[d]) for d in drugs}
+
+    def test_equals_per_batch_forward(self):
+        dataset, cfg = self.dataset()
+        params = m.init_params(cfg, seed=2)
+        batch_size = 16
+        preds = m.predict_records(params, cfg, dataset, batch_size)
+        for start in range(0, len(dataset.records), batch_size):
+            batch = dataset.records[start : start + batch_size]
+            expected = m.forward_batch(
+                ad.Tape(), [dataset.graphs[r.drug_id] for r in batch],
+                np.stack([dataset.cells.vectors[r.cell_line_id] for r in batch]),
+                params, cfg, "eval")
+            np.testing.assert_allclose(preds[start : start + len(batch)], expected.data[:, 0],
+                                       rtol=0, atol=1e-12)
 
 
 class TestCheckpoint:

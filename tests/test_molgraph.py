@@ -157,7 +157,7 @@ class TestPadGraph:
         poisoned.features[g.n_atoms:] = np.nan
         poisoned.norm_adjacency[g.n_atoms:] = np.nan
         poisoned.norm_adjacency[:, g.n_atoms:] = np.nan
-        clean = encode_drug(Tape(), padded, params, cfg, "eval").data
-        dirty = encode_drug(Tape(), poisoned, params, cfg, "eval").data
+        clean = encode_drug(Tape(), [padded], params, cfg).data
+        dirty = encode_drug(Tape(), [poisoned], params, cfg).data
         assert np.all(np.isfinite(clean))
         np.testing.assert_array_equal(dirty, clean)

@@ -34,6 +34,12 @@ class TestLoadExpression:
         with pytest.raises(omics.IngestError, match="duplicate"):
             omics.load_expression(p)
 
+    def test_repeated_gene_in_header_names_the_gene(self, tmp_path):
+        p = write_csv(tmp_path / "e.csv", "cell_line_id,g1,g2,g1\nA,1,5,2\n")
+        with pytest.raises(omics.IngestError, match=f"{re.escape(str(p))}: gene 'g1' appears "
+                                                    f"more than once"):
+            omics.load_expression(p)
+
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         p = write_csv(tmp_path / "e.csv", "cell_line_id,g1,g2\nA,1,oops\n")
         with pytest.raises(omics.IngestError, match="row 2 column 3"):

@@ -1,9 +1,11 @@
 """Split contracts and the training loop."""
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdrpipe import training as tr
 from cdrpipe.evaluation import pearson
@@ -12,7 +14,7 @@ from cdrpipe.omics import ResponseDataset
 from cdrpipe.synthetic import make_benchmark
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Rec:
     drug_id: str
     item: int = 0
@@ -114,6 +116,55 @@ class TestLodoSplits:
     def test_too_many_drugs_requested(self):
         with pytest.raises(tr.SplitError, match="asked for 3"):
             tr.lodo_splits([Rec("A"), Rec("B")], n_drugs=3, seed=0)
+
+
+# derandomized so that every run of the suite draws the same examples
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+class TestSplitProperties:
+    @PROPERTY
+    @given(n=st.integers(2, 300), fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1),
+           cap=st.integers(1, 300), cap_mode=st.sampled_from(tr.CAP_MODES))
+    def test_split_dataset_contracts(self, n, fraction, seed, cap, cap_mode):
+        records = [Rec("D", i) for i in range(n)]
+        n_train = math.ceil((1.0 - fraction) * n)
+        spec = tr.SplitSpec(test_fraction=fraction, train_cap=None, seed=seed)
+        if not 0 < n_train < n:
+            with pytest.raises(tr.SplitError, match="leaves one side empty"):
+                tr.split_dataset(records, spec)
+            return
+        train, test = tr.split_dataset(records, spec)
+        assert len(train) == n_train
+        assert sorted(train + test) == records  # an exact partition
+        assert tr.split_dataset(records, spec) == (train, test)
+
+        capped, capped_test = tr.split_dataset(
+            records, replace(spec, train_cap=cap, cap_mode=cap_mode))
+        assert capped_test == test
+        if cap_mode == "slice":
+            assert capped == train[:cap]
+        else:
+            assert len(capped) == min(cap, n_train)
+            position = {r: i for i, r in enumerate(train)}
+            kept = [position[r] for r in capped]
+            assert kept == sorted(set(kept))  # a subset, in the uncapped order
+
+    @PROPERTY
+    @given(drugs=st.lists(st.integers(0, 12), min_size=1, max_size=80),
+           data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_lodo_splits_contracts(self, drugs, data, seed):
+        records = [Rec(f"D{d}", i) for i, d in enumerate(drugs)]
+        distinct = {r.drug_id for r in records}
+        n_drugs = data.draw(st.integers(1, len(distinct)))
+        folds = tr.lodo_splits(records, n_drugs, seed)
+        held_out = [drug for drug, _, _ in folds]
+        assert len(held_out) == n_drugs == len(set(held_out))
+        assert set(held_out) <= distinct
+        for drug, train, test in folds:
+            assert test == [r for r in records if r.drug_id == drug]
+            assert train == [r for r in records if r.drug_id != drug]
+        assert [d for d, _, _ in tr.lodo_splits(records, n_drugs, seed)] == held_out
 
 
 class TestTrain:
