@@ -9,9 +9,9 @@ evaluation harness around it.
 from .autodiff import (AdamState, BatchNormState, Tape, Tensor, adam_init, adam_step,
                        backward, batch_norm, concat_cols, dropout, finite_diff_check,
                        gather_rows, loss, matmul, propagate, relu, segment_max, sum_all)
-from .evaluation import (EvalReport, GainRow, GroupStat, PredictionRow, StabilityReport,
-                         build_eval_report, grouped_pcc, pearson, ranked_gains,
-                         stability_report)
+from .evaluation import (EpochRecord, EvalReport, GainRow, GroupStat, PredictionRow,
+                         StabilityReport, build_eval_report, grouped_pcc, pearson,
+                         ranked_gains, stability_report)
 from .model import (CheckpointError, ModelConfig, ModelParams, encode_cell, encode_drug,
                     forward_batch, init_params, load_checkpoint, predict,
                     predict_records, save_checkpoint)
@@ -23,7 +23,7 @@ from .omics import (CellFeatureSet, ExpressionProfile, IngestError, ResponseData
                     join_dataset, load_embeddings, load_expression, load_gene_list,
                     load_responses)
 from .seeding import derive_seed
-from .training import (DivergenceError, EpochRecord, SplitError, SplitSpec, TrainConfig,
-                       lodo_splits, split_dataset, train)
+from .training import (DivergenceError, SplitError, SplitSpec, TrainConfig, lodo_splits,
+                       split_dataset, train)
 
 __version__ = "0.1.0"

@@ -10,31 +10,30 @@ central-finite-difference gradient checker complete it. Everything is
 float64 and at most rank 2, recorded on an explicit :class:`Tape` so
 independent runs share no mutable state.
 
-Only leaves (tensors that no operation on the tape produced, such as
-parameters) hold a gradient buffer. Operation outputs carry none:
-:func:`backward` passes their gradients along in a local map and drops each
-one as soon as the node that produced it has consumed it.
+Tensors hold no gradient state. :func:`backward` passes gradients along in
+a local map, drops each operation output's gradient as soon as the node
+that produced it has consumed it, and returns the gradients of the tensors
+it is asked for. Those arrays are read-only to the caller and may share
+memory with one another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 
 class Tensor:
-    """A dense float64 array of rank <= 2 with an optional gradient buffer.
+    """A dense float64 array of rank <= 2.
 
-    A tensor built with ``requires_grad=True`` is a leaf: it gets a zeroed
-    ``grad`` buffer at construction, gradients accumulate into it across
-    backward passes, and callers zero it between optimizer steps (see
-    :meth:`zero_grad`). Operation outputs also report ``requires_grad``
-    when an input does, but their ``grad`` stays None.
+    ``requires_grad`` marks a tensor that gradients flow to: a parameter
+    built with ``requires_grad=True``, or an operation output with such an
+    input. The tensor stores no gradient; :func:`backward` returns them.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -42,15 +41,10 @@ class Tensor:
             raise ValueError(f"tensors are at most rank 2, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = np.zeros_like(arr) if requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -83,7 +77,7 @@ def _result(tape: Tape | None, inputs: tuple[Tensor, ...], data: np.ndarray,
     if any(t.requires_grad for t in inputs):
         if tape is None:
             raise ValueError("operation on tensors requiring grad needs a tape")
-        out.requires_grad = True  # differentiable, but no gradient buffer
+        out.requires_grad = True
         tape.nodes.append(TapeNode(inputs, out, backward_fn))
     return out
 
@@ -210,13 +204,14 @@ def gather_rows(tape: Tape | None, x: Tensor, index: Sequence[int]) -> Tensor:
 class BatchNormState:
     """Learnable scale/shift plus running statistics for one feature axis."""
 
-    def __init__(self, dim: int, momentum: float = 0.99, eps: float = 1e-5):
+    momentum = 0.99  # weight of the old running statistics per train batch
+    eps = 1e-5       # added to the variance before the square root
+
+    def __init__(self, dim: int):
         self.gamma = Tensor(np.ones((1, dim)), requires_grad=True)
         self.beta = Tensor(np.zeros((1, dim)), requires_grad=True)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.momentum = momentum
-        self.eps = eps
 
 
 def batch_norm(tape: Tape | None, x: Tensor, state: BatchNormState, mode: str) -> Tensor:
@@ -308,35 +303,30 @@ def loss(tape: Tape | None, pred: Tensor, target: Tensor) -> Tensor:
 # backward sweep
 # ---------------------------------------------------------------------------
 
-def backward(tape: Tape, loss_node: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into t.grad for every requires_grad leaf
-    reachable from the scalar loss_node.
+def backward(tape: Tape, loss_node: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
+    """d(loss)/d(t) for each tensor t in ``wrt``, in order, for the scalar
+    loss_node; zeros of t's shape where the loss does not reach t.
 
-    A leaf is a tensor that no node on the tape produced. Gradients of
-    operation outputs live only in a local map, and each is dropped once
-    its producing node has passed it on to that node's inputs.
+    Each ``wrt`` tensor must be a leaf: a tensor that no node on the tape
+    produced, such as a parameter. Gradients of operation outputs live only
+    in a local map, and each is dropped once its producing node has passed
+    it on to that node's inputs. The returned arrays are read-only: they
+    may share memory with one another (an addition hands the same gradient
+    to both operands). The tape and the tensors are left unchanged, so
+    calling again returns equal arrays.
     """
     if loss_node.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss_node.data.shape}")
-    produced = {id(node.output) for node in tape.nodes}
     flows: dict[int, np.ndarray] = {id(loss_node): np.ones_like(loss_node.data)}
-    leaves: list[Tensor] = []
     for node in reversed(tape.nodes):
         g_out = flows.pop(id(node.output), None)
         if g_out is None:
             continue  # not on a path to the loss
         for tensor, g in zip(node.inputs, node.backward_fn(g_out)):
-            if g is None or not tensor.requires_grad:
-                continue
-            key = id(tensor)
-            if key in flows:
-                flows[key] = flows[key] + g
-            else:
-                flows[key] = g
-                if key not in produced:
-                    leaves.append(tensor)
-    for tensor in leaves:
-        tensor.grad += flows[id(tensor)]
+            if g is not None and tensor.requires_grad:
+                key = id(tensor)
+                flows[key] = flows[key] + g if key in flows else g
+    return [flows[id(t)] if id(t) in flows else np.zeros_like(t.data) for t in wrt]
 
 
 # ---------------------------------------------------------------------------
@@ -345,21 +335,21 @@ def backward(tape: Tape, loss_node: Tensor) -> None:
 
 @dataclass
 class AdamState:
-    """Adam moment buffers and hyperparameters for a fixed parameter list."""
+    """Adam moment buffers and learning rate for a fixed parameter list."""
+
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    epsilon: ClassVar[float] = 1e-8
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
 
-def adam_init(params: Sequence[Tensor], lr: float = 1e-4, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
+def adam_init(params: Sequence[Tensor], lr: float = 1e-4) -> AdamState:
     return AdamState(
-        lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon,
+        lr=lr,
         m=[np.zeros_like(p.data) for p in params],
         v=[np.zeros_like(p.data) for p in params],
     )
@@ -420,8 +410,7 @@ def finite_diff_check(f, x: Tensor, epsilon: float = 1e-5) -> float:
     out = f(tape, x_ad)
     if out.data.size != 1:
         raise ValueError("finite_diff_check needs a scalar-valued function")
-    backward(tape, out)
-    auto = x_ad.grad.copy()
+    (auto,) = backward(tape, out, [x_ad])
 
     work = Tensor(x.data.copy())
     numeric = np.zeros_like(work.data)

@@ -48,6 +48,13 @@ def pearson(pred, obs) -> float | None:
 
 
 @dataclass
+class EpochRecord:
+    epoch: int
+    train_loss: float
+    val_pcc: float | None
+
+
+@dataclass
 class PredictionRow:
     drug_id: str
     cell_line_id: str
@@ -219,7 +226,7 @@ def write_grouped_csv(path, stats: Mapping[str, GroupStat]) -> None:
                 fh.write(f"{key},{_fmt(st.pcc)},{st.n}\n")
 
 
-def write_history_csv(path, model_name: str, history: Sequence) -> None:
+def write_history_csv(path, model_name: str, history: Sequence[EpochRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,model,val_pcc,train_loss\n")
         for rec in history:
@@ -227,15 +234,13 @@ def write_history_csv(path, model_name: str, history: Sequence) -> None:
             fh.write(f"{rec.epoch},{model_name},{pcc},{_fmt(rec.train_loss)}\n")
 
 
-def read_history_csv(path) -> dict[str, list]:
-    """Inverse of write_history_csv; returns model -> EpochRecord-like rows.
+def read_history_csv(path) -> dict[str, list[EpochRecord]]:
+    """Inverse of write_history_csv; returns model -> EpochRecord rows.
 
     A file that is not UTF-8 text is a ReportError naming the file; a row
     with the wrong field count or a non-numeric value is one naming the
     file and line.
     """
-    from .training import EpochRecord
-
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -244,7 +249,7 @@ def read_history_csv(path) -> dict[str, list]:
     header = (lines[0] if lines else "").strip().split(",")
     if header != ["epoch", "model", "val_pcc", "train_loss"]:
         raise ReportError(f"{path}: not a history table (header {header})")
-    out: dict[str, list] = {}
+    out: dict[str, list[EpochRecord]] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         try:
             epoch, model, pcc, loss = line.strip().split(",")

@@ -111,9 +111,6 @@ class ResponseDataset:
     def labels(self) -> np.ndarray:
         return np.array([r.ic50 for r in self.records])
 
-    def drug_ids(self) -> list[str]:
-        return sorted({r.drug_id for r in self.records})
-
 
 # ---------------------------------------------------------------------------
 # loading

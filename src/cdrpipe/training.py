@@ -17,7 +17,7 @@ from typing import Sequence, TypeVar
 import numpy as np
 
 from . import autodiff as ad
-from .evaluation import pearson
+from .evaluation import EpochRecord, pearson
 from .model import ModelConfig, ModelParams, forward_batch, init_params, predict_records
 from .omics import ResponseDataset
 from .seeding import derive_seed
@@ -28,7 +28,7 @@ CAP_MODES = ("slice", "random")
 
 
 class SplitError(ValueError):
-    """A split would leave one side empty or is otherwise impossible."""
+    """A split would leave one side empty, or leaves batch norm a batch of one record."""
 
 
 class DivergenceError(RuntimeError):
@@ -119,13 +119,6 @@ class TrainConfig:
             raise ValueError("early_stop_patience must be >= 1 when set")
 
 
-@dataclass
-class EpochRecord:
-    epoch: int
-    train_loss: float
-    val_pcc: float | None
-
-
 def _batches(n: int, batch_size: int, order: np.ndarray) -> list[np.ndarray]:
     batches = [order[i : i + batch_size] for i in range(0, n, batch_size)]
     # fold a trailing singleton into its neighbor so batch norm always sees >= 2 rows
@@ -149,6 +142,9 @@ def train(train_set: ResponseDataset, val_set: ResponseDataset,
     params = init_params(model_cfg, derive_seed(train_cfg.seed, "init"))
     if train_cfg.epochs == 0:
         return params, []
+    if model_cfg.use_batch_norm and min(train_cfg.batch_size, len(train_set.records)) < 2:
+        raise SplitError(f"batch norm needs batches of >= 2 records, got batch_size "
+                         f"{train_cfg.batch_size} and {len(train_set.records)} training record(s)")
 
     order_rng = np.random.default_rng(derive_seed(train_cfg.seed, "batch-order"))
     dropout_rng = np.random.default_rng(derive_seed(train_cfg.seed, "dropout"))
@@ -177,10 +173,7 @@ def train(train_set: ResponseDataset, val_set: ResponseDataset,
             if not math.isfinite(value):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}")
-            for t in tensors:
-                t.zero_grad()
-            ad.backward(tape, batch_loss)
-            ad.adam_step(tensors, [t.grad for t in tensors], opt)
+            ad.adam_step(tensors, ad.backward(tape, batch_loss, tensors), opt)
             total += value * len(batch)
 
         val_pcc = None

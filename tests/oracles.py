@@ -28,9 +28,10 @@ def pearson_bruteforce(x, y):
     return sxy / math.sqrt(sxx * syy)
 
 
-def finite_diff_params(loss_fn, tensors, epsilon=1e-5, informative=1e-4):
-    """Compare tensor.grad against central differences of loss_fn() under
-    in-place perturbation of each tensor's data.
+def finite_diff_params(loss_fn, tensors, grads, epsilon=1e-5, informative=1e-4):
+    """Compare the autodiff gradients ``grads`` (one array per tensor, in
+    order) against central differences of loss_fn() under in-place
+    perturbation of each tensor's data.
 
     Returns (max relative error over informative coordinates, max absolute
     disagreement over the rest). Central differences of an O(1) double-
@@ -40,12 +41,11 @@ def finite_diff_params(loss_fn, tensors, epsilon=1e-5, informative=1e-4):
     absolutely (a real backward bug still shows up as an absolute gap far
     above 1e-9).
 
-    loss_fn must be a pure forward pass reading the tensors' current data;
-    autodiff gradients must already sit in tensor.grad.
+    loss_fn must be a pure forward pass reading the tensors' current data.
     """
     worst_rel = 0.0
     worst_small = 0.0
-    for t in tensors:
+    for t, grad in zip(tensors, grads, strict=True):
         flat = t.data.reshape(-1)
         numeric = np.zeros_like(flat)
         for i in range(flat.size):
@@ -56,7 +56,7 @@ def finite_diff_params(loss_fn, tensors, epsilon=1e-5, informative=1e-4):
             f_minus = loss_fn()
             flat[i] = orig
             numeric[i] = (f_plus - f_minus) / (2.0 * epsilon)
-        auto = t.grad.reshape(-1)
+        auto = grad.reshape(-1)
         small = (np.abs(auto) < informative) & (np.abs(numeric) < informative)
         diff = np.abs(auto - numeric)
         if np.any(small):

@@ -150,8 +150,8 @@ def _check_full_model(seed):
     tape = ad.Tape()
     pred = forward_batch(tape, graphs, cells, params, cfg, "train")
     np.testing.assert_allclose(pred.data, reference, atol=1e-12)
-    ad.backward(tape, ad.loss(tape, pred, target))
-    return finite_diff_params(loss_value, params.parameters())
+    grads = ad.backward(tape, ad.loss(tape, pred, target), params.parameters())
+    return finite_diff_params(loss_value, params.parameters(), grads)
 
 
 def test_criterion_1_gradient_correctness():

@@ -1,8 +1,8 @@
 """Property tests for the autodiff engine over random small shapes and seeds.
 
 Every operation's gradient must match central finite differences, and a
-backward sweep must leave gradients only on leaves: operation outputs keep
-``grad is None`` while every leaf holds its full gradient.
+backward sweep must return the full gradient of each tensor it is asked for
+while changing no tensor's data.
 """
 
 import numpy as np
@@ -87,28 +87,45 @@ def test_every_op_gradient_matches_finite_differences(op, n, d, seed):
 
 @PROPERTY
 @given(**SHAPES)
-def test_backward_leaves_gradients_on_leaves_only(n, d, seed):
-    """A small network with a shared input, a broadcast bias, batch norm and
-    a concatenation: after one sweep no op output holds a gradient, and
-    every leaf's gradient matches central differences."""
+def test_backward_returns_the_gradient_of_each_requested_tensor(n, d, seed):
+    """A small network with a shared input, a broadcast bias, batch norm, a
+    concatenation, a same-shape add (both operands get one gradient array,
+    and x's gradient starts as a view of it) and a dead branch: every
+    returned gradient matches central differences, a second sweep returns
+    the same bytes and changes no tensor's data, and the tensor only the
+    dead branch reads gets zeros."""
     rng = np.random.default_rng(seed)
     k = 3
     x = ad.Tensor(rng.normal(size=(n, d)), requires_grad=True)
     w = ad.Tensor(rng.normal(size=(d, k)), requires_grad=True)
     b = ad.Tensor(rng.normal(size=(1, k)), requires_grad=True)
     v = ad.Tensor(rng.normal(size=(k + d, 1)), requires_grad=True)
+    e = ad.Tensor(rng.normal(size=(n, k + d)), requires_grad=True)
+    unreached = ad.Tensor(rng.normal(size=(d, 2)), requires_grad=True)
     state = _bn_state(rng, k)
     target = ad.Tensor(rng.normal(size=(n, 1)))
 
     def forward(tape):
+        ad.matmul(tape, x, unreached)  # recorded, but the loss never reads it
         h = ad.batch_norm(tape, ad.add(tape, ad.matmul(tape, x, w), b), state, "train")
-        return ad.loss(tape, ad.matmul(tape, ad.concat_cols(tape, h, x), v), target)
+        y = ad.add(tape, ad.concat_cols(tape, h, x), e)
+        return ad.loss(tape, ad.matmul(tape, y, v), target)
 
     tape = ad.Tape()
-    ad.backward(tape, forward(tape))
-    assert tape.nodes and all(node.output.grad is None for node in tape.nodes)
-    leaves = [x, w, b, v, state.gamma, state.beta]
+    out = forward(tape)
+    leaves = [x, w, b, v, e, state.gamma, state.beta, unreached]
+    tensors = leaves + [target] + [node.output for node in tape.nodes]
+    before = [t.data.tobytes() for t in tensors]
+
+    grads = ad.backward(tape, out, leaves)
+    first = [g.tobytes() for g in grads]
+    again = ad.backward(tape, out, leaves)
+    assert [g.tobytes() for g in again] == first
+    assert [t.data.tobytes() for t in tensors] == before
+    assert [g.shape for g in grads] == [t.shape for t in leaves]
+    assert not grads[-1].any()
+
     rel_err, small_err = finite_diff_params(
-        lambda: float(forward(ad.Tape()).data[0, 0]), leaves)
+        lambda: float(forward(ad.Tape()).data[0, 0]), leaves, grads)
     assert rel_err < 1e-4
     assert small_err < 1e-9

@@ -233,6 +233,23 @@ class TestTrain:
         assert (out / "history.csv").read_text().splitlines() == [
             "epoch,model,val_pcc,train_loss"]
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("batch_size = 16", "batch_size = 1", "batch_size 1 and 144 training record(s)"),
+        ("train_cap =", "train_cap = 1", "batch_size 16 and 1 training record(s)"),
+    ], ids=["batch_size", "train_cap"])
+    def test_batch_norm_without_two_record_batches_exits_2(self, fixture_dir, tmp_path, capsys,
+                                                           old, new, named):
+        config = write_config(tmp_path / "bn.ini", fixture_dir["files"],
+                              fixture_dir["bench"].n_max_atoms)
+        text = config.read_text()
+        assert old in text
+        config.write_text(text.replace(old, new, 1))
+        code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: batch norm needs batches of >= 2 records") and named in err
+        assert not (tmp_path / "o").exists()
+
     def test_synthetic_fixture_reaches_high_pcc(self, tmp_path):
         """A convergence fixture: low noise, enough records, 12 epochs."""
         bench = make_benchmark(n_cells=120, cell_dim=12, n_drugs=6, atom_range=(3, 7),

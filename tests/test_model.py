@@ -190,8 +190,8 @@ class TestPredict:
 
         tape = ad.Tape()
         pred = m.forward_batch(tape, graphs, cells, params, TINY, "train")
-        ad.backward(tape, ad.loss(tape, pred, target))
-        rel_err, small_err = finite_diff_params(loss_value, params.parameters())
+        grads = ad.backward(tape, ad.loss(tape, pred, target), params.parameters())
+        rel_err, small_err = finite_diff_params(loss_value, params.parameters(), grads)
         assert rel_err < 1e-4
         assert small_err < 1e-9
 
