@@ -12,9 +12,9 @@ independent runs share no mutable state.
 
 Tensors hold no gradient state. :func:`backward` passes gradients along in
 a local map, drops each operation output's gradient as soon as the node
-that produced it has consumed it, and returns the gradients of the tensors
-it is asked for. Those arrays are read-only to the caller and may share
-memory with one another.
+that produced it has consumed it (unless it was asked for), and returns the
+gradients of the tensors it is asked for. Those arrays are read-only to the
+caller and may share memory with one another.
 """
 
 from __future__ import annotations
@@ -307,10 +307,10 @@ def backward(tape: Tape, loss_node: Tensor, wrt: Sequence[Tensor]) -> list[np.nd
     """d(loss)/d(t) for each tensor t in ``wrt``, in order, for the scalar
     loss_node; zeros of t's shape where the loss does not reach t.
 
-    Each ``wrt`` tensor must be a leaf: a tensor that no node on the tape
-    produced, such as a parameter. Gradients of operation outputs live only
-    in a local map, and each is dropped once its producing node has passed
-    it on to that node's inputs. The returned arrays are read-only: they
+    A ``wrt`` tensor may be a parameter or any operation output. Gradients
+    live only in a local map; an operation output's gradient is dropped once
+    its producing node has passed it on to that node's inputs, unless it is
+    one of the ``wrt`` tensors. The returned arrays are read-only: they
     may share memory with one another (an addition hands the same gradient
     to both operands). The tape and the tensors are left unchanged, so
     calling again returns equal arrays.
@@ -318,8 +318,10 @@ def backward(tape: Tape, loss_node: Tensor, wrt: Sequence[Tensor]) -> list[np.nd
     if loss_node.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss_node.data.shape}")
     flows: dict[int, np.ndarray] = {id(loss_node): np.ones_like(loss_node.data)}
+    kept = {id(t) for t in wrt}
     for node in reversed(tape.nodes):
-        g_out = flows.pop(id(node.output), None)
+        key = id(node.output)
+        g_out = flows.get(key) if key in kept else flows.pop(key, None)
         if g_out is None:
             continue  # not on a path to the loss
         for tensor, g in zip(node.inputs, node.backward_fn(g_out)):

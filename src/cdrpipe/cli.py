@@ -350,8 +350,8 @@ def cmd_lodo(cfg: RunConfig) -> int:
             tcfg = replace(cfg.train_cfg, seed=derive_seed(cfg.seed, f"lodo:{source}:{drug}"))
             try:
                 params, _ = train(train_set, test_set, mcfg, tcfg)
-            except (DivergenceError, SplitError) as exc:
-                raise DivergenceError(f"fold {drug!r} variant {source!r}: {exc}") from exc
+            except (DivergenceError, SplitError) as exc:  # keep the kind: it picks the exit code
+                raise type(exc)(f"fold {drug!r} variant {source!r}: {exc}") from exc
             preds = predict_records(params, mcfg, test_set)
             pcc = pearson(preds, test_set.labels())
             if pcc is None:

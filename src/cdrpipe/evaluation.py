@@ -29,21 +29,37 @@ class ReportError(ValueError):
     """Histories or run outputs cannot be merged into one report."""
 
 
+def _scaled_deviations(v: np.ndarray) -> np.ndarray | None:
+    """v minus its mean, divided by the largest magnitude among the
+    differences; None when all of v's values are equal."""
+    lo, hi = v.min(), v.max()
+    if lo == hi:
+        return None
+    mean = v.sum() / v.size  # what v.mean() returns, without its dispatch overhead
+    out = v - mean
+    out /= max(hi - mean, mean - lo)  # rounding is monotone: the extreme differences
+    return out
+
+
 def pearson(pred, obs) -> float | None:
-    """Pearson correlation, or None when undefined (n < 2 or zero variance)."""
+    """Pearson correlation, or None when undefined (n < 2 or zero variance).
+
+    A vector whose values are all equal has zero variance, whatever its
+    rounded mean. The deviations are scaled to a largest magnitude of 1
+    before the products, so the result does not overflow or underflow with
+    the values' scale.
+    """
     x = np.asarray(pred, dtype=np.float64)
     y = np.asarray(obs, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"pearson needs two equal-length vectors, got {x.shape} and {y.shape}")
     if x.size < 2:
         return None
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = xc @ xc
-    syy = yc @ yc
-    if sxx == 0.0 or syy == 0.0:
+    xc = _scaled_deviations(x)
+    yc = None if xc is None else _scaled_deviations(y)
+    if yc is None:
         return None
-    r = (xc @ yc) / math.sqrt(sxx * syy)
+    r = (xc @ yc) / math.sqrt((xc @ xc) * (yc @ yc))  # each sum of squares is >= 1
     return float(min(1.0, max(-1.0, r)))
 
 

@@ -6,10 +6,18 @@ The graph encoder packs a list of drugs into one disjoint union: their real
 atoms (never the padding) stacked into one matrix, each graph's normalized
 adjacency applied to its own row segment, and one max-pooled row per graph.
 It carries no batch normalization or dropout, so a drug's embedding depends
-only on its graph and the parameters, and a prediction pass encodes each
-distinct drug once. Batch normalization sits after each hidden linear
-layer of the cell branch and head, before the activation. The head's last
-layer emits the IC50 regression output directly, with no activation.
+only on its graph and the parameters. Batch normalization sits after each
+hidden linear layer of the cell branch and head, before the activation. The
+head's last layer emits the IC50 regression output directly, with no
+activation.
+
+Training runs the whole network per batch (``forward_batch``). The
+eval-mode prediction pass (``predict_records``) is factorized instead: in
+eval mode a cell line's embedding depends only on its vector, and the
+head's first layer is linear over ``[drug ; cell]``, so each distinct drug
+and cell line is encoded and projected through its half of that layer once
+per call, and per record only the sum of the two rows and the rest of the
+head run.
 """
 
 from __future__ import annotations
@@ -182,16 +190,21 @@ def encode_drug(tape: ad.Tape, graphs: Sequence[PaddedGraph], params: ModelParam
     return ad.segment_max(tape, h, [b.shape[0] for b in blocks])
 
 
+def _post_linear(tape, x, layer: DenseLayer, cfg, mode, rng):
+    """A hidden layer's step after its affine map: batch norm (if the layer
+    has one), relu, dropout."""
+    if layer.norm is not None:
+        x = ad.batch_norm(tape, x, layer.norm, mode)
+    x = ad.relu(tape, x)
+    return ad.dropout(tape, x, cfg.dropout_rate, mode, rng)
+
+
 def _dense_stack(tape, x, layers: Sequence[DenseLayer], cfg, mode, rng,
                  activate_last: bool):
     for i, layer in enumerate(layers):
         x = ad.add(tape, ad.matmul(tape, x, layer.weight), layer.bias)
-        if not activate_last and i == len(layers) - 1:
-            break
-        if layer.norm is not None:
-            x = ad.batch_norm(tape, x, layer.norm, mode)
-        x = ad.relu(tape, x)
-        x = ad.dropout(tape, x, cfg.dropout_rate, mode, rng)
+        if activate_last or i < len(layers) - 1:
+            x = _post_linear(tape, x, layer, cfg, mode, rng)
     return x
 
 
@@ -237,24 +250,51 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
                     batch_size: int = 256) -> np.ndarray:
     """Eval-mode predictions for every record of a joined dataset.
 
-    Drug embeddings are kept for the length of the call: each batch packs
-    only the drugs no earlier batch encoded, so every distinct drug is
-    encoded once.
+    In eval mode a drug's embedding depends only on its graph and a cell
+    line's only on its vector, and the head's first layer is linear over
+    ``[drug ; cell]``: with its weight split as ``W = [W_d ; W_c]``, a
+    record's first pre-activation is ``(D W_d)[drug] + (C W_c + b)[cell]``.
+    Drugs and cell lines get integer codes in order of first appearance,
+    and each chunk of ``batch_size`` records encodes and projects only the
+    drugs and cell lines no earlier chunk reached, so each is encoded once
+    per call. Per record remain that sum, the first layer's batch norm and
+    relu, and the rest of the head.
     """
-    out = np.empty(len(dataset.records))
-    drug_rows: dict[str, np.ndarray] = {}
-    for start in range(0, len(dataset.records), batch_size):
-        batch = dataset.records[start : start + batch_size]
-        new = list(dict.fromkeys(r.drug_id for r in batch if r.drug_id not in drug_rows))
-        if new:
-            pooled = encode_drug(ad.Tape(), [dataset.graphs[d] for d in new], params, cfg)
-            drug_rows.update(zip(new, pooled.data))
+    records = dataset.records
+    drug_code = {d: i for i, d in enumerate(dict.fromkeys(r.drug_id for r in records))}
+    cell_code = {c: i for i, c in enumerate(dict.fromkeys(r.cell_line_id for r in records))}
+    drug_ids, cell_ids = list(drug_code), list(cell_code)
+    first, rest = params.head[0], params.head[1:]
+    w_drug, w_cell = np.split(first.weight.data, [cfg.gcn_layer_dims[-1]])
+    drug_part = np.empty((len(drug_ids), w_drug.shape[1]))
+    cell_part = np.empty((len(cell_ids), w_cell.shape[1]))
+    drugs_done = cells_done = 0
+    out = np.empty(len(records))
+    for start in range(0, len(records), batch_size):
+        batch = records[start : start + batch_size]
+        drugs = np.array([drug_code[r.drug_id] for r in batch])
+        cells = np.array([cell_code[r.cell_line_id] for r in batch])
+        # codes follow first appearance, so a chunk's unseen codes form one range;
+        # each encoding gets a throwaway tape, freeing its intermediates at once
+        if drugs.max() >= drugs_done:
+            new = slice(drugs_done, drugs.max() + 1)
+            pooled = encode_drug(ad.Tape(), [dataset.graphs[d] for d in drug_ids[new]],
+                                 params, cfg)
+            drug_part[new] = pooled.data @ w_drug
+            drugs_done = new.stop
+        if cells.max() >= cells_done:
+            new = slice(cells_done, cells.max() + 1)
+            vectors = np.stack([dataset.cells.vectors[c] for c in cell_ids[new]])
+            emb = encode_cell(ad.Tape(), vectors, params, cfg, "eval")
+            cell_part[new] = emb.data @ w_cell + first.bias.data
+            cells_done = new.stop
         tape = ad.Tape()
-        drug_emb = ad.Tensor(np.stack([drug_rows[r.drug_id] for r in batch]))
-        cells = np.stack([dataset.cells.vectors[r.cell_line_id] for r in batch])
-        cell_emb = encode_cell(tape, cells, params, cfg, "eval")
-        out[start : start + len(batch)] = predict(tape, drug_emb, cell_emb, params, cfg,
-                                                  "eval").data[:, 0]
+        h = ad.add(tape, ad.gather_rows(tape, ad.Tensor(drug_part), drugs),
+                   ad.gather_rows(tape, ad.Tensor(cell_part), cells))
+        if rest:
+            h = _dense_stack(tape, _post_linear(tape, h, first, cfg, "eval", None), rest,
+                             cfg, "eval", None, activate_last=False)
+        out[start : start + len(batch)] = h.data[:, 0]
     return out
 
 

@@ -350,6 +350,36 @@ class TestBackward:
         (gx,) = ad.backward(tape, ad.sum_all(tape, total), [x])
         np.testing.assert_allclose(gx, [[11.0, 22.0]])
 
+    def test_operation_output_gets_its_gradient(self):
+        # h = 3w = 6, loss = h^2 = 36: dh = 2h = 12, dw = 3 * 12 = 36
+        tape = ad.Tape()
+        w = ad.Tensor([[2.0]], requires_grad=True)
+        h = ad.matmul(tape, ad.Tensor([[3.0]]), w)
+        gh, gw = ad.backward(tape, ad.loss(tape, h, ad.Tensor([[0.0]])), [h, w])
+        np.testing.assert_array_equal(gh, [[12.0]])
+        np.testing.assert_array_equal(gw, [[36.0]])
+
+    def test_operation_output_gradient_matches_finite_differences(self):
+        """The gradient at a hidden layer equals that of the rest of the chain
+        taken as a function of the hidden layer, checked numerically."""
+        rng = np.random.default_rng(4)
+        x = ad.Tensor(rng.uniform(0.2, 1.0, (4, 3)))
+        v = ad.Tensor(rng.normal(size=(2, 1)))
+        target = ad.Tensor(rng.normal(size=(4, 1)))
+
+        def rest(tape, hidden):
+            return ad.loss(tape, ad.matmul(tape, hidden, v), target)
+
+        tape = ad.Tape()
+        w = ad.Tensor(rng.uniform(0.2, 1.0, (3, 2)), requires_grad=True)
+        hidden = ad.relu(tape, ad.matmul(tape, x, w))
+        (g_hidden,) = ad.backward(tape, rest(tape, hidden), [hidden])
+        at_leaf = ad.Tensor(hidden.data.copy(), requires_grad=True)
+        leaf_tape = ad.Tape()
+        (expected,) = ad.backward(leaf_tape, rest(leaf_tape, at_leaf), [at_leaf])
+        np.testing.assert_array_equal(g_hidden, expected)
+        assert ad.finite_diff_check(rest, ad.Tensor(hidden.data)) < 1e-6
+
 
 class TestAdam:
     def test_zero_gradient_is_noop_for_any_state(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import shutil
 
 import numpy as np
@@ -376,6 +377,18 @@ class TestLodo:
         assert cli.main(["lodo", "--config", str(config),
                          "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: asked for 50 held-out drugs")
+
+    def test_batch_norm_without_two_record_batches_exits_2_naming_the_fold(
+            self, fixture_dir, tmp_path, capsys):
+        config = write_config(tmp_path / "lodo.ini", fixture_dir["files"],
+                              fixture_dir["bench"].n_max_atoms)
+        config.write_text(config.read_text().replace("batch_size = 16", "batch_size = 1"))
+        assert cli.main(["lodo", "--config", str(config),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert re.match(r"error: fold 'D\d{3}' variant 'raw_expression': "
+                        r"batch norm needs batches of >= 2 records", err), err
+        assert not (tmp_path / "o").exists()
 
 
 class TestReport:

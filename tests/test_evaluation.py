@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cdrpipe import evaluation as ev
 from cdrpipe.training import EpochRecord
@@ -43,6 +44,38 @@ class TestPearson:
         x = rng.normal(size=n)
         y = 0.4 * x + rng.normal(size=n)
         assert abs(ev.pearson(x, y) - pearson_bruteforce(x, y)) < 1e-12
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# small integers keep the correlation itself well conditioned, so any
+# difference comes from the scale of the values alone
+PAIRS = st.lists(st.tuples(st.integers(-100, 100), st.integers(-100, 100)),
+                 min_size=2, max_size=40)
+
+
+class TestPearsonProperties:
+    @PROPERTY
+    @given(value=FINITE, others=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40))
+    def test_a_constant_vector_is_undefined(self, value, others):
+        constant = [value] * len(others)
+        assert ev.pearson(constant, others) is None
+        assert ev.pearson(others, constant) is None
+
+    @PROPERTY
+    @given(pairs=PAIRS, exponent=st.floats(-250, 250), sign=st.sampled_from([-1.0, 1.0]))
+    def test_scaling_one_vector_keeps_the_correlation_up_to_sign(self, pairs, exponent, sign):
+        x, y = (np.array(v, dtype=np.float64) for v in zip(*pairs))
+        assume(len(set(x)) > 1 and len(set(y)) > 1)
+        a = sign * 10.0 ** exponent
+        assert abs(ev.pearson(a * x, y) - sign * ev.pearson(x, y)) <= 1e-12
+
+    def test_extreme_magnitudes(self):
+        assert ev.pearson([1e200, -1e200, 0.0], [1.0, 2.0, 3.0]) == pytest.approx(-0.5, abs=1e-15)
+        assert ev.pearson([1e-200, -1e-200, 0.0], [1.0, 2.0, 3.0]) == pytest.approx(-0.5, abs=1e-15)
+
+    def test_a_constant_whose_mean_rounds_is_undefined(self):
+        assert ev.pearson([0.1] * 3, [0.0, 1.0, 2.0]) is None
 
 
 def rows_from(drugs, cells, preds, obs, types=None):

@@ -4,11 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdrpipe import autodiff as ad
 from cdrpipe import model as m
 from cdrpipe.molgraph import MolecularGraph, pad_graph
-from cdrpipe.omics import ResponseDataset
+from cdrpipe.omics import ResponseDataset, ResponseRecord
 from cdrpipe.synthetic import make_benchmark, random_graph
 from oracles import finite_diff_params, random_padded_graph
 
@@ -196,6 +197,10 @@ class TestPredict:
         assert small_err < 1e-9
 
 
+PROPERTY_BENCH = make_benchmark(n_cells=5, cell_dim=4, n_drugs=4, atom_range=(1, 6),
+                                n_records=10, seed=11)
+
+
 class TestPredictRecords:
     def dataset(self):
         bench = make_benchmark(n_cells=20, cell_dim=4, n_drugs=9, atom_range=(1, 8),
@@ -231,6 +236,57 @@ class TestPredictRecords:
                 np.stack([dataset.cells.vectors[r.cell_line_id] for r in batch]),
                 params, cfg, "eval")
             np.testing.assert_allclose(preds[start : start + len(batch)], expected.data[:, 0],
+                                       rtol=0, atol=1e-12)
+
+    def test_each_distinct_cell_line_is_encoded_once(self, monkeypatch):
+        dataset, cfg = self.dataset()
+        encoded = []
+        original = m.encode_cell
+
+        def counting(tape, features, *rest):
+            encoded.append(len(features))
+            return original(tape, features, *rest)
+
+        monkeypatch.setattr(m, "encode_cell", counting)
+        m.predict_records(m.init_params(cfg, seed=0), cfg, dataset, batch_size=16)
+        cells = {r.cell_line_id for r in dataset.records}
+        assert len(cells) == 20 < len(dataset.records)
+        assert sum(encoded) == len(cells)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(),
+           cell_branch_dims=st.sampled_from([(), (5,), (6, 3)]),
+           head_dims=st.sampled_from([(1,), (7, 1), (5, 4, 1)]),
+           use_batch_norm=st.booleans())
+    def test_equals_per_chunk_forward_for_any_shape(self, data, cell_branch_dims, head_dims,
+                                                    use_batch_norm):
+        """Repeated drugs and cells within and across chunks, any chunk size."""
+        bench = PROPERTY_BENCH
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(sorted(bench.padded)),
+                                             st.sampled_from(sorted(bench.cells.vectors))),
+                                   min_size=1, max_size=30))
+        batch_size = data.draw(st.integers(1, len(pairs)))
+        dataset = ResponseDataset([ResponseRecord(d, c, 0.0) for d, c in pairs],
+                                  bench.padded, bench.cells)
+        cfg = m.ModelConfig(gcn_layer_dims=(8, 6), cell_branch_dims=cell_branch_dims,
+                            head_dims=head_dims, use_batch_norm=use_batch_norm,
+                            n_max_atoms=bench.n_max_atoms, cell_input_dim=4)
+        params = m.init_params(cfg, seed=len(pairs))
+        rng = np.random.default_rng(batch_size)
+        for layer in params.cell + params.head:
+            layer.bias.data[...] = rng.normal(size=layer.bias.shape)
+            if layer.norm is not None:  # eval batch norm that is not the identity
+                layer.norm.running_mean = rng.normal(size=layer.norm.running_mean.shape)
+                layer.norm.running_var = rng.uniform(0.5, 2.0, layer.norm.running_var.shape)
+                layer.norm.gamma.data[...] = rng.uniform(0.5, 1.5, layer.norm.gamma.shape)
+                layer.norm.beta.data[...] = rng.normal(size=layer.norm.beta.shape)
+        preds = m.predict_records(params, cfg, dataset, batch_size)
+        for start in range(0, len(pairs), batch_size):
+            chunk = pairs[start : start + batch_size]
+            expected = m.forward_batch(
+                ad.Tape(), [bench.padded[d] for d, _ in chunk],
+                np.stack([bench.cells.vectors[c] for _, c in chunk]), params, cfg, "eval")
+            np.testing.assert_allclose(preds[start : start + len(chunk)], expected.data[:, 0],
                                        rtol=0, atol=1e-12)
 
 
