@@ -1,10 +1,10 @@
 """Working with drug molecular graphs.
 
 Shows the three-file tabular representation, the symmetrically normalized
-adjacency the graph encoder propagates over, fixed-size padding, the two
-structural invariances the encoder guarantees (atom order and padding size
-never change the pooled drug embedding), and packed encoding of several
-drugs in one call.
+adjacency the graph encoder propagates over, the real-atom encoder record
+and its capacity, the two structural invariances the encoder guarantees
+(atom order and capacity never change the pooled drug embedding), and
+packed encoding of several drugs in one call.
 """
 
 import tempfile
@@ -39,14 +39,15 @@ with tempfile.TemporaryDirectory() as tmp:
           and back.adjacency == graph.adjacency)
 
 # ---------------------------------------------------------------------------
-# 2. Padding embeds the graph top-left up to a fixed capacity; the mask marks
-#    real atoms, and the encoder reads only those.
+# 2. The encoder record checks the graph against a capacity and keeps only
+#    the real atoms: nothing is padded. The mask spans the capacity.
 # ---------------------------------------------------------------------------
 padded = pad_graph(graph, n_max=6)
-print("mask:", padded.mask)
+print("mask:", padded.mask, "- features", padded.features.shape,
+      "- adjacency", padded.norm_adjacency.shape)
 
 # ---------------------------------------------------------------------------
-# 3. The pooled embedding ignores atom order and padding size.
+# 3. The pooled embedding ignores atom order and capacity.
 # ---------------------------------------------------------------------------
 cfg = ModelConfig(gcn_layer_dims=(16, 8), cell_branch_dims=(4,), head_dims=(1,),
                   n_max_atoms=6, cell_input_dim=4)
@@ -66,7 +67,7 @@ permuted = encode_drug(Tape(), [pad_graph(relabeled, 6)], params, cfg)
 print("permutation gap:", float(np.max(np.abs(base.data - permuted.data))))
 
 wide = encode_drug(Tape(), [pad_graph(g, 40)], params, cfg)
-print("padding gap:", float(np.max(np.abs(base.data - wide.data))))
+print("capacity gap:", float(np.max(np.abs(base.data - wide.data))))
 
 # ---------------------------------------------------------------------------
 # 4. A list of drugs is encoded as one packed graph, one pooled row per drug;

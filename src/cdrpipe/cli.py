@@ -385,6 +385,8 @@ def cmd_report(run_dirs: list[Path], out: Path) -> int:
             raise ReportError(f"no history.csv in {run_dir}")
         for model_name, records in read_history_csv(path).items():
             key = model_name if model_name not in histories else f"{Path(run_dir).name}:{model_name}"
+            if key in histories:
+                raise ReportError(f"{run_dir}: history key {key!r} repeats an earlier run's")
             histories[key] = records
     report = stability_report(histories)
     out.mkdir(parents=True, exist_ok=True)

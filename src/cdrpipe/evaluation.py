@@ -254,8 +254,8 @@ def read_history_csv(path) -> dict[str, list[EpochRecord]]:
     """Inverse of write_history_csv; returns model -> EpochRecord rows.
 
     A file that is not UTF-8 text is a ReportError naming the file; a row
-    with the wrong field count or a non-numeric value is one naming the
-    file and line.
+    with the wrong field count, a non-numeric value, a non-finite loss or a
+    PCC outside [-1, 1] is one naming the file and line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -274,6 +274,10 @@ def read_history_csv(path) -> dict[str, list[EpochRecord]]:
                 train_loss=float(loss),
                 val_pcc=None if pcc == UNDEFINED_MARKER else float(pcc),
             )
+            if not math.isfinite(record.train_loss):
+                raise ValueError(f"loss {loss} is not finite")
+            if record.val_pcc is not None and not -1.0 <= record.val_pcc <= 1.0:
+                raise ValueError(f"pcc {pcc} is outside [-1, 1]")
         except ValueError as exc:
             raise ReportError(f"{path}, line {line_no}: malformed history row ({exc})") from None
         out.setdefault(model, []).append(record)

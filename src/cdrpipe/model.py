@@ -2,14 +2,13 @@
 readout, a dense branch over precomputed cell-line vectors, and an MLP head
 over the concatenated embeddings.
 
-The graph encoder packs a list of drugs into one disjoint union: their real
-atoms (never the padding) stacked into one matrix, each graph's normalized
-adjacency applied to its own row segment, and one max-pooled row per graph.
-It carries no batch normalization or dropout, so a drug's embedding depends
-only on its graph and the parameters. Batch normalization sits after each
-hidden linear layer of the cell branch and head, before the activation. The
-head's last layer emits the IC50 regression output directly, with no
-activation.
+The graph encoder packs a list of drugs into one disjoint union: their atoms
+stacked into one matrix, each graph's normalized adjacency applied to its
+own row segment, and one max-pooled row per graph. It carries no batch
+normalization or dropout, so a drug's embedding depends only on its graph
+and the parameters. Batch normalization sits after each hidden linear layer
+of the cell branch and head, before the activation. The head's last layer
+emits the IC50 regression output directly, with no activation.
 
 Training runs the whole network per batch (``forward_batch``). The
 eval-mode prediction pass (``predict_records``) is factorized instead: in
@@ -168,22 +167,18 @@ def encode_drug(tape: ad.Tape, graphs: Sequence[PaddedGraph], params: ModelParam
                 cfg: ModelConfig) -> ad.Tensor:
     """One pooled embedding row per graph, in order.
 
-    The graphs' real atoms are stacked into one (total atoms) x features
+    The graphs' atoms are stacked into one (total atoms) x features
     matrix. Each GCN layer records one product with the layer weight, one
     block-diagonal propagation over the graphs' normalized adjacencies, the
-    bias add and the relu; a per-graph column max is the readout. No graph's
-    padding, and no other graph in the list, reaches its row.
+    bias add and the relu; a per-graph column max is the readout. No other
+    graph in the list reaches a graph's row.
     """
-    blocks, features = [], []
-    for g in graphs:
-        if g.features.shape[1] != cfg.atom_input_dim:
-            raise ValueError(
-                f"atom features of width {g.features.shape[1]}, model expects "
-                f"{cfg.atom_input_dim}")
-        n = g.n_atoms
-        blocks.append(g.norm_adjacency[:n, :n])
-        features.append(g.features[:n])
-    h = ad.Tensor(np.concatenate(features))
+    features = np.concatenate([g.features for g in graphs])
+    if features.shape[1] != cfg.atom_input_dim:
+        raise ValueError(f"atom features of width {features.shape[1]}, model expects "
+                         f"{cfg.atom_input_dim}")
+    blocks = [g.norm_adjacency for g in graphs]
+    h = ad.Tensor(features)
     for layer in params.gcn:
         h = ad.propagate(tape, blocks, ad.matmul(tape, h, layer.weight))
         h = ad.relu(tape, ad.add(tape, h, layer.bias))

@@ -4,13 +4,14 @@ Each drug is described by a per-atom feature matrix (75 columns), an
 undirected adjacency list of 0-based atom index pairs, and a degree list.
 This module loads and validates that representation, builds the
 symmetrically normalized adjacency (with self loops) used by the graph
-encoder, and embeds graphs top-left into fixed-size zero-padded matrices,
-enforcing the atom capacity. The encoder reads only the real-atom block.
+encoder, and enforces the atom capacity. The encoder's input record holds
+the real atoms only: nothing is padded to the capacity.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +37,7 @@ class GraphConsistencyError(GraphError):
 
 
 class GraphCapacityError(GraphError):
-    """A graph has more atoms than the padding size allows."""
+    """A graph has more atoms than the atom capacity (n_max) allows."""
 
 
 @dataclass
@@ -88,19 +89,18 @@ class MolecularGraph:
 
 @dataclass
 class PaddedGraph:
-    """A graph embedded top-left into fixed-size matrices of capacity n_max."""
+    """The encoder's input for one drug: its real atoms only, no padding.
 
-    features: np.ndarray        # n_max x ATOM_FEATURE_DIM, zero beyond n_atoms
-    norm_adjacency: np.ndarray  # n_max x n_max, symmetric, zero beyond n_atoms
-    mask: np.ndarray            # bool, true where the atom is real
+    ``mask`` stays only for the benchmark's ``molgraph.pad_fill_ratio``,
+    until that metric moves onto the run's event recorder."""
+
+    features: np.ndarray        # n_atoms x ATOM_FEATURE_DIM, the graph's own array
+    norm_adjacency: np.ndarray  # n_atoms x n_atoms, symmetric
+    mask: np.ndarray            # bool, length n_max, true on the first n_atoms
 
     @property
     def n_atoms(self) -> int:
-        return int(self.mask.sum())
-
-
-def _canonical_pairs(pairs) -> list[tuple[int, int]]:
-    return [(min(i, j), max(i, j)) for i, j in pairs]
+        return self.features.shape[0]
 
 
 def normalized_adjacency(graph: MolecularGraph) -> np.ndarray:
@@ -119,18 +119,12 @@ def normalized_adjacency(graph: MolecularGraph) -> np.ndarray:
 
 
 def pad_graph(graph: MolecularGraph, n_max: int) -> PaddedGraph:
-    """Zero-pad features and normalized adjacency to n_max atoms."""
+    """Check that the graph fits n_max atoms; return its encoder record."""
     n = graph.n_atoms
     if n > n_max:
         raise GraphCapacityError(
-            f"drug {graph.drug_id!r} has {n} atoms but the padding size is {n_max}")
-    features = np.zeros((n_max, ATOM_FEATURE_DIM))
-    features[:n] = graph.features
-    adj = np.zeros((n_max, n_max))
-    adj[:n, :n] = normalized_adjacency(graph)
-    mask = np.zeros(n_max, dtype=bool)
-    mask[:n] = True
-    return PaddedGraph(features=features, norm_adjacency=adj, mask=mask)
+            f"drug {graph.drug_id!r} has {n} atoms but the atom capacity is {n_max}")
+    return PaddedGraph(graph.features, normalized_adjacency(graph), np.arange(n_max) < n)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +142,12 @@ def _numeric_rows(path, kind: str) -> list[list[float]]:
         if not line:
             continue
         try:
-            rows.append([float(v) for v in line.split(",")])
+            row = [float(v) for v in line.split(",")]
         except ValueError:
             raise GraphFormatError(f"{path}: {kind} row {lineno} is not numeric: {line!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise GraphFormatError(f"{path}: {kind} row {lineno} is not finite: {line!r}")
+        rows.append(row)
     return rows
 
 
@@ -170,7 +167,8 @@ def load_graph(feature_file, adjacency_file, degree_file, drug_id: str | None = 
         if len(row) != 2 or any(v != int(v) for v in row):
             raise GraphFormatError(
                 f"{adjacency_file}: adjacency rows must hold two integer indices, got {row}")
-        pairs.append((int(row[0]), int(row[1])))
+        i, j = int(row[0]), int(row[1])
+        pairs.append((min(i, j), max(i, j)))
     degrees = []
     for row in _numeric_rows(degree_file, "degree"):
         if len(row) != 1 or row[0] != int(row[0]):
@@ -179,7 +177,7 @@ def load_graph(feature_file, adjacency_file, degree_file, drug_id: str | None = 
     return MolecularGraph(
         drug_id=drug_id,
         features=np.array(feat_rows),
-        adjacency=_canonical_pairs(pairs),
+        adjacency=pairs,
         degrees=np.array(degrees, dtype=np.int64),
     )
 

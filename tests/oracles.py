@@ -1,9 +1,9 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 These stay deliberately naive: exact-summation Pearson, an explicit
-central-difference sweep over parameter tensors, and a hand-rolled padded
-graph builder that does not go through the library's normalization code
-path more than it must.
+central-difference sweep over parameter tensors, a hand-rolled graph
+builder that does not go through the library's normalization code path more
+than it must, and a forward pass over zero-padded, masked graph matrices.
 """
 
 import math
@@ -70,10 +70,12 @@ def finite_diff_params(loss_fn, tensors, grads, epsilon=1e-5, informative=1e-4):
 def reference_forward(graphs, cells, params, cfg):
     """Plain-numpy replication of the batched train-mode regression forward.
 
-    Returns (predictions, kink margin): the margin is the smallest distance
-    of any relu input from zero, together with the smallest live top-two
-    max-pool gap. Finite-difference probes of step epsilon are only
-    meaningful when the margin comfortably exceeds epsilon.
+    Each graph's features and adjacency are zero-padded to its capacity
+    (the mask's length), as in DeepCDR, and the mask selects the real atoms
+    for the readout. Returns (predictions, kink margin): the margin is the
+    smallest distance of any relu input from zero, together with the
+    smallest live top-two max-pool gap. Finite-difference probes of step
+    epsilon are only meaningful when the margin comfortably exceeds epsilon.
     """
     margins = [np.inf]
     pooled_by_graph = {}
@@ -81,9 +83,13 @@ def reference_forward(graphs, cells, params, cfg):
     for g in graphs:
         key = id(g)
         if key not in pooled_by_graph:
-            h = g.features
+            n_max = g.mask.shape[0]
+            h = np.zeros((n_max, g.features.shape[1]))
+            h[g.mask] = g.features
+            adj = np.zeros((n_max, n_max))
+            adj[np.ix_(g.mask, g.mask)] = g.norm_adjacency
             for layer in params.gcn:
-                pre = g.norm_adjacency @ (h @ layer.weight.data) + layer.bias.data
+                pre = adj @ (h @ layer.weight.data) + layer.bias.data
                 margins.append(np.abs(pre[g.mask]).min())
                 h = np.maximum(pre, 0.0)
             real = h[g.mask]
@@ -115,7 +121,8 @@ def reference_forward(graphs, cells, params, cfg):
 
 
 def random_padded_graph(rng, n_atoms, n_max, feat_dim):
-    """A random connected graph, symmetrically normalized by hand, padded."""
+    """A random connected graph, symmetrically normalized by hand, as the
+    encoder's real-atom record with capacity n_max."""
     adj = np.zeros((n_atoms, n_atoms))
     for i in range(1, n_atoms):
         j = int(rng.integers(0, i))
@@ -124,10 +131,7 @@ def random_padded_graph(rng, n_atoms, n_max, feat_dim):
     inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1))
     norm = inv_sqrt[:, None] * adj * inv_sqrt[None, :]
 
-    features = np.zeros((n_max, feat_dim))
-    features[:n_atoms] = rng.normal(size=(n_atoms, feat_dim))
-    padded = np.zeros((n_max, n_max))
-    padded[:n_atoms, :n_atoms] = norm
+    features = rng.normal(size=(n_atoms, feat_dim))
     mask = np.zeros(n_max, dtype=bool)
     mask[:n_atoms] = True
-    return PaddedGraph(features=features, norm_adjacency=padded, mask=mask)
+    return PaddedGraph(features=features, norm_adjacency=norm, mask=mask)

@@ -1,12 +1,15 @@
 """End-to-end command-line pipeline tests on synthetic fixture files."""
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdrpipe import cli
 from cdrpipe.evaluation import read_history_csv, write_history_csv
@@ -74,6 +77,23 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def copy_fixture(fixture_dir, tmp_path):
+    """A writable copy of the fixture's input files and a config naming them."""
+    data = tmp_path / "data"
+    shutil.copytree(fixture_dir["files"]["drug_manifest"].parent, data)
+    files = {k: data / v.name for k, v in fixture_dir["files"].items()}
+    config = write_config(tmp_path / "run.ini", files, fixture_dir["bench"].n_max_atoms)
+    return data, files, config
+
+
+def replace_field(path, line, field, token):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[line].split(",")
+    fields[field] = token
+    lines[line] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 class TestIngest:
     def test_reports_matched_records(self, fixture_dir, capsys):
         out = fixture_dir["root"] / "ingest_out"
@@ -129,13 +149,8 @@ class TestIngest:
     @pytest.mark.parametrize("token", ["nan", "-inf"])
     def test_non_finite_embedding_exits_2_naming_row_and_column(self, fixture_dir, tmp_path,
                                                                 capsys, token):
-        lines = fixture_dir["files"]["embeddings"].read_text().splitlines()
-        fields = lines[3].split(",")
-        fields[5] = token
-        lines[3] = ",".join(fields)
-        files = dict(fixture_dir["files"], embeddings=tmp_path / "emb.csv")
-        files["embeddings"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-        config = write_config(tmp_path / "run.ini", files, fixture_dir["bench"].n_max_atoms)
+        _, files, config = copy_fixture(fixture_dir, tmp_path)
+        replace_field(files["embeddings"], 3, 5, token)
         code = cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err == (
@@ -148,10 +163,7 @@ class TestIngest:
     ])
     def test_input_that_is_not_utf8_exits_2_naming_the_file(self, fixture_dir, tmp_path,
                                                               capsys, target, source):
-        data = tmp_path / "data"
-        shutil.copytree(fixture_dir["files"]["drug_manifest"].parent, data)
-        files = {k: data / v.name for k, v in fixture_dir["files"].items()}
-        config = write_config(tmp_path / "run.ini", files, fixture_dir["bench"].n_max_atoms)
+        data, files, config = copy_fixture(fixture_dir, tmp_path)
         first_drug = next(iter(fixture_dir["bench"].graphs))
         path = dict(files, config=config,
                     adjacency=data / "drugs" / f"{first_drug}.adjacency.csv")[target]
@@ -161,6 +173,48 @@ class TestIngest:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {path}: not UTF-8")
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    @pytest.mark.parametrize("part, kind", [("features", "feature"), ("adjacency", "adjacency"),
+                                            ("degrees", "degree")])
+    def test_non_finite_graph_value_exits_2_naming_file_and_row(self, fixture_dir, tmp_path,
+                                                                capsys, part, kind, token):
+        data, _, config = copy_fixture(fixture_dir, tmp_path)
+        path = data / "drugs" / f"{next(iter(fixture_dir['bench'].graphs))}.{part}.csv"
+        replace_field(path, 0, -1, token)
+        code = cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: {kind} row 1 is not finite")
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(source=st.sampled_from(["scgpt", "raw"]),
+           target=st.sampled_from(["responses", "embeddings", "expression", "gene_list",
+                                   "drug_manifest", "features", "adjacency", "degrees"]),
+           token=st.sampled_from(["nan", "inf", "-inf", "1e400", "-1", "0.5", "", "x"]),
+           data=st.data())
+    def test_one_corrupt_field_exits_0_or_2(self, fixture_dir, tmp_path_factory,
+                                            source, target, token, data):
+        """Whatever single field of whichever input is replaced, ingest either
+        succeeds or exits 2 with an error line; no exception escapes."""
+        tmp = tmp_path_factory.mktemp("corrupt")
+        root, files, config = copy_fixture(fixture_dir, tmp)
+        if target in ("features", "adjacency", "degrees"):
+            drug = data.draw(st.sampled_from(sorted(fixture_dir["bench"].graphs)))
+            path = root / "drugs" / f"{drug}.{target}.csv"
+        else:
+            path = files[target]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        line = data.draw(st.integers(0, len(lines) - 1))
+        field = data.draw(st.integers(0, lines[line].count(",")))
+        replace_field(path, line, field, token)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["ingest", "--config", str(config), "--feature-source", source,
+                             "--out", str(tmp / "o")])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
 
 
 class TestConfigErrors:
@@ -433,13 +487,24 @@ class TestReport:
         assert "disjoint" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row", ["2,m,0.6", "2,m,0.6,1.0,9", "two,m,0.6,1.0",
-                                     "2,m,0.6,high"])
+                                     "2,m,0.6,high", "2,m,nan,1.0", "2,m,0.6,inf",
+                                     "2,m,1.5,1.0"])
     def test_malformed_history_row_exits_5(self, tmp_path, capsys, row):
         self.make_run(tmp_path / "run", "m", [0.5])
         history = tmp_path / "run" / "history.csv"
         history.write_text(history.read_text() + row + "\n")
         assert cli.main(["report", str(tmp_path / "run"), "--out", str(tmp_path / "o")]) == 5
         assert f"{history}, line 3" in capsys.readouterr().err
+
+    def test_repeated_history_key_exits_5(self, tmp_path, capsys):
+        """a/run, b/run and c/run all hold model scgpt: b's history is keyed
+        run:scgpt, and c's would take the same key."""
+        runs = [tmp_path / parent / "run" for parent in "abc"]
+        for run in runs:
+            self.make_run(run, "scgpt", [0.5, 0.6])
+        assert cli.main(["report", *map(str, runs), "--out", str(tmp_path / "o")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {runs[2]}: ") and "'run:scgpt'" in err
 
     def test_history_that_is_not_utf8_exits_5(self, tmp_path, capsys):
         self.make_run(tmp_path / "run", "m", [0.5])

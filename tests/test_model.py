@@ -70,7 +70,7 @@ class TestEncodeDrug:
         rng = np.random.default_rng(0)
         g = random_padded_graph(rng, 1, 1, 6)
         out = m.encode_drug(ad.Tape(), [g], params, cfg)
-        h = g.features[:1]
+        h = g.features
         for layer in params.gcn:
             h = np.maximum(h @ layer.weight.data + layer.bias.data, 0.0)
         np.testing.assert_allclose(out.data, h, atol=1e-12)
