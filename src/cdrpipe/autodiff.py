@@ -19,6 +19,7 @@ caller and may share memory with one another.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Sequence
 
@@ -335,9 +336,21 @@ def backward(tape: Tape, loss_node: Tensor, wrt: Sequence[Tensor]) -> list[np.nd
 # Adam optimizer
 # ---------------------------------------------------------------------------
 
+# Elements per Adam block: 512 KB per float64 array. It is no smaller than
+# the largest parameter of the default model over a 512-wide cell embedding
+# (512 x 128), so each parameter of that model is updated as one block.
+ADAM_BLOCK = 65_536
+
+
+def _block_rows(shape: tuple[int, ...]) -> int:
+    """Leading-axis entries (rows, or elements of a 1-D array) per Adam block."""
+    return max(1, ADAM_BLOCK // math.prod(shape[1:]))
+
+
 @dataclass
 class AdamState:
-    """Adam moment buffers and learning rate for a fixed parameter list."""
+    """Adam moment buffers and learning rate for a fixed parameter list,
+    plus the two one-block scratch arrays :func:`adam_step` works in."""
 
     beta1: ClassVar[float] = 0.9
     beta2: ClassVar[float] = 0.999
@@ -347,13 +360,18 @@ class AdamState:
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
+    scratch: tuple[np.ndarray, np.ndarray] = field(
+        default_factory=lambda: (np.empty(0), np.empty(0)))
 
 
 def adam_init(params: Sequence[Tensor], lr: float = 1e-4) -> AdamState:
+    shapes = [p.data.shape or (1,) for p in params]
+    block = max((min(s[0], _block_rows(s)) * math.prod(s[1:]) for s in shapes), default=0)
     return AdamState(
         lr=lr,
         m=[np.zeros_like(p.data) for p in params],
         v=[np.zeros_like(p.data) for p in params],
+        scratch=(np.empty(block), np.empty(block)),
     )
 
 
@@ -363,9 +381,15 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
 
     A parameter whose gradient is exactly all-zero is left untouched for
     that step (no moment decay), so zero gradients are a strict no-op.
-    Moments and parameters are updated in their own buffers through two
-    scratch arrays, in the operation order of the written-out update, so
-    the results match it bit for bit.
+    Each parameter is updated one block of rows (of elements, for a 1-D
+    parameter) at a time, about ``ADAM_BLOCK`` elements, and every pass of
+    the update runs on one block before the next block starts. A block of
+    the parameter, its gradient, both moments and the two scratch arrays
+    then stays in cache across the passes, where whole arrays as wide as
+    the 5002-input cell layer would stream through memory once per pass.
+    Moments and parameters are updated in their own buffers, in the
+    operation order of the written-out update; every operation is
+    element-wise, so the results match that update bit for bit.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter, gradient, and state lists must align")
@@ -378,21 +402,26 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
         if not g.any():
             continue
-        m, v = state.m[i], state.v[i]
-        scratch = np.multiply(g, 1.0 - state.beta1)
-        m *= state.beta1
-        m += scratch
-        np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - state.beta2
-        v *= state.beta2
-        v += scratch
-        denom = np.divide(v, bc2, out=scratch)
-        np.sqrt(denom, out=denom)
-        denom += state.epsilon
-        step = np.divide(m, bc1)
-        step *= state.lr
-        step /= denom
-        p.data -= step
+        # row slices of these are views whatever the memory layout
+        p_all, g_all, m_all, v_all = map(np.atleast_1d, (p.data, g, state.m[i], state.v[i]))
+        rows = _block_rows(p_all.shape)
+        for s in range(0, p_all.shape[0], rows):
+            g_b, m_b, v_b = g_all[s : s + rows], m_all[s : s + rows], v_all[s : s + rows]
+            scratch, step = (buf[: g_b.size].reshape(g_b.shape) for buf in state.scratch)
+            np.multiply(g_b, 1.0 - state.beta1, out=scratch)
+            m_b *= state.beta1
+            m_b += scratch
+            np.multiply(g_b, g_b, out=scratch)
+            scratch *= 1.0 - state.beta2
+            v_b *= state.beta2
+            v_b += scratch
+            denom = np.divide(v_b, bc2, out=scratch)
+            np.sqrt(denom, out=denom)
+            denom += state.epsilon
+            np.divide(m_b, bc1, out=step)
+            step *= state.lr
+            step /= denom
+            p_all[s : s + rows] -= step
 
 
 # ---------------------------------------------------------------------------

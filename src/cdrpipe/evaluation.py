@@ -4,7 +4,7 @@ Predictions are scored by Pearson correlation overall and per group (cell
 line, cancer type, drug); leave-one-drug-out results become ranked gain
 tables against a baseline; per-epoch validation histories become stability
 tables. Writers emit the comma-separated files that back the result figures
-plus a flat key-value summary.
+plus a flat key-value summary, each of which appears whole or not at all.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from .atomic import atomic_write
 
 GROUP_KINDS = ("cell_line", "cancer_type", "drug")
 
@@ -225,7 +227,7 @@ def _fmt(value) -> str:
 
 
 def write_predictions_csv(path, rows: Sequence[PredictionRow]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("drug_id,cell_line_id,predicted,observed,cancer_type\n")
         for r in rows:
             fh.write(f"{r.drug_id},{r.cell_line_id},{_fmt(r.predicted)},"
@@ -234,7 +236,7 @@ def write_predictions_csv(path, rows: Sequence[PredictionRow]) -> None:
 
 def write_grouped_csv(path, stats: Mapping[str, GroupStat]) -> None:
     """Defined groups only; undefined ones are counted in the summary."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("group_id,pcc,n_samples\n")
         for key in sorted(stats):
             st = stats[key]
@@ -243,7 +245,7 @@ def write_grouped_csv(path, stats: Mapping[str, GroupStat]) -> None:
 
 
 def write_history_csv(path, model_name: str, history: Sequence[EpochRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("epoch,model,val_pcc,train_loss\n")
         for rec in history:
             pcc = UNDEFINED_MARKER if rec.val_pcc is None else _fmt(rec.val_pcc)
@@ -255,7 +257,8 @@ def read_history_csv(path) -> dict[str, list[EpochRecord]]:
 
     A file that is not UTF-8 text is a ReportError naming the file; a row
     with the wrong field count, a non-numeric value, a non-finite loss or a
-    PCC outside [-1, 1] is one naming the file and line.
+    PCC outside [-1, 1], or one that repeats an earlier row's model and
+    epoch, is one naming the file and line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -266,6 +269,7 @@ def read_history_csv(path) -> dict[str, list[EpochRecord]]:
     if header != ["epoch", "model", "val_pcc", "train_loss"]:
         raise ReportError(f"{path}: not a history table (header {header})")
     out: dict[str, list[EpochRecord]] = {}
+    seen: dict[tuple[str, int], int] = {}  # (model, epoch) -> line it is on
     for line_no, line in enumerate(lines[1:], start=2):
         try:
             epoch, model, pcc, loss = line.strip().split(",")
@@ -280,13 +284,17 @@ def read_history_csv(path) -> dict[str, list[EpochRecord]]:
                 raise ValueError(f"pcc {pcc} is outside [-1, 1]")
         except ValueError as exc:
             raise ReportError(f"{path}, line {line_no}: malformed history row ({exc})") from None
+        first = seen.setdefault((model, record.epoch), line_no)
+        if first != line_no:
+            raise ReportError(f"{path}, line {line_no}: epoch {record.epoch} of model "
+                              f"{model!r} repeats line {first}")
         out.setdefault(model, []).append(record)
     return out
 
 
 def write_stability_csv(path, report: StabilityReport) -> None:
     names = sorted(report.table)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("epoch," + ",".join(f"val_pcc_{n}" for n in names) + "\n")
         for epoch in report.epochs:
             cells = []
@@ -300,7 +308,7 @@ def write_lodo_gains_csv(path, rows: Sequence[GainRow]) -> None:
     if not rows:
         raise ReportError("no gain rows to write")
     names = list(rows[0].gains)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("drug_id,rank," + ",".join(f"gain_{n}" for n in names) + "\n")
         for row in rows:
             fh.write(f"{row.drug_id},{row.rank},"
@@ -309,7 +317,7 @@ def write_lodo_gains_csv(path, rows: Sequence[GainRow]) -> None:
 
 def write_summary(path, entries: Mapping[str, object]) -> None:
     """Flat key=value text; nesting expressed through dotted keys."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for key, value in entries.items():
             if isinstance(value, float):
                 value = _fmt(value)

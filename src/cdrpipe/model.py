@@ -29,6 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import atomic_write
 from .molgraph import ATOM_FEATURE_DIM, PaddedGraph
 
 CHECKPOINT_MAGIC = "cdr-checkpoint"
@@ -298,7 +299,10 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, cfg: ModelConfig, params: ModelParams) -> None:
-    """Write a versioned container: JSON header plus raw little-endian float64."""
+    """Write a versioned container: JSON header plus raw little-endian float64.
+
+    The file appears whole or not at all (see :func:`atomic.atomic_write`).
+    """
     arrays = list(params.named_arrays())
     header = {
         "magic": CHECKPOINT_MAGIC,
@@ -306,7 +310,7 @@ def save_checkpoint(path, cfg: ModelConfig, params: ModelParams) -> None:
         "config": asdict(cfg),
         "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for _, arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())

@@ -32,7 +32,8 @@ class SplitError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, or a step overflowed or computed
+    an invalid (NaN) value."""
 
 
 @dataclass
@@ -167,13 +168,19 @@ def train(train_set: ResponseDataset, val_set: ResponseDataset,
             target = ad.Tensor(np.array([[r.ic50] for r in batch]))
 
             tape = ad.Tape()
-            pred = forward_batch(tape, graphs, cells, params, model_cfg, "train", dropout_rng)
-            batch_loss = ad.loss(tape, pred, target)
-            value = float(batch_loss.data[0, 0])
-            if not math.isfinite(value):
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    pred = forward_batch(tape, graphs, cells, params, model_cfg, "train",
+                                         dropout_rng)
+                    batch_loss = ad.loss(tape, pred, target)
+                    value = float(batch_loss.data[0, 0])
+                    if not math.isfinite(value):
+                        raise DivergenceError(
+                            f"non-finite loss at epoch {epoch}, batch {batch_no}")
+                    ad.adam_step(tensors, ad.backward(tape, batch_loss, tensors), opt)
+            except FloatingPointError as exc:
                 raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_no}")
-            ad.adam_step(tensors, ad.backward(tape, batch_loss, tensors), opt)
+                    f"training diverged at epoch {epoch}, batch {batch_no}: {exc}") from None
             total += value * len(batch)
 
         val_pcc = None

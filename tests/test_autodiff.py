@@ -7,6 +7,7 @@ losses, and Monte-Carlo estimation for dropout.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdrpipe import autodiff as ad
 
@@ -436,6 +437,79 @@ class TestAdam:
         state = ad.adam_init([p])
         with pytest.raises(ValueError, match="shape"):
             ad.adam_step([p], [np.zeros(4)], state)
+
+    @staticmethod
+    def textbook_steps(p_data, grads, lr=0.01):
+        """adam_step from p_data through grads, compared after every step
+        with the update written out with fresh arrays; returns the final
+        parameter bytes."""
+        p = ad.Tensor(p_data.copy(order="K"), requires_grad=True)
+        state = ad.adam_init([p], lr=lr)
+        buffers = (p.data, state.m[0], state.v[0])
+        ref_p, ref_m, ref_v = p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)
+        for t, g in enumerate(grads, start=1):
+            ad.adam_step([p], [g], state)
+            if g.any():
+                ref_m = 0.9 * ref_m + (1.0 - 0.9) * g
+                ref_v = 0.999 * ref_v + (1.0 - 0.999) * (g * g)
+                m_hat = ref_m / (1.0 - 0.9 ** t)
+                v_hat = ref_v / (1.0 - 0.999 ** t)
+                ref_p = ref_p - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert p.data.tobytes() == ref_p.tobytes()
+            assert state.m[0].tobytes() == ref_m.tobytes()
+            assert state.v[0].tobytes() == ref_v.tobytes()
+        assert all(a is b for a, b in zip((p.data, state.m[0], state.v[0]), buffers))
+        return p.data.tobytes()
+
+    @pytest.mark.parametrize("shape", [
+        (2 * ad.ADAM_BLOCK // 7 + 3, 7),   # several blocks, the last one ragged
+        (1, 128),                          # a bias row
+        (1, ad.ADAM_BLOCK + 5),            # one row wider than a block
+        (2 * ad.ADAM_BLOCK + 11,),         # 1-D, sliced by elements
+        (),                                # 0-D
+    ], ids=["ragged", "bias", "wide-row", "1d", "0d"])
+    def test_blocked_update_matches_the_textbook_formula_bytewise(self, shape):
+        rng = np.random.default_rng(6)
+        grads = [rng.normal(size=shape), np.zeros(shape), rng.normal(size=shape)]
+        self.textbook_steps(rng.normal(size=shape), grads)
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed"])
+    def test_non_contiguous_arrays_give_the_bytes_of_contiguous_ones(self, layout):
+        rng = np.random.default_rng(7)
+        shape = (ad.ADAM_BLOCK // 50 + 9, 100)
+        p0 = rng.normal(size=shape)
+        grads = [rng.normal(size=shape) for _ in range(2)]
+        if layout == "fortran":
+            odd_p, odd_grads = np.asfortranarray(p0), [np.asfortranarray(g) for g in grads]
+        else:
+            odd_p, odd_grads = p0.T.copy().T, [g.T.copy().T for g in grads]
+        assert not odd_p.flags.c_contiguous and not odd_grads[0].flags.c_contiguous
+        assert self.textbook_steps(odd_p, odd_grads) == self.textbook_steps(p0, grads)
+
+    def test_one_call_over_several_parameters_equals_one_call_each(self):
+        """The parameters share the state's scratch arrays."""
+        rng = np.random.default_rng(8)
+        shapes = [(3 * ad.ADAM_BLOCK // 128 + 1, 128), (1, 128), (5,), (40, 3)]
+        start = [rng.normal(size=s) for s in shapes]
+        grads = [rng.normal(size=s) for s in shapes]
+        together = [ad.Tensor(a.copy(), requires_grad=True) for a in start]
+        ad.adam_step(together, grads, ad.adam_init(together, lr=0.01))
+        for t, a, g in zip(together, start, grads):
+            alone = ad.Tensor(a.copy(), requires_grad=True)
+            ad.adam_step([alone], [g], ad.adam_init([alone], lr=0.01))
+            assert t.data.tobytes() == alone.data.tobytes()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(cols=st.integers(1, 2 * ad.ADAM_BLOCK), extra_row=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_shapes_around_one_block_match_the_textbook_formula(self, cols, extra_row, seed):
+        """rows * cols lies within cols of ADAM_BLOCK, on either side."""
+        rows = max(1, ad.ADAM_BLOCK // cols + extra_row)
+        assert abs(rows * cols - ad.ADAM_BLOCK) <= cols
+        rng = np.random.default_rng(seed)
+        shape = (rows, cols)
+        grads = [rng.normal(size=shape), np.zeros(shape), rng.normal(size=shape)]
+        self.textbook_steps(rng.normal(size=shape), grads)
 
 
 class TestFiniteDiffCheck:

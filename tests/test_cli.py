@@ -305,6 +305,19 @@ class TestTrain:
         assert err.startswith("error: batch norm needs batches of >= 2 records") and named in err
         assert not (tmp_path / "o").exists()
 
+    def test_extreme_atom_feature_exits_3_naming_epoch_and_batch(self, fixture_dir, tmp_path,
+                                                                capsys):
+        """1e300 is a legal feature value, so ingest accepts it; the first
+        training step then overflows in the batch statistics."""
+        data, _, config = copy_fixture(fixture_dir, tmp_path)
+        replace_field(data / "drugs" / "D000.features.csv", 0, 0, "1e300")
+        assert cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / "i")]) == 0
+        code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert re.match(r"error: training diverged at epoch 1, batch \d+: overflow", err)
+        assert not (tmp_path / "o" / "checkpoint.ckpt").exists()
+
     def test_synthetic_fixture_reaches_high_pcc(self, tmp_path):
         """A convergence fixture: low noise, enough records, 12 epochs."""
         bench = make_benchmark(n_cells=120, cell_dim=12, n_drugs=6, atom_range=(3, 7),
@@ -505,6 +518,17 @@ class TestReport:
         assert cli.main(["report", *map(str, runs), "--out", str(tmp_path / "o")]) == 5
         err = capsys.readouterr().err
         assert err.startswith(f"error: {runs[2]}: ") and "'run:scgpt'" in err
+
+    def test_repeated_epoch_of_one_model_exits_5(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        history = run / "history.csv"
+        history.write_text("epoch,model,val_pcc,train_loss\n"
+                           "1,m,0.5,1.0\n1,m,0.9,1.0\n2,m,0.6,1.0\n", encoding="utf-8")
+        assert cli.main(["report", str(run), "--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err == (
+            f"error: {history}, line 3: epoch 1 of model 'm' repeats line 2\n")
+        assert not (tmp_path / "o").exists()
 
     def test_history_that_is_not_utf8_exits_5(self, tmp_path, capsys):
         self.make_run(tmp_path / "run", "m", [0.5])

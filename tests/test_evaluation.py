@@ -218,6 +218,20 @@ class TestWriters:
             ev.write_predictions_csv(tmp_path / name, rows)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("existing", [True, False], ids=["replaces", "creates"])
+    def test_a_writer_that_fails_mid_file_leaves_the_old_file(self, tmp_path, existing):
+        """The header and two rows are written before the third row fails."""
+        path = tmp_path / "predictions.csv"
+        rows = rows_from(["D0", "D1"], ["C0", "C1"], [0.1, 0.2], [0.3, 0.4])
+        if existing:
+            ev.write_predictions_csv(path, rows_from(["D9"], ["C9"], [0.9], [0.8]))
+        before = path.read_bytes() if existing else None
+        bad = rows + [ev.PredictionRow("D2", "C2", "not a number", 0.5)]
+        with pytest.raises(ValueError, match="not a number"):
+            ev.write_predictions_csv(path, bad)
+        assert (path.read_bytes() if path.exists() else None) == before
+        assert [p.name for p in tmp_path.iterdir()] == (["predictions.csv"] if existing else [])
+
     def test_grouped_csv_excludes_undefined(self, tmp_path):
         stats = {"good": ev.GroupStat(0.5, 3), "lonely": ev.GroupStat(None, 1)}
         path = tmp_path / "g.csv"

@@ -308,6 +308,20 @@ class TestCheckpoint:
         m.save_checkpoint(tmp_path / "b.ckpt", TINY, params)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
+    def test_a_save_that_fails_mid_file_leaves_the_old_checkpoint(self, tmp_path):
+        """The header and every real array are written before the last
+        array fails to convert."""
+        path = tmp_path / "model.ckpt"
+        m.save_checkpoint(path, TINY, m.init_params(TINY, seed=1))
+        before = path.read_bytes()
+        params = m.init_params(TINY, seed=2)
+        arrays = list(params.named_arrays())
+        params.named_arrays = lambda: iter(arrays + [("bad", np.array(["x"]))])
+        with pytest.raises(ValueError):
+            m.save_checkpoint(path, TINY, params)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_rejects_wrong_version(self, tmp_path):
         path = tmp_path / "model.ckpt"
         m.save_checkpoint(path, TINY, m.init_params(TINY, 0))
