@@ -2,7 +2,7 @@
 
 Shows the three-file tabular representation, the symmetrically normalized
 adjacency the graph encoder propagates over, the real-atom encoder record
-and its capacity, the two structural invariances the encoder guarantees
+with its precomputed first propagation and its capacity, the two structural invariances the encoder guarantees
 (atom order and capacity never change the pooled drug embedding), and
 packed encoding of several drugs in one call.
 """
@@ -40,11 +40,13 @@ with tempfile.TemporaryDirectory() as tmp:
 
 # ---------------------------------------------------------------------------
 # 2. The encoder record checks the graph against a capacity and keeps only
-#    the real atoms: nothing is padded. The mask spans the capacity.
+#    the real atoms: nothing is padded. The mask spans the capacity. The
+#    record also holds the first GCN layer's propagation A_hat @ X, built
+#    once here, since the atom features never change.
 # ---------------------------------------------------------------------------
 padded = pad_graph(graph, n_max=6)
 print("mask:", padded.mask, "- features", padded.features.shape,
-      "- adjacency", padded.norm_adjacency.shape)
+      "- adjacency", padded.norm_adjacency.shape, "- propagated", padded.propagated.shape)
 
 # ---------------------------------------------------------------------------
 # 3. The pooled embedding ignores atom order and capacity.

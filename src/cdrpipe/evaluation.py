@@ -1,23 +1,28 @@
 """Correlation-based evaluation and report emission.
 
 Predictions are scored by Pearson correlation overall and per group (cell
-line, cancer type, drug); leave-one-drug-out results become ranked gain
-tables against a baseline; per-epoch validation histories become stability
-tables. Writers emit the comma-separated files that back the result figures
-plus a flat key-value summary, each of which appears whole or not at all.
+line, cancer type, drug). One vectorized segment kernel computes every
+correlation: ``pearson`` is its one-group case, and each grouping of a
+report is one pass over integer group codes. Leave-one-drug-out results
+become ranked gain tables against a baseline; per-epoch validation
+histories become stability tables. Writers emit the comma-separated files
+that back the result figures plus a flat key-value summary, each of which
+appears whole or not at all.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .atomic import atomic_write
 
-GROUP_KINDS = ("cell_line", "cancer_type", "drug")
+_KEY_FIELDS = {"cell_line": "cell_line_id", "cancer_type": "cancer_type", "drug": "drug_id"}
+GROUP_KINDS = tuple(_KEY_FIELDS)
 
 STOPPED_MARKER = "stopped"
 UNDEFINED_MARKER = "undefined"
@@ -31,38 +36,77 @@ class ReportError(ValueError):
     """Histories or run outputs cannot be merged into one report."""
 
 
-def _scaled_deviations(v: np.ndarray) -> np.ndarray | None:
-    """v minus its mean, divided by the largest magnitude among the
-    differences; None when all of v's values are equal."""
-    lo, hi = v.min(), v.max()
-    if lo == hi:
-        return None
-    mean = v.sum() / v.size  # what v.mean() returns, without its dispatch overhead
-    out = v - mean
-    out /= max(hi - mean, mean - lo)  # rounding is monotone: the extreme differences
+def _scaled_deviations(v, lo, hi, starts, sizes, seg) -> np.ndarray:
+    """Each segment of v minus its mean, divided by its largest deviation;
+    lo and hi are the segments' extremes, seg each element's segment.
+
+    The segment is first scaled by the exact power of two that brings its
+    largest magnitude into [0.5, 1), so its sum cannot overflow."""
+    shift = -np.frexp(np.maximum(-lo, hi))[1]
+    lo, hi = np.ldexp(lo, shift), np.ldexp(hi, shift)
+    v = np.ldexp(v, shift[seg])
+    mean = np.add.reduceat(v, starts) / sizes
+    v -= mean[seg]
+    v /= np.maximum(hi - mean, mean - lo)[seg]  # rounding is monotone: the extreme differences
+    return v
+
+
+def segment_pearson(x: np.ndarray, y: np.ndarray, codes: np.ndarray,
+                    n_groups: int) -> np.ndarray:
+    """One Pearson correlation per group: entry g scores the pairs whose
+    integer code is g, NaN where it is undefined (fewer than two pairs, or
+    either vector all-equal or holding NaN or +-inf in the group).
+
+    A stable argsort of the codes lays each group out as one segment in its
+    rows' order, and every per-group figure is one ``reduceat`` over the
+    segments. Groups that cannot be scored drop out after the min and max,
+    before any other arithmetic. Each remaining vector is scaled by a power
+    of two, centred and divided by its largest deviation (see
+    ``_scaled_deviations``), so the sums of products neither overflow nor
+    underflow with the values' scale, and scaling a vector exactly by a
+    power of two changes no bit of the result.
+    """
+    order = np.argsort(codes, kind="stable")
+    codes, x, y = codes[order], x[order], y[order]
+    out = np.full(n_groups, np.nan)
+    if not codes.size:
+        return out
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    sizes = np.diff(np.r_[starts, codes.size])
+    extremes = [(np.minimum.reduceat(v, starts), np.maximum.reduceat(v, starts)) for v in (x, y)]
+    ok = np.logical_and.reduce([np.isfinite(lo) & np.isfinite(hi) & (lo < hi)
+                                for lo, hi in extremes])
+    if not ok.all():
+        kept = np.repeat(ok, sizes)
+        codes, x, y = codes[kept], x[kept], y[kept]
+        extremes = [(lo[ok], hi[ok]) for lo, hi in extremes]
+        sizes = sizes[ok]
+        starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    xc, yc = (_scaled_deviations(v, lo, hi, starts, sizes, seg)
+              for v, (lo, hi) in zip((x, y), extremes))
+    sums = [np.add.reduceat(a * b, starts) for a, b in ((xc, yc), (xc, xc), (yc, yc))]
+    # each vector's largest deviation is now 1, so each sum of squares is >= 1
+    out[codes[starts]] = np.clip(sums[0] / np.sqrt(sums[1] * sums[2]), -1.0, 1.0)
     return out
 
 
 def pearson(pred, obs) -> float | None:
-    """Pearson correlation, or None when undefined (n < 2 or zero variance).
+    """Pearson correlation, or None when undefined: n < 2, or either vector
+    all-equal or holding NaN or +-inf.
 
-    A vector whose values are all equal has zero variance, whatever its
-    rounded mean. The deviations are scaled to a largest magnitude of 1
-    before the products, so the result does not overflow or underflow with
-    the values' scale.
+    It is ``segment_pearson``'s one-group case, so it scores a group exactly
+    as ``grouped_pcc`` does. A vector whose values are all equal has zero
+    variance, whatever its rounded mean; the result neither overflows nor
+    underflows with the values' scale, and does not change at all when a
+    vector is scaled exactly by a power of two.
     """
     x = np.asarray(pred, dtype=np.float64)
     y = np.asarray(obs, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"pearson needs two equal-length vectors, got {x.shape} and {y.shape}")
-    if x.size < 2:
-        return None
-    xc = _scaled_deviations(x)
-    yc = None if xc is None else _scaled_deviations(y)
-    if yc is None:
-        return None
-    r = (xc @ yc) / math.sqrt((xc @ xc) * (yc @ yc))  # each sum of squares is >= 1
-    return float(min(1.0, max(-1.0, r)))
+    r = segment_pearson(x, y, np.zeros(x.size, dtype=np.intp), 1)[0]
+    return None if math.isnan(r) else float(r)
 
 
 @dataclass
@@ -87,35 +131,42 @@ class GroupStat:
     n: int
 
 
-def _group_key(row: PredictionRow, group_by: str):
-    if group_by == "cell_line":
-        return row.cell_line_id
-    if group_by == "drug":
-        return row.drug_id
-    if group_by == "cancer_type":
-        return row.cancer_type
-    raise ValueError(f"group_by must be one of {GROUP_KINDS}, got {group_by!r}")
+def _grouped(rows: Sequence[PredictionRow], attr: str, x: np.ndarray,
+             y: np.ndarray) -> dict[str, GroupStat]:
+    """grouped_pcc over the rows' already extracted (predicted, observed)
+    columns x and y; attr names the key's field."""
+    slot: dict = {}  # key -> code, in order of first appearance
+    codes = np.array([slot.setdefault(key, len(slot)) for key in map(attrgetter(attr), rows)],
+                     dtype=np.intp)
+    skipped = slot.pop(None, None)
+    if skipped is not None:
+        kept = codes != skipped
+        codes, x, y = codes[kept], x[kept], y[kept]
+        codes[codes > skipped] -= 1
+    pccs = segment_pearson(x, y, codes, len(slot)).tolist()
+    sizes = np.bincount(codes, minlength=len(slot)).tolist()
+    return {key: GroupStat(pcc=None if math.isnan(r) else r, n=n)
+            for key, r, n in zip(slot, pccs, sizes)}
+
+
+def _columns(rows: Sequence[PredictionRow]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([r.predicted for r in rows], dtype=np.float64),
+            np.array([r.observed for r in rows], dtype=np.float64))
 
 
 def grouped_pcc(rows: Sequence[PredictionRow], group_by: str) -> dict[str, GroupStat]:
     """Per-group Pearson over that group's (predicted, observed) pairs.
 
-    Groups with an undefined correlation keep an entry with pcc=None so the
-    report can count them; rows lacking the group key (absent cancer type)
-    are skipped.
+    Keys get integer codes in order of first appearance, which is the
+    result's key order, and one ``segment_pearson`` pass scores every
+    group, each exactly as ``pearson`` scores its own pairs. Groups with an
+    undefined correlation keep an entry with pcc=None so the report can
+    count them; rows lacking the group key (absent cancer type) are skipped.
+    An unknown ``group_by`` is a ValueError, with or without rows.
     """
-    buckets: dict[str, list[PredictionRow]] = {}
-    for row in rows:
-        key = _group_key(row, group_by)
-        if key is None:
-            continue
-        buckets.setdefault(key, []).append(row)
-    return {
-        key: GroupStat(
-            pcc=pearson([r.predicted for r in members], [r.observed for r in members]),
-            n=len(members))
-        for key, members in buckets.items()
-    }
+    if group_by not in _KEY_FIELDS:
+        raise ValueError(f"group_by must be one of {GROUP_KINDS}, got {group_by!r}")
+    return _grouped(rows, _KEY_FIELDS[group_by], *_columns(rows))
 
 
 @dataclass
@@ -128,11 +179,13 @@ class EvalReport:
 
 
 def build_eval_report(rows: Sequence[PredictionRow]) -> EvalReport:
+    """The overall PCC and every grouping's, from one extraction of the rows'
+    (predicted, observed) columns."""
+    x, y = _columns(rows)
     return EvalReport(
-        overall_pcc=pearson([r.predicted for r in rows], [r.observed for r in rows])
-        if len(rows) >= 2 else None,
+        overall_pcc=pearson(x, y),
         n_predictions=len(rows),
-        grouped={kind: grouped_pcc(rows, kind) for kind in GROUP_KINDS},
+        grouped={kind: _grouped(rows, _KEY_FIELDS[kind], x, y) for kind in GROUP_KINDS},
     )
 
 

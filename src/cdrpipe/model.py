@@ -4,7 +4,9 @@ over the concatenated embeddings.
 
 The graph encoder packs a list of drugs into one disjoint union: their atoms
 stacked into one matrix, each graph's normalized adjacency applied to its
-own row segment, and one max-pooled row per graph. It carries no batch
+own row segment, and one max-pooled row per graph. The first layer's
+propagation is a per-drug constant, ``ÂX``, built at ingest (see
+``PaddedGraph``), so only the deeper layers propagate. It carries no batch
 normalization or dropout, so a drug's embedding depends only on its graph
 and the parameters. Batch normalization sits after each hidden linear layer
 of the cell branch and head, before the activation. The head's last layer
@@ -168,19 +170,23 @@ def encode_drug(tape: ad.Tape, graphs: Sequence[PaddedGraph], params: ModelParam
                 cfg: ModelConfig) -> ad.Tensor:
     """One pooled embedding row per graph, in order.
 
-    The graphs' atoms are stacked into one (total atoms) x features
-    matrix. Each GCN layer records one product with the layer weight, one
-    block-diagonal propagation over the graphs' normalized adjacencies, the
-    bias add and the relu; a per-graph column max is the readout. No other
-    graph in the list reaches a graph's row.
+    The graphs' ingest-time propagated features ``ÂX`` are stacked into one
+    (total atoms) x features matrix, so the first GCN layer records only
+    the product with its weight, the bias add and the relu. Each deeper
+    layer records the product, one block-diagonal propagation over the
+    graphs' normalized adjacencies, the bias add and the relu; a per-graph
+    column max is the readout. No other graph in the list reaches a graph's
+    row.
     """
-    features = np.concatenate([g.features for g in graphs])
-    if features.shape[1] != cfg.atom_input_dim:
-        raise ValueError(f"atom features of width {features.shape[1]}, model expects "
+    propagated = np.concatenate([g.propagated for g in graphs])
+    if propagated.shape[1] != cfg.atom_input_dim:
+        raise ValueError(f"atom features of width {propagated.shape[1]}, model expects "
                          f"{cfg.atom_input_dim}")
     blocks = [g.norm_adjacency for g in graphs]
-    h = ad.Tensor(features)
-    for layer in params.gcn:
+    first, *deeper = params.gcn
+    h = ad.relu(tape, ad.add(tape, ad.matmul(tape, ad.Tensor(propagated), first.weight),
+                             first.bias))
+    for layer in deeper:
         h = ad.propagate(tape, blocks, ad.matmul(tape, h, layer.weight))
         h = ad.relu(tape, ad.add(tape, h, layer.bias))
     return ad.segment_max(tape, h, [b.shape[0] for b in blocks])

@@ -5,7 +5,8 @@ undirected adjacency list of 0-based atom index pairs, and a degree list.
 This module loads and validates that representation, builds the
 symmetrically normalized adjacency (with self loops) used by the graph
 encoder, and enforces the atom capacity. The encoder's input record holds
-the real atoms only: nothing is padded to the capacity.
+the real atoms only, nothing padded to the capacity, and their features
+already propagated once over the normalized adjacency.
 """
 
 from __future__ import annotations
@@ -91,12 +92,19 @@ class MolecularGraph:
 class PaddedGraph:
     """The encoder's input for one drug: its real atoms only, no padding.
 
-    ``mask`` stays only for the benchmark's ``molgraph.pad_fill_ratio``,
-    until that metric moves onto the run's event recorder."""
+    ``propagated`` is the first GCN layer's propagation, ``ÂX``, built once
+    here: the atom features need no gradient, so that layer's ``Â(XW)``
+    equals ``(ÂX)W``. ``mask`` stays only for the benchmark's
+    ``molgraph.pad_fill_ratio``, until that metric moves onto the run's
+    event recorder."""
 
     features: np.ndarray        # n_atoms x ATOM_FEATURE_DIM, the graph's own array
     norm_adjacency: np.ndarray  # n_atoms x n_atoms, symmetric
     mask: np.ndarray            # bool, length n_max, true on the first n_atoms
+    propagated: np.ndarray = field(init=False)  # norm_adjacency @ features
+
+    def __post_init__(self):
+        self.propagated = self.norm_adjacency @ self.features
 
     @property
     def n_atoms(self) -> int:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import assume, given, settings, strategies as st
 
 from cdrpipe import evaluation as ev
@@ -77,6 +78,35 @@ class TestPearsonProperties:
     def test_a_constant_whose_mean_rounds_is_undefined(self):
         assert ev.pearson([0.1] * 3, [0.0, 1.0, 2.0]) is None
 
+    @PROPERTY
+    @given(pairs=st.lists(st.tuples(FINITE, FINITE), min_size=2, max_size=12),
+           data=st.data())
+    def test_exact_power_of_two_scaling_changes_no_bit(self, pairs, data):
+        """Over the whole float64 exponent range: any power of two that
+        scales every value of x exactly leaves the correlation bit for bit."""
+        x, y = (np.array(v, dtype=np.float64) for v in zip(*pairs))
+        exponents = np.frexp(x[x != 0])[1]
+        if exponents.size:  # a k that keeps every value finite and normal, if one exists
+            low, high = min(0, -1021 - exponents.min()), max(0, 1024 - exponents.max())
+        else:
+            low, high = -2000, 2000
+        k = data.draw(st.integers(low, high), label="k")
+        scaled = np.ldexp(x, k)
+        assume(np.isfinite(scaled).all() and np.array_equal(np.ldexp(scaled, -k), x))
+        assert ev.pearson(scaled, y) == ev.pearson(x, y)
+
+    def test_a_mean_that_would_overflow(self):
+        got = ev.pearson([1.7e308, 1.7e308, 1e308], [1.0, 2.0, 3.0])
+        assert got == pytest.approx(ev.pearson([1.7, 1.7, 1.0], [1.0, 2.0, 3.0]), abs=1e-15)
+        assert got == pytest.approx(-np.sqrt(0.75), abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["pred", "obs"])
+    def test_a_non_finite_value_is_undefined(self, bad, side):
+        clean, dirty = [1.0, 2.0, 4.0, 3.0], [1.0, bad, 4.0, 3.0]
+        pair = (dirty, clean) if side == "pred" else (clean, dirty)
+        assert ev.pearson(*pair) is None
+
 
 def rows_from(drugs, cells, preds, obs, types=None):
     types = types or [None] * len(drugs)
@@ -128,6 +158,48 @@ class TestGroupedPcc:
         assert entries["groups.drug.total"] == 2
         assert entries["groups.drug.undefined"] == 1
         assert entries["groups.cell_line.undefined"] == 3
+
+
+# predictions and observations are multiples of 0.1 from a handful of values, so
+# small groups are often all-equal; the cancer type is often absent
+PREDICTION_ROWS = st.lists(
+    st.builds(lambda d, c, p, o, t: ev.PredictionRow(f"D{d}", f"C{c}", p / 10, o / 10, t),
+              st.integers(0, 5), st.integers(0, 8), st.integers(-4, 4), st.integers(-30, 30),
+              st.sampled_from([None, "lung", "skin", "blood"])),
+    max_size=60)
+
+
+class TestGroupedPccProperties:
+    @PROPERTY
+    @given(rows=PREDICTION_ROWS)
+    def test_each_group_is_scored_as_pearson_scores_its_own_pairs(self, rows):
+        report = ev.build_eval_report(rows)
+        assert report.overall_pcc == ev.pearson([r.predicted for r in rows],
+                                                [r.observed for r in rows])
+        for kind, attr in (("cell_line", "cell_line_id"), ("cancer_type", "cancer_type"),
+                           ("drug", "drug_id")):
+            buckets: dict[str, list[ev.PredictionRow]] = {}
+            for row in rows:
+                if getattr(row, attr) is not None:
+                    buckets.setdefault(getattr(row, attr), []).append(row)
+            got = ev.grouped_pcc(rows, kind)
+            assert report.grouped[kind] == got
+            assert list(got) == list(buckets)
+            for key, members in buckets.items():
+                pred = [r.predicted for r in members]
+                obs = [r.observed for r in members]
+                assert got[key].n == len(members)
+                assert got[key].pcc == ev.pearson(pred, obs)
+                if len(set(pred)) > 1 and len(set(obs)) > 1:
+                    assert abs(got[key].pcc - scipy.stats.pearsonr(pred, obs).statistic) <= 1e-12
+                else:
+                    assert got[key].pcc is None
+
+    def test_an_unknown_grouping_is_an_error_without_rows(self):
+        with pytest.raises(ValueError, match="group_by must be one of"):
+            ev.grouped_pcc([], "bogus")
+        with pytest.raises(ValueError, match="group_by must be one of"):
+            ev.grouped_pcc(rows_from(["D0"], ["C0"], [1.0], [2.0]), "bogus")
 
 
 class TestRankedGains:

@@ -133,6 +133,13 @@ class TestPadGraph:
         assert padded.features is g.features  # shared, not copied
         assert padded.norm_adjacency.shape == (2, 2)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_record_holds_the_first_propagation(self, seed):
+        padded = mg.pad_graph(random_graph(np.random.default_rng(seed), "d", 3 + 4 * seed), 20)
+        np.testing.assert_array_equal(padded.propagated,
+                                      padded.norm_adjacency @ padded.features)
+        assert padded.propagated.shape == (padded.n_atoms, 75)
+
     def test_exact_fit(self):
         padded = mg.pad_graph(two_atom_graph(), 2)
         assert padded.mask.all()
