@@ -146,9 +146,12 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
 
     try:  # seeds are derived per purpose later
         train_cfg = TrainConfig(seed=0, **conf["train"])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: [train] {exc}") from None
+    try:
         split = SplitSpec(seed=0, **conf["split"])
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}: [split] {exc}") from None
 
     variants_raw = conf["lodo"]["variants"].replace(" ", "")
     variants = [SOURCE_ALIASES.get(v, v) for v in variants_raw.split(",") if v]

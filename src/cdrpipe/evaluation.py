@@ -12,6 +12,7 @@ appears whole or not at all.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -281,20 +282,22 @@ def _fmt(value) -> str:
 
 def write_predictions_csv(path, rows: Sequence[PredictionRow]) -> None:
     with atomic_write(path) as fh:
-        fh.write("drug_id,cell_line_id,predicted,observed,cancer_type\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["drug_id", "cell_line_id", "predicted", "observed", "cancer_type"])
         for r in rows:
-            fh.write(f"{r.drug_id},{r.cell_line_id},{_fmt(r.predicted)},"
-                     f"{_fmt(r.observed)},{r.cancer_type or ''}\n")
+            out.writerow([r.drug_id, r.cell_line_id, _fmt(r.predicted), _fmt(r.observed),
+                          r.cancer_type or ""])
 
 
 def write_grouped_csv(path, stats: Mapping[str, GroupStat]) -> None:
     """Defined groups only; undefined ones are counted in the summary."""
     with atomic_write(path) as fh:
-        fh.write("group_id,pcc,n_samples\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["group_id", "pcc", "n_samples"])
         for key in sorted(stats):
             st = stats[key]
             if st.pcc is not None:
-                fh.write(f"{key},{_fmt(st.pcc)},{st.n}\n")
+                out.writerow([key, _fmt(st.pcc), st.n])
 
 
 def write_history_csv(path, model_name: str, history: Sequence[EpochRecord]) -> None:
@@ -362,10 +365,10 @@ def write_lodo_gains_csv(path, rows: Sequence[GainRow]) -> None:
         raise ReportError("no gain rows to write")
     names = list(rows[0].gains)
     with atomic_write(path) as fh:
-        fh.write("drug_id,rank," + ",".join(f"gain_{n}" for n in names) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["drug_id", "rank", *(f"gain_{n}" for n in names)])
         for row in rows:
-            fh.write(f"{row.drug_id},{row.rank},"
-                     + ",".join(_fmt(row.gains[n]) for n in names) + "\n")
+            out.writerow([row.drug_id, row.rank, *(_fmt(row.gains[n]) for n in names)])
 
 
 def write_summary(path, entries: Mapping[str, object]) -> None:

@@ -71,13 +71,9 @@ class ModelConfig:
 
 
 @dataclass
-class GraphConvLayer:
-    weight: ad.Tensor
-    bias: ad.Tensor
+class Layer:
+    """One affine map ``x W + b``, followed by batch norm when ``norm`` is set."""
 
-
-@dataclass
-class DenseLayer:
     weight: ad.Tensor
     bias: ad.Tensor
     norm: ad.BatchNormState | None = None
@@ -87,79 +83,64 @@ class DenseLayer:
 class ModelParams:
     """All trainable tensors plus batch-norm running statistics."""
 
-    gcn: list[GraphConvLayer]
-    cell: list[DenseLayer]
-    head: list[DenseLayer]
+    gcn: list[Layer]
+    cell: list[Layer]
+    head: list[Layer]
+
+    def _entries(self) -> Iterator[tuple[str, ad.Tensor | np.ndarray]]:
+        """Every checkpointed entry by name, branch by branch and layer by
+        layer: tensors are trainable, bare arrays are running statistics."""
+        for branch in ("gcn", "cell", "head"):
+            for i, layer in enumerate(getattr(self, branch)):
+                yield f"{branch}.{i}.weight", layer.weight
+                yield f"{branch}.{i}.bias", layer.bias
+                if layer.norm is not None:
+                    yield f"{branch}.{i}.norm.gamma", layer.norm.gamma
+                    yield f"{branch}.{i}.norm.beta", layer.norm.beta
+                    yield f"{branch}.{i}.norm.running_mean", layer.norm.running_mean
+                    yield f"{branch}.{i}.norm.running_var", layer.norm.running_var
 
     def parameters(self) -> list[ad.Tensor]:
-        out: list[ad.Tensor] = []
-        for layer in self.gcn:
-            out += [layer.weight, layer.bias]
-        for layer in (*self.cell, *self.head):
-            out += [layer.weight, layer.bias]
-            if layer.norm is not None:
-                out += [layer.norm.gamma, layer.norm.beta]
-        return out
+        return [entry for _, entry in self._entries() if isinstance(entry, ad.Tensor)]
 
     def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
         """Every array worth checkpointing, in a stable order."""
-        for i, layer in enumerate(self.gcn):
-            yield f"gcn.{i}.weight", layer.weight.data
-            yield f"gcn.{i}.bias", layer.bias.data
-        for branch, layers in (("cell", self.cell), ("head", self.head)):
-            for i, layer in enumerate(layers):
-                yield f"{branch}.{i}.weight", layer.weight.data
-                yield f"{branch}.{i}.bias", layer.bias.data
-                if layer.norm is not None:
-                    yield f"{branch}.{i}.norm.gamma", layer.norm.gamma.data
-                    yield f"{branch}.{i}.norm.beta", layer.norm.beta.data
-                    yield f"{branch}.{i}.norm.running_mean", layer.norm.running_mean
-                    yield f"{branch}.{i}.norm.running_var", layer.norm.running_var
+        for name, entry in self._entries():
+            yield name, entry.data if isinstance(entry, ad.Tensor) else entry
 
     def copy(self) -> "ModelParams":
         return copy.deepcopy(self)
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> ad.Tensor:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return ad.Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
-
-
-def _zero_bias(dim: int) -> ad.Tensor:
-    return ad.Tensor(np.zeros((1, dim)), requires_grad=True)
-
-
 def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
-    """Glorot-uniform weights, zero biases, unit batch-norm; deterministic per seed."""
+    """Glorot-uniform weights, zero biases, unit batch norm; deterministic per seed.
+
+    ``np.random.default_rng(seed)`` draws one ``uniform(-b, b)`` weight of shape
+    (fan_in, fan_out), ``b = sqrt(6 / (fan_in + fan_out))``, per layer in the
+    order gcn, cell, head, and nothing else, so a seed fixes every initial byte.
+    """
     rng = np.random.default_rng(seed)
 
-    def dense(in_dim, out_dim, with_norm):
-        return DenseLayer(
-            weight=_glorot(rng, in_dim, out_dim),
-            bias=_zero_bias(out_dim),
-            norm=ad.BatchNormState(out_dim) if with_norm else None,
-        )
+    def stack(in_dim, dims, norm_hidden, norm_last):
+        layers = []
+        for i, out_dim in enumerate(dims):
+            bound = np.sqrt(6.0 / (in_dim + out_dim))
+            weight = rng.uniform(-bound, bound, size=(in_dim, out_dim))
+            with_norm = norm_last if i == len(dims) - 1 else norm_hidden
+            layers.append(Layer(ad.Tensor(weight, requires_grad=True),
+                                ad.Tensor(np.zeros((1, out_dim)), requires_grad=True),
+                                ad.BatchNormState(out_dim) if with_norm else None))
+            in_dim = out_dim
+        return layers
 
-    gcn = []
-    in_dim = cfg.atom_input_dim
-    for out_dim in cfg.gcn_layer_dims:
-        gcn.append(GraphConvLayer(weight=_glorot(rng, in_dim, out_dim), bias=_zero_bias(out_dim)))
-        in_dim = out_dim
-
-    cell = []
-    in_dim = cfg.cell_input_dim
-    for out_dim in cfg.cell_branch_dims:
-        cell.append(dense(in_dim, out_dim, cfg.use_batch_norm))
-        in_dim = out_dim
-
-    head = []
-    in_dim = cfg.gcn_layer_dims[-1] + (cfg.cell_branch_dims[-1] if cfg.cell_branch_dims
-                                       else cfg.cell_input_dim)
-    for out_dim in cfg.head_dims[:-1]:
-        head.append(dense(in_dim, out_dim, cfg.use_batch_norm))
-        in_dim = out_dim
-    head.append(dense(in_dim, cfg.head_dims[-1], False))
-    return ModelParams(gcn=gcn, cell=cell, head=head)
+    bn = cfg.use_batch_norm
+    cell_width = cfg.cell_branch_dims[-1] if cfg.cell_branch_dims else cfg.cell_input_dim
+    # keyword arguments evaluate left to right, which fixes the draw order
+    return ModelParams(
+        gcn=stack(cfg.atom_input_dim, cfg.gcn_layer_dims, False, False),
+        cell=stack(cfg.cell_input_dim, cfg.cell_branch_dims, bn, bn),
+        head=stack(cfg.gcn_layer_dims[-1] + cell_width, cfg.head_dims, bn, False),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +173,7 @@ def encode_drug(tape: ad.Tape, graphs: Sequence[PaddedGraph], params: ModelParam
     return ad.segment_max(tape, h, [b.shape[0] for b in blocks])
 
 
-def _post_linear(tape, x, layer: DenseLayer, cfg, mode, rng):
+def _post_linear(tape, x, layer: Layer, cfg, mode, rng):
     """A hidden layer's step after its affine map: batch norm (if the layer
     has one), relu, dropout."""
     if layer.norm is not None:
@@ -201,7 +182,7 @@ def _post_linear(tape, x, layer: DenseLayer, cfg, mode, rng):
     return ad.dropout(tape, x, cfg.dropout_rate, mode, rng)
 
 
-def _dense_stack(tape, x, layers: Sequence[DenseLayer], cfg, mode, rng,
+def _dense_stack(tape, x, layers: Sequence[Layer], cfg, mode, rng,
                  activate_last: bool):
     for i, layer in enumerate(layers):
         x = ad.add(tape, ad.matmul(tape, x, layer.weight), layer.bias)
@@ -215,8 +196,6 @@ def encode_cell(tape: ad.Tape, features: ad.Tensor, params: ModelParams,
                 rng: np.random.Generator | None = None) -> ad.Tensor:
     """Dense branch over fixed, precomputed cell-line vectors."""
     x = features if isinstance(features, ad.Tensor) else ad.Tensor(features)
-    if x.data.ndim == 1:
-        x = ad.Tensor(x.data.reshape(1, -1), requires_grad=x.requires_grad)
     if x.data.shape[1] != cfg.cell_input_dim:
         raise ValueError(
             f"cell vector of width {x.data.shape[1]}, model expects {cfg.cell_input_dim}")

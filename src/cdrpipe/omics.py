@@ -248,7 +248,13 @@ def expression_feature_set(profiles: Iterable[ExpressionProfile],
             raise IngestError(f"cell line {p.cell_line_id!r}: gene list differs from that "
                               f"of {profiles[0].cell_line_id!r}")
     matrix = np.array([p.values for p in profiles]).reshape(len(profiles), len(genes))
-    scaled = cpm_log1p(align_genes(genes, matrix, canonical))
+    aligned = align_genes(genes, matrix, canonical)
+    try:
+        scaled = cpm_log1p(aligned)
+    except IngestError:
+        empty = profiles[int(np.argmax(aligned.sum(axis=1) <= 0))]
+        raise IngestError(f"cell line {empty.cell_line_id!r}: no counts on the "
+                          f"canonical genes, so cpm normalization is undefined") from None
     vectors = {p.cell_line_id: row for p, row in zip(profiles, scaled)}
     return CellFeatureSet(source="raw_expression", dim=len(canonical), vectors=vectors)
 
@@ -268,6 +274,10 @@ def load_responses(path) -> list[ResponseRecord]:
             if missing:
                 raise IngestError(f"{path}: response table is missing columns {missing}")
             for lineno, row in enumerate(reader, 2):
+                if None in row:  # DictReader keeps a row's surplus fields under None
+                    raise IngestError(f"{path}: row {lineno} has "
+                                      f"{len(fields) + len(row[None])} fields, expected "
+                                      f"{len(fields)}")
                 try:
                     ic50 = float(row["ic50"])
                 except (TypeError, ValueError):
@@ -275,12 +285,15 @@ def load_responses(path) -> list[ResponseRecord]:
                                       f"{row['ic50']!r}") from None
                 if not math.isfinite(ic50):
                     raise IngestError(f"{path}: row {lineno} ic50 is not finite")
-                records.append(ResponseRecord(
-                    drug_id=row["drug_id"],
-                    cell_line_id=row["cell_line_id"],
-                    ic50=ic50,
-                    cancer_type=(row.get("cancer_type") or None),
-                ))
+                try:
+                    records.append(ResponseRecord(
+                        drug_id=row["drug_id"],
+                        cell_line_id=row["cell_line_id"],
+                        ic50=ic50,
+                        cancer_type=(row.get("cancer_type") or None),
+                    ))
+                except IngestError as exc:
+                    raise IngestError(f"{path}: row {lineno}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return records

@@ -114,8 +114,10 @@ class TrainConfig:
     early_stop_patience: int | None = None
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.lr <= 0:
-            raise ValueError("epochs must be >= 0, batch_size >= 1, lr > 0")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ValueError("epochs must be >= 0, batch_size >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1 when set")
 

@@ -230,8 +230,10 @@ class TestConfigErrors:
         ("test_fraction = 0.1", "test_fracton = 0.1", "unknown key(s) in [split]: test_fracton"),
         ("[train]", "[trian]", "unknown section [trian]"),
         ("seed = 0", "sede = 5", "unknown key(s) in [run]: sede"),
+        ("lr = 0.003", "lr = inf", "[train] lr"),
+        ("lr = 0.003", "lr = nan", "[train] lr"),
     ], ids=["head_width", "test_fraction", "epochs", "dims", "boolean", "task",
-            "no_section", "train_key", "split_key", "section", "run_key"])
+            "no_section", "train_key", "split_key", "section", "run_key", "lr_inf", "lr_nan"])
     def test_bad_config_exits_2_naming_the_problem(self, fixture_dir, tmp_path, capsys,
                                                    old, new, named):
         config = write_config(tmp_path / "bad.ini", fixture_dir["files"],

@@ -1,5 +1,7 @@
 """Pearson metrics, grouped evaluation, gain ranking, and stability tables."""
 
+import csv
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -310,6 +312,25 @@ class TestWriters:
         ev.write_grouped_csv(path, stats)
         text = path.read_text()
         assert "good" in text and "lonely" not in text
+
+    def test_an_id_holding_a_comma_or_quote_round_trips(self, tmp_path):
+        odd = 'D,0 "x"'
+        rows = rows_from([odd, "D1"], ["C,0", 'C"1'], [0.1, 0.2], [0.3, 0.4], ['t,"a', None])
+        ev.write_predictions_csv(tmp_path / "p.csv", rows)
+        ev.write_grouped_csv(tmp_path / "g.csv",
+                             {odd: ev.GroupStat(0.5, 3), "D1": ev.GroupStat(0.1, 2)})
+        gains = ev.ranked_gains({"scgpt": {odd: 0.7, "D1": 0.2}}, {odd: 0.5, "D1": 0.4})
+        ev.write_lodo_gains_csv(tmp_path / "l.csv", gains)
+        tables = {}
+        for name in ("p.csv", "g.csv", "l.csv"):
+            with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+                tables[name] = list(csv.reader(fh))
+            header, *body = tables[name]
+            assert body and all(len(row) == len(header) for row in body), name
+        assert [r[:2] for r in tables["p.csv"][1:]] == [[odd, "C,0"], ["D1", 'C"1']]
+        assert [r[4] for r in tables["p.csv"][1:]] == ['t,"a', ""]
+        assert sorted(r[0] for r in tables["g.csv"][1:]) == sorted([odd, "D1"])
+        assert sorted(r[0] for r in tables["l.csv"][1:]) == sorted([odd, "D1"])
 
     def test_lodo_gains_header_tracks_model_names(self, tmp_path):
         rows = ev.ranked_gains({"scgpt": {"D0": 0.7}, "scfoundation": {"D0": 0.6}},

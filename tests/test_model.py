@@ -59,6 +59,49 @@ class TestInitParams:
             assert np.all(layer.bias.data == 0.0)
 
 
+class TestLayout:
+    @settings(max_examples=40, deadline=None)
+    @given(gcn=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           cell=st.lists(st.integers(1, 6), max_size=3),
+           head=st.lists(st.integers(1, 6), max_size=2),
+           use_batch_norm=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_parameters_and_initial_arrays_follow_the_documented_layout(
+            self, gcn, cell, head, use_batch_norm, seed):
+        cfg = m.ModelConfig(gcn_layer_dims=gcn, cell_branch_dims=cell, head_dims=(*head, 1),
+                            use_batch_norm=use_batch_norm, cell_input_dim=5, atom_input_dim=4)
+        params = m.init_params(cfg, seed)
+        named = list(params.named_arrays())
+        trainable = [arr for name, arr in named
+                     if name.endswith((".weight", ".bias", ".gamma", ".beta"))]
+        got = params.parameters()
+        assert len(got) == len(trainable)
+        assert all(t.data is arr for t, arr in zip(got, trainable))
+
+        # gcn, cell, head: one uniform(-b, b) weight per layer, nothing else drawn
+        rng = np.random.default_rng(seed)
+        cell_width = cell[-1] if cell else 5
+        branches = [("gcn", 4, gcn, [False] * len(gcn)),
+                    ("cell", 5, cell, [use_batch_norm] * len(cell)),
+                    ("head", gcn[-1] + cell_width, [*head, 1],
+                     [use_batch_norm] * len(head) + [False])]
+        expected = []
+        for branch, in_dim, dims, norms in branches:
+            for i, (out_dim, norm) in enumerate(zip(dims, norms)):
+                bound = np.sqrt(6.0 / (in_dim + out_dim))
+                key = f"{branch}.{i}"
+                expected += [(f"{key}.weight", rng.uniform(-bound, bound, (in_dim, out_dim))),
+                             (f"{key}.bias", np.zeros((1, out_dim)))]
+                if norm:
+                    expected += [(f"{key}.norm.gamma", np.ones((1, out_dim))),
+                                 (f"{key}.norm.beta", np.zeros((1, out_dim))),
+                                 (f"{key}.norm.running_mean", np.zeros(out_dim)),
+                                 (f"{key}.norm.running_var", np.ones(out_dim))]
+                in_dim = out_dim
+        assert [name for name, _ in named] == [name for name, _ in expected]
+        for (name, arr), (_, want) in zip(named, expected):
+            assert arr.shape == want.shape and arr.tobytes() == want.tobytes(), name
+
+
 class TestEncodeDrug:
     def test_single_atom_equals_plain_mlp(self):
         """With one atom the normalized adjacency is [[1]], so the encoder

@@ -210,6 +210,18 @@ class TestLoadResponses:
         with pytest.raises(omics.IngestError, match="row 3"):
             omics.load_responses(p)
 
+    @pytest.mark.parametrize("row", [",C1,2.0", "D1,,2.0"], ids=["drug", "cell_line"])
+    def test_an_empty_id_names_the_file_and_row(self, tmp_path, row):
+        p = write_csv(tmp_path / "r.csv", f"drug_id,cell_line_id,ic50\nD0,C0,1.0\n{row}\n")
+        with pytest.raises(omics.IngestError, match=f"{re.escape(str(p))}: row 3: .*non-empty"):
+            omics.load_responses(p)
+
+    def test_a_row_wider_than_the_header_names_the_file_and_row(self, tmp_path):
+        p = write_csv(tmp_path / "r.csv", "drug_id,cell_line_id,ic50\nD0,C0,1.0\nD1,C1,2.0,x\n")
+        with pytest.raises(omics.IngestError,
+                           match=f"{re.escape(str(p))}: row 3 has 4 fields, expected 3"):
+            omics.load_responses(p)
+
     def test_cancer_type_optional(self, tmp_path):
         p = write_csv(tmp_path / "r.csv", "drug_id,cell_line_id,ic50\nD0,C0,1.0\n")
         assert omics.load_responses(p)[0].cancer_type is None
@@ -272,6 +284,12 @@ class TestJoin:
         for p in profiles:
             alone = omics.cpm_log1p(omics.align_genes(genes, p.values, canonical))
             assert cells.vectors[p.cell_line_id].tobytes() == alone.tobytes()
+
+    def test_a_row_without_canonical_counts_names_its_cell_line(self):
+        profiles = [omics.ExpressionProfile("A", np.array([1.0, 0.0]), ["g1", "g9"]),
+                    omics.ExpressionProfile("B", np.array([0.0, 5.0]), ["g1", "g9"])]
+        with pytest.raises(omics.IngestError, match="cell line 'B': no counts"):
+            omics.expression_feature_set(profiles, ["g1", "g2"])
 
     def test_expression_feature_set_needs_one_gene_list(self):
         profiles = [omics.ExpressionProfile("A", np.array([1.0, 2.0]), ["g1", "g2"]),
