@@ -33,6 +33,7 @@ from .omics import (FEATURE_SOURCES, CellFeatureSet, IngestError, ResponseDatase
                     alignment_stats, expression_feature_set, join_dataset,
                     load_embeddings, load_expression, load_gene_list, load_responses)
 from .seeding import derive_seed
+from .tables import text_input
 from .training import (DivergenceError, SplitError, SplitSpec, TrainConfig,
                        lodo_splits, split_dataset, train)
 
@@ -95,6 +96,13 @@ def _optional_int(raw: str) -> int | None:
     return int(raw) if raw.strip() else None
 
 
+def _source(raw: str, where: str) -> str:
+    source = SOURCE_ALIASES.get(raw, raw)
+    if source not in FEATURE_SOURCES:
+        raise ConfigError(f"{where}: unknown feature source {raw!r}")
+    return source
+
+
 def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig:
     """Resolve a config file plus overrides; any bad value is a ConfigError."""
     path = Path(path)
@@ -103,11 +111,10 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
     cp = configparser.ConfigParser(interpolation=None,
                                    converters={"dims": _split_dims, "optint": _optional_int})
     try:
-        cp.read(path, encoding="utf-8")
+        with text_input(path, ConfigError) as fh:
+            cp.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     for section in cp.sections():
         if section == "paths":
             continue
@@ -139,10 +146,8 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
     if not output_dir.is_absolute() and out is None:
         output_dir = base / output_dir
 
-    source_raw = feature_source or conf["run"]["feature_source"]
-    source = SOURCE_ALIASES.get(source_raw, source_raw)
-    if source not in FEATURE_SOURCES:
-        raise ConfigError(f"unknown feature source {source_raw!r}")
+    source = _source(feature_source or conf["run"]["feature_source"],
+                     f"{path}: [run] feature_source")
 
     try:  # seeds are derived per purpose later
         train_cfg = TrainConfig(seed=0, **conf["train"])
@@ -154,8 +159,8 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
         raise ConfigError(f"{path}: [split] {exc}") from None
 
     variants_raw = conf["lodo"]["variants"].replace(" ", "")
-    variants = [SOURCE_ALIASES.get(v, v) for v in variants_raw.split(",") if v]
-    baseline = conf["lodo"]["baseline"]
+    variants = [_source(v, f"{path}: [lodo] variants") for v in variants_raw.split(",") if v]
+    baseline = _source(conf["lodo"]["baseline"], f"{path}: [lodo] baseline")
     return RunConfig(
         config_path=path,
         paths=paths,
@@ -167,7 +172,7 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
         split=split,
         lodo_n_drugs=conf["lodo"]["n_drugs"],
         lodo_variants=variants,
-        lodo_baseline=SOURCE_ALIASES.get(baseline, baseline),
+        lodo_baseline=baseline,
     )
 
 
@@ -336,10 +341,17 @@ def cmd_lodo(cfg: RunConfig) -> int:
     for source in sources:
         datasets[source], _ = assemble_dataset(cfg, source)
 
-    common_drugs = set.intersection(
-        *({r.drug_id for r in datasets[s].records} for s in sources))
-    anchor = [r for r in datasets[cfg.lodo_baseline].records if r.drug_id in common_drugs]
-    folds = lodo_splits(anchor, cfg.lodo_n_drugs, derive_seed(cfg.seed, "lodo-drugs"))
+    # every variant trains and scores on the (drug, cell line) pairs all sources cover
+    common = set.intersection(
+        *({(r.drug_id, r.cell_line_id) for r in datasets[s].records} for s in sources))
+    dropped = {}
+    for source in sources:
+        ds = datasets[source]
+        datasets[source] = ds.subset(
+            r for r in ds.records if (r.drug_id, r.cell_line_id) in common)
+        dropped[f"pairs_dropped.{source}"] = len(ds) - len(datasets[source])
+    folds = lodo_splits(datasets[cfg.lodo_baseline].records, cfg.lodo_n_drugs,
+                        derive_seed(cfg.seed, "lodo-drugs"))
     fold_drugs = [drug for drug, _, _ in folds]
 
     pccs: dict[str, dict[str, float]] = {s: {} for s in sources}
@@ -375,6 +387,7 @@ def cmd_lodo(cfg: RunConfig) -> int:
         "folds": len(fold_drugs),
         "folds_scored": len(scored),
         "folds_undefined": ";".join(undefined) if undefined else "none",
+        **dropped,
     })
     print(f"lodo finished: {len(scored)} of {len(fold_drugs)} folds scored")
     return EXIT_OK

@@ -5,9 +5,10 @@ line, cancer type, drug). One vectorized segment kernel computes every
 correlation: ``pearson`` is its one-group case, and each grouping of a
 report is one pass over integer group codes. Leave-one-drug-out results
 become ranked gain tables against a baseline; per-epoch validation
-histories become stability tables. Writers emit the comma-separated files
-that back the result figures plus a flat key-value summary, each of which
-appears whole or not at all.
+histories become stability tables. Writers emit the CSV files that back the
+result figures through :func:`tables.write_rows`, so any id or model name
+parses back whole, plus a flat key-value summary; each file appears whole or
+not at all.
 """
 
 from __future__ import annotations
@@ -15,16 +16,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .atomic import atomic_write
+from .tables import atomic_write, text_input, write_rows
 
 _KEY_FIELDS = {"cell_line": "cell_line_id", "cancer_type": "cancer_type", "drug": "drug_id"}
 GROUP_KINDS = tuple(_KEY_FIELDS)
 
+HISTORY_COLUMNS = ["epoch", "model", "val_pcc", "train_loss"]
 STOPPED_MARKER = "stopped"
 UNDEFINED_MARKER = "undefined"
 
@@ -280,32 +283,28 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _fmt_or(value, marker: str) -> str:
+    return marker if value is None else _fmt(value)
+
+
 def write_predictions_csv(path, rows: Sequence[PredictionRow]) -> None:
-    with atomic_write(path) as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["drug_id", "cell_line_id", "predicted", "observed", "cancer_type"])
-        for r in rows:
-            out.writerow([r.drug_id, r.cell_line_id, _fmt(r.predicted), _fmt(r.observed),
-                          r.cancer_type or ""])
+    header = ["drug_id", "cell_line_id", "predicted", "observed", "cancer_type"]
+    body = ([r.drug_id, r.cell_line_id, _fmt(r.predicted), _fmt(r.observed),
+             r.cancer_type or ""] for r in rows)
+    write_rows(path, chain([header], body))
 
 
 def write_grouped_csv(path, stats: Mapping[str, GroupStat]) -> None:
     """Defined groups only; undefined ones are counted in the summary."""
-    with atomic_write(path) as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["group_id", "pcc", "n_samples"])
-        for key in sorted(stats):
-            st = stats[key]
-            if st.pcc is not None:
-                out.writerow([key, _fmt(st.pcc), st.n])
+    body = ([key, _fmt(st.pcc), st.n] for key, st in sorted(stats.items())
+            if st.pcc is not None)
+    write_rows(path, chain([["group_id", "pcc", "n_samples"]], body))
 
 
 def write_history_csv(path, model_name: str, history: Sequence[EpochRecord]) -> None:
-    with atomic_write(path) as fh:
-        fh.write("epoch,model,val_pcc,train_loss\n")
-        for rec in history:
-            pcc = UNDEFINED_MARKER if rec.val_pcc is None else _fmt(rec.val_pcc)
-            fh.write(f"{rec.epoch},{model_name},{pcc},{_fmt(rec.train_loss)}\n")
+    body = ([rec.epoch, model_name, _fmt_or(rec.val_pcc, UNDEFINED_MARKER),
+             _fmt(rec.train_loss)] for rec in history)
+    write_rows(path, chain([HISTORY_COLUMNS], body))
 
 
 def read_history_csv(path) -> dict[str, list[EpochRecord]]:
@@ -316,19 +315,16 @@ def read_history_csv(path) -> dict[str, list[EpochRecord]]:
     PCC outside [-1, 1], or one that repeats an earlier row's model and
     epoch, is one naming the file and line.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ReportError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    header = (lines[0] if lines else "").strip().split(",")
-    if header != ["epoch", "model", "val_pcc", "train_loss"]:
+    with text_input(path, ReportError) as fh:
+        lines = list(csv.reader(fh))
+    header = lines[0] if lines else []
+    if header != HISTORY_COLUMNS:
         raise ReportError(f"{path}: not a history table (header {header})")
     out: dict[str, list[EpochRecord]] = {}
     seen: dict[tuple[str, int], int] = {}  # (model, epoch) -> line it is on
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, fields in enumerate(lines[1:], start=2):
         try:
-            epoch, model, pcc, loss = line.strip().split(",")
+            epoch, model, pcc, loss = fields
             record = EpochRecord(
                 epoch=int(epoch),
                 train_loss=float(loss),
@@ -350,25 +346,19 @@ def read_history_csv(path) -> dict[str, list[EpochRecord]]:
 
 def write_stability_csv(path, report: StabilityReport) -> None:
     names = sorted(report.table)
-    with atomic_write(path) as fh:
-        fh.write("epoch," + ",".join(f"val_pcc_{n}" for n in names) + "\n")
-        for epoch in report.epochs:
-            cells = []
-            for name in names:
-                value = report.table[name].get(epoch)
-                cells.append(STOPPED_MARKER if value is None else _fmt(value))
-            fh.write(f"{epoch}," + ",".join(cells) + "\n")
+    header = ["epoch", *(f"val_pcc_{n}" for n in names)]
+    body = ([epoch, *(_fmt_or(report.table[n].get(epoch), STOPPED_MARKER) for n in names)]
+            for epoch in report.epochs)
+    write_rows(path, chain([header], body))
 
 
 def write_lodo_gains_csv(path, rows: Sequence[GainRow]) -> None:
     if not rows:
         raise ReportError("no gain rows to write")
     names = list(rows[0].gains)
-    with atomic_write(path) as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["drug_id", "rank", *(f"gain_{n}" for n in names)])
-        for row in rows:
-            out.writerow([row.drug_id, row.rank, *(_fmt(row.gains[n]) for n in names)])
+    header = ["drug_id", "rank", *(f"gain_{n}" for n in names)]
+    body = ([row.drug_id, row.rank, *(_fmt(row.gains[n]) for n in names)] for row in rows)
+    write_rows(path, chain([header], body))
 
 
 def write_summary(path, entries: Mapping[str, object]) -> None:

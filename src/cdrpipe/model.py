@@ -31,8 +31,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .atomic import atomic_write
 from .molgraph import ATOM_FEATURE_DIM, PaddedGraph
+from .tables import atomic_write
 
 CHECKPOINT_MAGIC = "cdr-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -286,7 +286,7 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
 def save_checkpoint(path, cfg: ModelConfig, params: ModelParams) -> None:
     """Write a versioned container: JSON header plus raw little-endian float64.
 
-    The file appears whole or not at all (see :func:`atomic.atomic_write`).
+    The file appears whole or not at all (see :func:`tables.atomic_write`).
     """
     arrays = list(params.named_arrays())
     header = {

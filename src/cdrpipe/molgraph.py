@@ -1,22 +1,26 @@
 """Drug molecular graphs in their three-file tabular form.
 
 Each drug is described by a per-atom feature matrix (75 columns), an
-undirected adjacency list of 0-based atom index pairs, and a degree list.
-This module loads and validates that representation, builds the
-symmetrically normalized adjacency (with self loops) used by the graph
-encoder, and enforces the atom capacity. The encoder's input record holds
-the real atoms only, nothing padded to the capacity, and their features
-already propagated once over the normalized adjacency.
+undirected adjacency list of 0-based atom index pairs, and a degree list,
+each a headerless CSV file; a drug manifest table, read through
+:func:`tables.read_table`, names them. All are written through
+:func:`tables.write_rows`. This module loads and validates that
+representation, builds the symmetrically normalized adjacency (with self
+loops) used by the graph encoder, and enforces the atom capacity. The
+encoder's input record holds the real atoms only, nothing padded to the
+capacity, and their features already propagated once over the normalized
+adjacency.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .tables import read_table, text_input, write_rows
 
 ATOM_FEATURE_DIM = 75
 
@@ -140,10 +144,8 @@ def pad_graph(graph: MolecularGraph, n_max: int) -> PaddedGraph:
 # ---------------------------------------------------------------------------
 
 def _numeric_rows(path, kind: str) -> list[list[float]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    with text_input(path, GraphFormatError) as fh:
+        text = fh.read()
     rows = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -192,15 +194,9 @@ def load_graph(feature_file, adjacency_file, degree_file, drug_id: str | None = 
 
 def save_graph(graph: MolecularGraph, feature_file, adjacency_file, degree_file) -> None:
     """Write a graph back out in the canonical three-file form."""
-    with open(feature_file, "w", encoding="utf-8") as fh:
-        for row in graph.features:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    with open(adjacency_file, "w", encoding="utf-8") as fh:
-        for i, j in graph.adjacency:
-            fh.write(f"{i},{j}\n")
-    with open(degree_file, "w", encoding="utf-8") as fh:
-        for d in graph.degrees:
-            fh.write(f"{int(d)}\n")
+    write_rows(feature_file, ([repr(float(v)) for v in row] for row in graph.features))
+    write_rows(adjacency_file, graph.adjacency)
+    write_rows(degree_file, ([int(d)] for d in graph.degrees))
 
 
 MANIFEST_COLUMNS = ("drug_id", "feature_file", "adjacency_file", "degree_file")
@@ -214,29 +210,20 @@ def load_drug_manifest(manifest_file) -> dict[str, MolecularGraph]:
     """
     base = Path(manifest_file).parent
     graphs: dict[str, MolecularGraph] = {}
-    try:
-        with open(manifest_file, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or [])]
-            if missing:
-                raise GraphFormatError(f"{manifest_file}: manifest is missing columns {missing}")
-            for row in reader:
-                drug_id = row["drug_id"].strip()
-                if not drug_id:
-                    raise GraphFormatError(f"{manifest_file}: empty drug_id")
-                if drug_id in graphs:
-                    raise GraphConsistencyError(f"{manifest_file}: duplicate drug_id {drug_id!r}")
-                paths = [base / row[c].strip() for c in MANIFEST_COLUMNS[1:]]
-                graphs[drug_id] = load_graph(*paths, drug_id=drug_id)
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"{manifest_file}: not UTF-8 text ({exc.reason})") from None
+    with read_table(manifest_file, GraphFormatError, MANIFEST_COLUMNS) as (header, rows):
+        for _, fields in rows:
+            row = dict(zip(header, fields))
+            drug_id = row["drug_id"].strip()
+            if not drug_id:
+                raise GraphFormatError(f"{manifest_file}: empty drug_id")
+            if drug_id in graphs:
+                raise GraphConsistencyError(f"{manifest_file}: duplicate drug_id {drug_id!r}")
+            paths = [base / row[c].strip() for c in MANIFEST_COLUMNS[1:]]
+            graphs[drug_id] = load_graph(*paths, drug_id=drug_id)
     return graphs
 
 
 def write_drug_manifest(manifest_file, entries: dict[str, tuple[str, str, str]]) -> None:
     """Write a manifest of drug_id -> (feature, adjacency, degree) file paths."""
-    with open(manifest_file, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        for drug_id, paths in entries.items():
-            writer.writerow([drug_id, *paths])
+    rows = [[drug_id, *paths] for drug_id, paths in entries.items()]
+    write_rows(manifest_file, [MANIFEST_COLUMNS, *rows])

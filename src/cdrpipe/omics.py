@@ -1,16 +1,16 @@
 """Cell-line feature ingestion: expression matrices, precomputed embedding
 files, response tables, and the join that assembles a training dataset.
 
-All inputs are comma-separated UTF-8 text with a header row. One streamed
-reader parses each expression or embedding table into a single matrix, so the
-profiles of one expression table share one gene list. Gene alignment
-zero-pads genes missing from a table and drops genes outside the canonical
-list; dropped/padded counts are surfaced so dataset shrinkage stays visible.
+All inputs are comma-separated UTF-8 tables read through
+:func:`tables.read_table`. Each expression or embedding table is streamed
+into a single matrix, so the profiles of one expression table share one gene
+list. Gene alignment zero-pads genes missing from a table and drops genes
+outside the canonical list; dropped/padded counts are surfaced so dataset
+shrinkage stays visible.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .molgraph import PaddedGraph
+from .tables import read_table, text_input
 
 FEATURE_SOURCES = ("scgpt", "scfoundation", "raw_expression")
 
@@ -121,31 +122,23 @@ def _read_matrix(path) -> tuple[list[str], list[str], np.ndarray]:
     matrix), one matrix row per cell line in file order."""
     ids: dict[str, None] = {}
     rows = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if header[:1] != ["cell_line_id"]:
-                raise IngestError(f"{path}: first header column must be 'cell_line_id'")
-            for lineno, row in enumerate(reader, 2):
-                if len(row) != len(header):
-                    raise IngestError(f"{path}: row {lineno} has {len(row) - 1} values, "
-                                      f"expected {len(header) - 1}")
-                if row[0] in ids:
-                    raise IngestError(f"{path}: duplicate cell_line_id {row[0]!r} at row {lineno}")
-                ids[row[0]] = None
-                try:
-                    rows.append(np.array(row[1:], dtype=np.float64))
-                except ValueError:
-                    for col, raw in enumerate(row[1:], 2):
-                        try:
-                            float(raw)
-                        except ValueError:
-                            raise IngestError(f"{path}: row {lineno} column {col} "
-                                              f"is not numeric: {raw!r}") from None
-                    raise
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    with read_table(path, IngestError) as (header, table):
+        if header[:1] != ["cell_line_id"]:
+            raise IngestError(f"{path}: first header column must be 'cell_line_id'")
+        for lineno, row in table:
+            if row[0] in ids:
+                raise IngestError(f"{path}: duplicate cell_line_id {row[0]!r} at row {lineno}")
+            ids[row[0]] = None
+            try:
+                rows.append(np.array(row[1:], dtype=np.float64))
+            except ValueError:
+                for col, raw in enumerate(row[1:], 2):
+                    try:
+                        float(raw)
+                    except ValueError:
+                        raise IngestError(f"{path}: row {lineno} column {col} "
+                                          f"is not numeric: {raw!r}") from None
+                raise
     if not rows:
         raise IngestError(f"{path}: no cell lines")
     return list(ids), header[1:], np.stack(rows)
@@ -173,11 +166,8 @@ def load_expression(matrix_file) -> list[ExpressionProfile]:
 
 def load_gene_list(path) -> list[str]:
     """One gene id per line; order defines the canonical feature layout."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            genes = [ln.strip() for ln in fh if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    with text_input(path, IngestError) as fh:
+        genes = [ln.strip() for ln in fh if ln.strip()]
     if not genes:
         raise IngestError(f"{path}: empty gene list")
     if len(set(genes)) != len(genes):
@@ -266,36 +256,23 @@ def load_responses(path) -> list[ResponseRecord]:
     where unmatched rows are counted rather than silently dropped.
     """
     records = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            missing = [c for c in ("drug_id", "cell_line_id", "ic50") if c not in fields]
-            if missing:
-                raise IngestError(f"{path}: response table is missing columns {missing}")
-            for lineno, row in enumerate(reader, 2):
-                if None in row:  # DictReader keeps a row's surplus fields under None
-                    raise IngestError(f"{path}: row {lineno} has "
-                                      f"{len(fields) + len(row[None])} fields, expected "
-                                      f"{len(fields)}")
-                try:
-                    ic50 = float(row["ic50"])
-                except (TypeError, ValueError):
-                    raise IngestError(f"{path}: row {lineno} ic50 is not numeric: "
-                                      f"{row['ic50']!r}") from None
-                if not math.isfinite(ic50):
-                    raise IngestError(f"{path}: row {lineno} ic50 is not finite")
-                try:
-                    records.append(ResponseRecord(
-                        drug_id=row["drug_id"],
-                        cell_line_id=row["cell_line_id"],
-                        ic50=ic50,
-                        cancer_type=(row.get("cancer_type") or None),
-                    ))
-                except IngestError as exc:
-                    raise IngestError(f"{path}: row {lineno}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    with read_table(path, IngestError, ("drug_id", "cell_line_id", "ic50")) as (header, rows):
+        for lineno, fields in rows:
+            row = dict(zip(header, fields))
+            try:
+                ic50 = float(row["ic50"])
+            except ValueError:
+                raise IngestError(f"{path}: row {lineno} ic50 is not numeric: "
+                                  f"{row['ic50']!r}") from None
+            try:
+                records.append(ResponseRecord(
+                    drug_id=row["drug_id"],
+                    cell_line_id=row["cell_line_id"],
+                    ic50=ic50,
+                    cancer_type=(row.get("cancer_type") or None),
+                ))
+            except IngestError as exc:
+                raise IngestError(f"{path}: row {lineno}: {exc}") from None
     return records
 
 

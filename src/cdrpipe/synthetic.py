@@ -9,6 +9,7 @@ this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .molgraph import (ATOM_FEATURE_DIM, MolecularGraph, PaddedGraph, pad_graph,
                        save_graph, write_drug_manifest)
 from .omics import CellFeatureSet, ResponseRecord
+from .tables import write_rows
 
 
 def random_graph(rng: np.random.Generator, drug_id: str, n_atoms: int,
@@ -141,19 +143,16 @@ def write_embedding_csv(path, cells: CellFeatureSet, pad_to: int | None = None) 
     width = pad_to if pad_to is not None else cells.dim
     if width < cells.dim:
         raise ValueError(f"cannot pad {cells.dim}-dim vectors down to {width}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("cell_line_id," + ",".join(f"e{i}" for i in range(width)) + "\n")
-        for cid, vec in cells.vectors.items():
-            padded = np.zeros(width)
-            padded[: cells.dim] = vec
-            fh.write(cid + "," + ",".join(_fmt(v) for v in padded) + "\n")
+    padding = [_fmt(0.0)] * (width - cells.dim)
+    header = ["cell_line_id", *(f"e{i}" for i in range(width))]
+    body = ([cid, *map(_fmt, vec), *padding] for cid, vec in cells.vectors.items())
+    write_rows(path, chain([header], body))
 
 
 def write_response_csv(path, records: list[ResponseRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("drug_id,cell_line_id,ic50,cancer_type\n")
-        for r in records:
-            fh.write(f"{r.drug_id},{r.cell_line_id},{_fmt(r.ic50)},{r.cancer_type or ''}\n")
+    header = ["drug_id", "cell_line_id", "ic50", "cancer_type"]
+    body = ([r.drug_id, r.cell_line_id, _fmt(r.ic50), r.cancer_type or ""] for r in records)
+    write_rows(path, chain([header], body))
 
 
 def write_benchmark_files(bench: SyntheticBenchmark, outdir,
@@ -185,13 +184,11 @@ def write_benchmark_files(bench: SyntheticBenchmark, outdir,
 
     genes = [f"g{i:04d}" for i in range(bench.cells.dim)]
     expression = outdir / "expression.csv"
-    with open(expression, "w", encoding="utf-8") as fh:
-        fh.write("cell_line_id," + ",".join(genes) + "\n")
-        for cid, vec in bench.cells.vectors.items():
-            counts = np.rint(np.abs(vec) * 100).astype(int)
-            fh.write(cid + "," + ",".join(str(int(v)) for v in counts) + "\n")
+    counts = ([cid, *np.rint(np.abs(vec) * 100).astype(int).tolist()]
+              for cid, vec in bench.cells.vectors.items())
+    write_rows(expression, chain([["cell_line_id", *genes]], counts))
     gene_list = outdir / "gene_list.txt"
-    gene_list.write_text("\n".join(genes + ["g_absent_a", "g_absent_b"]) + "\n", encoding="utf-8")
+    write_rows(gene_list, ([gene] for gene in genes + ["g_absent_a", "g_absent_b"]))
 
     return {
         "drug_manifest": manifest,

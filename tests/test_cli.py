@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline tests on synthetic fixture files."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -217,6 +218,32 @@ class TestIngest:
             assert err.getvalue().startswith("error: ")
 
 
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(target=st.sampled_from(["expression", "embeddings", "responses", "drug_manifest"]),
+           duplicate=st.booleans(), data=st.data())
+    def test_a_row_of_the_wrong_width_exits_2_naming_file_and_row(
+            self, fixture_dir, tmp_path_factory, target, duplicate, data):
+        """Dropping or duplicating one field of one row of a keyed table is
+        an ingest error naming the file and the row."""
+        tmp = tmp_path_factory.mktemp("shape")
+        _, files, config = copy_fixture(fixture_dir, tmp)
+        path = files[target]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        line = data.draw(st.integers(1, len(lines) - 1))
+        fields = lines[line].split(",")
+        field = data.draw(st.integers(0, len(fields) - 1))
+        fields[field:field + 1] = [fields[field]] * 2 if duplicate else []
+        lines[line] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["ingest", "--config", str(config),
+                             "--feature-source", "raw" if target == "expression" else "scgpt",
+                             "--out", str(tmp / "o")])
+        assert code == 2
+        assert err.getvalue().startswith(f"error: {path}: row {line + 1} has ")
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("old, new, named", [
         ("head_dims = 8,1", "head_dims = 8,2", "width 1"),
@@ -232,8 +259,12 @@ class TestConfigErrors:
         ("seed = 0", "sede = 5", "unknown key(s) in [run]: sede"),
         ("lr = 0.003", "lr = inf", "[train] lr"),
         ("lr = 0.003", "lr = nan", "[train] lr"),
+        ("variants = scgpt", "variants = scgpt,bogus", "[lodo] variants: unknown feature "
+                                                        "source 'bogus'"),
+        ("baseline = raw", "baseline = bogus", "[lodo] baseline: unknown feature source 'bogus'"),
     ], ids=["head_width", "test_fraction", "epochs", "dims", "boolean", "task",
-            "no_section", "train_key", "split_key", "section", "run_key", "lr_inf", "lr_nan"])
+            "no_section", "train_key", "split_key", "section", "run_key", "lr_inf", "lr_nan",
+            "lodo_variant", "lodo_baseline"])
     def test_bad_config_exits_2_naming_the_problem(self, fixture_dir, tmp_path, capsys,
                                                    old, new, named):
         config = write_config(tmp_path / "bad.ini", fixture_dir["files"],
@@ -430,6 +461,35 @@ class TestLodo:
         assert summary["baseline"] == "raw_expression"
         assert summary["folds"] == "1"
 
+    def test_variants_train_and_score_on_the_pairs_every_source_covers(
+            self, fixture_dir, tmp_path, monkeypatch):
+        """C000 has no expression row, so raw_expression cannot score its
+        pairs; scGPT must then leave them out too."""
+        _, files, config = copy_fixture(fixture_dir, tmp_path)
+        lines = files["expression"].read_text(encoding="utf-8").splitlines()
+        files["expression"].write_text(
+            "\n".join(ln for ln in lines if not ln.startswith("C000,")) + "\n", encoding="utf-8")
+        missing = sum(r.cell_line_id == "C000" for r in fixture_dir["bench"].records)
+        assert missing > 0
+        seen = []
+        real_train = cli.train
+
+        def spy(train_set, test_set, mcfg, tcfg):
+            seen.append([[(r.drug_id, r.cell_line_id) for r in s.records]
+                         for s in (train_set, test_set)])
+            return real_train(train_set, test_set, mcfg, tcfg)
+
+        monkeypatch.setattr(cli, "train", spy)
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["lodo", "--config", str(config), "--out", str(out)]) == 0
+        assert len(seen) == 2 and seen[0] == seen[1]  # one fold: baseline, then scgpt
+        assert not any(cell == "C000" for part in seen[0] for _, cell in part)
+        summary = dict(line.split("=", 1)
+                       for line in (out / "lodo_summary.txt").read_text().splitlines())
+        assert summary["pairs_dropped.raw_expression"] == "0"
+        assert summary["pairs_dropped.scgpt"] == str(missing)
+
     def test_requires_a_non_baseline_variant(self, fixture_dir, tmp_path, capsys):
         config = write_config(tmp_path / "lodo.ini", fixture_dir["files"],
                               fixture_dir["bench"].n_max_atoms)
@@ -484,6 +544,20 @@ class TestReport:
         assert cli.main(["report", str(tmp_path / "only"), "--out", str(out)]) == 0
         lines = (out / "stability.csv").read_text().splitlines()
         assert [ln.split(",")[1] for ln in lines[1:]] == ["0.5", "0.6", "0.55"]
+
+    def test_run_names_holding_a_comma_or_quote_keep_the_table_rectangular(self, tmp_path):
+        """x/history.csv and 'a,"b'/history.csv both hold model m, so the
+        second is keyed by its run directory's name."""
+        odd = 'a,"b'
+        self.make_run(tmp_path / "x", "m", [0.5, 0.6])
+        self.make_run(tmp_path / odd, "m", [0.4, 0.7])
+        out = tmp_path / "report"
+        assert cli.main(["report", str(tmp_path / "x"), str(tmp_path / odd),
+                         "--out", str(out)]) == 0
+        with open(out / "stability.csv", newline="", encoding="utf-8") as fh:
+            header, *body = csv.reader(fh)
+        assert header == ["epoch", f"val_pcc_{odd}:m", "val_pcc_m"]
+        assert body == [["1", "0.4", "0.5"], ["2", "0.7", "0.6"]]
 
     def test_missing_history_exits_5(self, tmp_path, capsys):
         (tmp_path / "empty_run").mkdir()

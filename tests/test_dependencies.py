@@ -41,3 +41,48 @@ def test_the_guard_sees_nested_and_conditional_imports():
               "    except ImportError:\n"
               "        pass\n")
     assert imported_top_levels(source) - ALLOWED == {"scipy", "hypothesis"}
+
+
+def file_writes(source: str) -> list[str]:
+    """Calls that write a file directly: ``write_text``, ``write_bytes``, and
+    ``open`` with a mode (the second argument of ``open``, the first of
+    ``Path.open``) that writes, appends, creates or updates, or that is not
+    a literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in ("write_text", "write_bytes"):
+            found.append(f"line {node.lineno}: {name}")
+        elif name == "open":
+            at = 1 if isinstance(node.func, ast.Name) else 0
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                        node.args[at] if len(node.args) > at else ast.Constant("r"))
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                found.append(f"line {node.lineno}: open")
+    return found
+
+
+def test_only_the_tables_module_writes_files():
+    """Every output goes through tables.atomic_write, so it reaches disk whole."""
+    modules = [path for path in sorted(PACKAGE.rglob("*.py")) if path.name != "tables.py"]
+    writes = {f"{path.relative_to(PACKAGE)} {call}"
+              for path in modules
+              for call in file_writes(path.read_text(encoding="utf-8"))}
+    assert not writes
+
+
+def test_the_write_guard_sees_every_form_of_write():
+    source = ("open(p)\n"
+              "open(p, 'rb')\n"
+              "open(p, encoding='utf-8')\n"
+              "open(p, 'w')\n"
+              "open(p, mode='a')\n"
+              "path.open('x')\n"
+              "open(p, 'r+b')\n"
+              "open(p, m)\n"
+              "path.write_text(s)\n"
+              "Path(p).write_bytes(b)\n")
+    assert [call.split(": ")[0] for call in file_writes(source)] == [
+        f"line {n}" for n in range(4, 11)]

@@ -314,6 +314,8 @@ class TestWriters:
         assert "good" in text and "lonely" not in text
 
     def test_an_id_holding_a_comma_or_quote_round_trips(self, tmp_path):
+        """Every table parses back to its header's width and to the values
+        written; a history table also reads back through read_history_csv."""
         odd = 'D,0 "x"'
         rows = rows_from([odd, "D1"], ["C,0", 'C"1'], [0.1, 0.2], [0.3, 0.4], ['t,"a', None])
         ev.write_predictions_csv(tmp_path / "p.csv", rows)
@@ -321,8 +323,12 @@ class TestWriters:
                              {odd: ev.GroupStat(0.5, 3), "D1": ev.GroupStat(0.1, 2)})
         gains = ev.ranked_gains({"scgpt": {odd: 0.7, "D1": 0.2}}, {odd: 0.5, "D1": 0.4})
         ev.write_lodo_gains_csv(tmp_path / "l.csv", gains)
+        ev.write_history_csv(tmp_path / "h.csv", odd, history(0.25, None))
+        assert ev.read_history_csv(tmp_path / "h.csv") == {odd: history(0.25, None)}
+        report = ev.stability_report({odd: history(0.5, 0.6), "m": history(0.7)})
+        ev.write_stability_csv(tmp_path / "s.csv", report)
         tables = {}
-        for name in ("p.csv", "g.csv", "l.csv"):
+        for name in ("p.csv", "g.csv", "l.csv", "h.csv", "s.csv"):
             with open(tmp_path / name, newline="", encoding="utf-8") as fh:
                 tables[name] = list(csv.reader(fh))
             header, *body = tables[name]
@@ -331,6 +337,9 @@ class TestWriters:
         assert [r[4] for r in tables["p.csv"][1:]] == ['t,"a', ""]
         assert sorted(r[0] for r in tables["g.csv"][1:]) == sorted([odd, "D1"])
         assert sorted(r[0] for r in tables["l.csv"][1:]) == sorted([odd, "D1"])
+        assert [r[1] for r in tables["h.csv"][1:]] == [odd, odd]
+        assert tables["s.csv"] == [["epoch", f"val_pcc_{odd}", "val_pcc_m"],
+                                   ["1", "0.5", "0.7"], ["2", "0.6", ev.STOPPED_MARKER]]
 
     def test_lodo_gains_header_tracks_model_names(self, tmp_path):
         rows = ev.ranked_gains({"scgpt": {"D0": 0.7}, "scfoundation": {"D0": 0.6}},

@@ -182,7 +182,7 @@ class TestLoadEmbeddings:
 
     def test_ragged_row(self, tmp_path):
         p = write_csv(tmp_path / "emb.csv", "cell_line_id,e0,e1\nC0,1.0\n")
-        with pytest.raises(omics.IngestError, match="row 2 has 1 values"):
+        with pytest.raises(omics.IngestError, match="row 2 has 2 fields, expected 3"):
             omics.load_embeddings(p, "raw_expression")
 
     def test_raw_source_takes_any_width(self, tmp_path):
