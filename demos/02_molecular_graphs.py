@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cdrpipe import (ModelConfig, Tape, encode_drug, init_params, load_graph,
+from cdrpipe import (ModelConfig, encode_drug, init_params, load_graph,
                      normalized_adjacency, pad_graph, save_graph)
 from cdrpipe.molgraph import MolecularGraph
 from cdrpipe.synthetic import random_graph
@@ -56,7 +56,7 @@ cfg = ModelConfig(gcn_layer_dims=(16, 8), cell_branch_dims=(4,), head_dims=(1,),
 params = init_params(cfg, seed=0)
 
 g = random_graph(rng, "bigger", 5)
-base = encode_drug(Tape(), [pad_graph(g, 6)], params, cfg)
+base = encode_drug(None, [pad_graph(g, 6)], params, cfg)
 
 perm = rng.permutation(g.n_atoms)
 inverse = np.argsort(perm)
@@ -65,16 +65,16 @@ relabeled = MolecularGraph(
     sorted((min(inverse[a], inverse[b]), max(inverse[a], inverse[b]))
            for a, b in g.adjacency),
     g.degrees[perm])
-permuted = encode_drug(Tape(), [pad_graph(relabeled, 6)], params, cfg)
+permuted = encode_drug(None, [pad_graph(relabeled, 6)], params, cfg)
 print("permutation gap:", float(np.max(np.abs(base.data - permuted.data))))
 
-wide = encode_drug(Tape(), [pad_graph(g, 40)], params, cfg)
+wide = encode_drug(None, [pad_graph(g, 40)], params, cfg)
 print("capacity gap:", float(np.max(np.abs(base.data - wide.data))))
 
 # ---------------------------------------------------------------------------
 # 4. A list of drugs is encoded as one packed graph, one pooled row per drug;
 #    packing with other drugs does not change a drug's row.
 # ---------------------------------------------------------------------------
-packed = encode_drug(Tape(), [padded, pad_graph(g, 6), pad_graph(relabeled, 6)], params, cfg)
+packed = encode_drug(None, [padded, pad_graph(g, 6), pad_graph(relabeled, 6)], params, cfg)
 print("packed rows:", packed.shape[0], "- packing gap:",
       float(np.max(np.abs(packed.data[1:2] - base.data))))

@@ -8,7 +8,8 @@ for graphs packed as one disjoint union of row segments: ``propagate``
 (column-wise max-pool per graph). An Adam optimizer and a
 central-finite-difference gradient checker complete it. Everything is
 float64 and at most rank 2, recorded on an explicit :class:`Tape` so
-independent runs share no mutable state.
+independent runs share no mutable state; an operation given the tape
+``None`` records nothing, and its output requires no gradient.
 
 Tensors hold no gradient state. :func:`backward` passes gradients along in
 a local map, drops each operation output's gradient as soon as the node
@@ -30,8 +31,9 @@ class Tensor:
     """A dense float64 array of rank <= 2.
 
     ``requires_grad`` marks a tensor that gradients flow to: a parameter
-    built with ``requires_grad=True``, or an operation output with such an
-    input. The tensor stores no gradient; :func:`backward` returns them.
+    built with ``requires_grad=True``, or an operation output recorded on a
+    tape from such an input. The tensor stores no gradient; :func:`backward`
+    returns them.
     """
 
     __slots__ = ("data", "requires_grad")
@@ -66,6 +68,7 @@ class Tape:
     An operation can only consume tensors that already exist, so recording
     order is a topological order: the reverse sweep in :func:`backward`
     visits every node exactly once with its output gradient complete.
+    Build one only where :func:`backward` sweeps it; evaluation passes ``None``.
     """
 
     def __init__(self):
@@ -75,9 +78,7 @@ class Tape:
 def _result(tape: Tape | None, inputs: tuple[Tensor, ...], data: np.ndarray,
             backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(t.requires_grad for t in inputs):
-        if tape is None:
-            raise ValueError("operation on tensors requiring grad needs a tape")
+    if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         tape.nodes.append(TapeNode(inputs, out, backward_fn))
     return out
@@ -432,9 +433,10 @@ def finite_diff_check(f, x: Tensor, epsilon: float = 1e-5) -> float:
     """Max relative error between the autodiff gradient of f at x and
     central finite differences.
 
-    `f(tape, t)` must build a scalar Tensor from `t`. Relative error per
-    coordinate uses the denominator max(|autodiff|, |numeric|, 1e-8). Only
-    meaningful where f is differentiable (keep inputs away from relu kinks).
+    `f(tape, t)` must build a scalar Tensor from `t`; the probes pass the
+    tape ``None``. Relative error per coordinate uses the denominator
+    max(|autodiff|, |numeric|, 1e-8). Only meaningful where f is
+    differentiable (keep inputs away from relu kinks).
     """
     x_ad = Tensor(x.data.copy(), requires_grad=True)
     tape = Tape()
@@ -450,9 +452,9 @@ def finite_diff_check(f, x: Tensor, epsilon: float = 1e-5) -> float:
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + epsilon
-        f_plus = float(f(Tape(), work).data.reshape(-1)[0])
+        f_plus = float(f(None, work).data.reshape(-1)[0])
         flat[i] = orig - epsilon
-        f_minus = float(f(Tape(), work).data.reshape(-1)[0])
+        f_minus = float(f(None, work).data.reshape(-1)[0])
         flat[i] = orig
         num_flat[i] = (f_plus - f_minus) / (2.0 * epsilon)
 

@@ -337,30 +337,22 @@ def cmd_lodo(cfg: RunConfig) -> int:
         raise ConfigError("lodo needs at least one non-baseline variant")
     sources = [cfg.lodo_baseline] + variants
 
-    datasets: dict[str, ResponseDataset] = {}
-    for source in sources:
-        datasets[source], _ = assemble_dataset(cfg, source)
+    datasets = {source: assemble_dataset(cfg, source)[0] for source in sources}
 
-    # every variant trains and scores on the (drug, cell line) pairs all sources cover
-    common = set.intersection(
-        *({(r.drug_id, r.cell_line_id) for r in datasets[s].records} for s in sources))
-    dropped = {}
-    for source in sources:
-        ds = datasets[source]
-        datasets[source] = ds.subset(
-            r for r in ds.records if (r.drug_id, r.cell_line_id) in common)
-        dropped[f"pairs_dropped.{source}"] = len(ds) - len(datasets[source])
-    folds = lodo_splits(datasets[cfg.lodo_baseline].records, cfg.lodo_n_drugs,
-                        derive_seed(cfg.seed, "lodo-drugs"))
+    # every source joins the same responses and graphs, so the pairs all of
+    # them cover are the baseline's records whose cell line every source has
+    records = [r for r in datasets[cfg.lodo_baseline].records
+               if all(r.cell_line_id in datasets[s].cells.vectors for s in sources)]
+    dropped = {f"pairs_dropped.{s}": len(datasets[s]) - len(records) for s in sources}
+    folds = lodo_splits(records, cfg.lodo_n_drugs, derive_seed(cfg.seed, "lodo-drugs"))
     fold_drugs = [drug for drug, _, _ in folds]
 
     pccs: dict[str, dict[str, float]] = {s: {} for s in sources}
     undefined: list[str] = []
-    for drug in fold_drugs:
+    for drug, train_records, test_records in folds:
         for source in sources:
             ds = datasets[source]
-            train_set = ds.subset([r for r in ds.records if r.drug_id != drug])
-            test_set = ds.subset([r for r in ds.records if r.drug_id == drug])
+            train_set, test_set = ds.subset(train_records), ds.subset(test_records)
             mcfg = model_config(cfg, ds.cells.dim)
             tcfg = replace(cfg.train_cfg, seed=derive_seed(cfg.seed, f"lodo:{source}:{drug}"))
             try:

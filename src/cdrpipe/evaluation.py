@@ -13,7 +13,6 @@ not at all.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -22,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .tables import atomic_write, text_input, write_rows
+from .tables import atomic_write, csv_rows, text_input, write_rows
 
 _KEY_FIELDS = {"cell_line": "cell_line_id", "cancer_type": "cancer_type", "drug": "drug_id"}
 GROUP_KINDS = tuple(_KEY_FIELDS)
@@ -311,12 +310,13 @@ def read_history_csv(path) -> dict[str, list[EpochRecord]]:
     """Inverse of write_history_csv; returns model -> EpochRecord rows.
 
     A file that is not UTF-8 text is a ReportError naming the file; a row
-    with the wrong field count, a non-numeric value, a non-finite loss or a
-    PCC outside [-1, 1], or one that repeats an earlier row's model and
-    epoch, is one naming the file and line.
+    the csv module cannot read, or one with the wrong field count, a
+    non-numeric value, a non-finite loss or a PCC outside [-1, 1], or one
+    that repeats an earlier row's model and epoch, is one naming the file
+    and line.
     """
     with text_input(path, ReportError) as fh:
-        lines = list(csv.reader(fh))
+        lines = list(csv_rows(path, fh, ReportError))
     header = lines[0] if lines else []
     if header != HISTORY_COLUMNS:
         raise ReportError(f"{path}: not a history table (header {header})")

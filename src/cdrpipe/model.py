@@ -12,13 +12,13 @@ and the parameters. Batch normalization sits after each hidden linear layer
 of the cell branch and head, before the activation. The head's last layer
 emits the IC50 regression output directly, with no activation.
 
-Training runs the whole network per batch (``forward_batch``). The
-eval-mode prediction pass (``predict_records``) is factorized instead: in
-eval mode a cell line's embedding depends only on its vector, and the
-head's first layer is linear over ``[drug ; cell]``, so each distinct drug
-and cell line is encoded and projected through its half of that layer once
-per call, and per record only the sum of the two rows and the rest of the
-head run.
+Training runs the whole network per batch (``forward_batch``) on a tape.
+The eval-mode prediction pass (``predict_records``) records nothing and is
+factorized: in eval mode a cell line's embedding depends only on its
+vector, and the head's first layer is linear over ``[drug ; cell]``. So one
+pass encodes and projects through its half of that layer each distinct drug,
+another each distinct cell line, at most ``batch_size`` per call; a third
+runs, per chunk of records, the gathered sum and the rest of the head.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def encode_drug(tape: ad.Tape, graphs: Sequence[PaddedGraph], params: ModelParams,
+def encode_drug(tape: ad.Tape | None, graphs: Sequence[PaddedGraph], params: ModelParams,
                 cfg: ModelConfig) -> ad.Tensor:
     """One pooled embedding row per graph, in order.
 
@@ -191,7 +191,7 @@ def _dense_stack(tape, x, layers: Sequence[Layer], cfg, mode, rng,
     return x
 
 
-def encode_cell(tape: ad.Tape, features: ad.Tensor, params: ModelParams,
+def encode_cell(tape: ad.Tape | None, features: ad.Tensor, params: ModelParams,
                 cfg: ModelConfig, mode: str,
                 rng: np.random.Generator | None = None) -> ad.Tensor:
     """Dense branch over fixed, precomputed cell-line vectors."""
@@ -227,6 +227,10 @@ def forward_batch(tape: ad.Tape, graphs: Sequence[PaddedGraph], cell_matrix,
     return predict(tape, drug_emb, cell_emb, params, cfg, mode, rng)
 
 
+def _packs(items: list, size: int) -> list[list]:
+    return [items[s : s + size] for s in range(0, len(items), size)]
+
+
 def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
                     batch_size: int = 256) -> np.ndarray:
     """Eval-mode predictions for every record of a joined dataset.
@@ -235,48 +239,37 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
     line's only on its vector, and the head's first layer is linear over
     ``[drug ; cell]``: with its weight split as ``W = [W_d ; W_c]``, a
     record's first pre-activation is ``(D W_d)[drug] + (C W_c + b)[cell]``.
-    Drugs and cell lines get integer codes in order of first appearance,
-    and each chunk of ``batch_size`` records encodes and projects only the
-    drugs and cell lines no earlier chunk reached, so each is encoded once
-    per call. Per record remain that sum, the first layer's batch norm and
-    relu, and the rest of the head.
+    Three passes run with the tape ``None``, so nothing is recorded. The
+    distinct drugs, in order of first appearance, are encoded at most
+    ``batch_size`` graphs per ``encode_drug`` call and projected through
+    ``W_d``; the distinct cell lines likewise, at most ``batch_size`` rows
+    per ``encode_cell`` call, through ``W_c`` plus ``b``. Then each chunk of
+    ``batch_size`` records sums its two gathered rows and runs the first
+    layer's batch norm and relu and the rest of the head.
     """
     records = dataset.records
+    if not records:
+        return np.empty(0)
     drug_code = {d: i for i, d in enumerate(dict.fromkeys(r.drug_id for r in records))}
     cell_code = {c: i for i, c in enumerate(dict.fromkeys(r.cell_line_id for r in records))}
-    drug_ids, cell_ids = list(drug_code), list(cell_code)
     first, rest = params.head[0], params.head[1:]
     w_drug, w_cell = np.split(first.weight.data, [cfg.gcn_layer_dims[-1]])
-    drug_part = np.empty((len(drug_ids), w_drug.shape[1]))
-    cell_part = np.empty((len(cell_ids), w_cell.shape[1]))
-    drugs_done = cells_done = 0
-    out = np.empty(len(records))
-    for start in range(0, len(records), batch_size):
-        batch = records[start : start + batch_size]
-        drugs = np.array([drug_code[r.drug_id] for r in batch])
-        cells = np.array([cell_code[r.cell_line_id] for r in batch])
-        # codes follow first appearance, so a chunk's unseen codes form one range;
-        # each encoding gets a throwaway tape, freeing its intermediates at once
-        if drugs.max() >= drugs_done:
-            new = slice(drugs_done, drugs.max() + 1)
-            pooled = encode_drug(ad.Tape(), [dataset.graphs[d] for d in drug_ids[new]],
-                                 params, cfg)
-            drug_part[new] = pooled.data @ w_drug
-            drugs_done = new.stop
-        if cells.max() >= cells_done:
-            new = slice(cells_done, cells.max() + 1)
-            vectors = np.stack([dataset.cells.vectors[c] for c in cell_ids[new]])
-            emb = encode_cell(ad.Tape(), vectors, params, cfg, "eval")
-            cell_part[new] = emb.data @ w_cell + first.bias.data
-            cells_done = new.stop
-        tape = ad.Tape()
-        h = ad.add(tape, ad.gather_rows(tape, ad.Tensor(drug_part), drugs),
-                   ad.gather_rows(tape, ad.Tensor(cell_part), cells))
+    drug_part = np.concatenate([
+        encode_drug(None, [dataset.graphs[d] for d in pack], params, cfg).data @ w_drug
+        for pack in _packs(list(drug_code), batch_size)])
+    cell_part = np.concatenate([
+        encode_cell(None, np.stack([dataset.cells.vectors[c] for c in pack]), params, cfg,
+                    "eval").data @ w_cell
+        for pack in _packs(list(cell_code), batch_size)]) + first.bias.data
+    out = []
+    for batch in _packs(records, batch_size):
+        h = ad.Tensor(drug_part[[drug_code[r.drug_id] for r in batch]]
+                      + cell_part[[cell_code[r.cell_line_id] for r in batch]])
         if rest:
-            h = _dense_stack(tape, _post_linear(tape, h, first, cfg, "eval", None), rest,
+            h = _dense_stack(None, _post_linear(None, h, first, cfg, "eval", None), rest,
                              cfg, "eval", None, activate_last=False)
-        out[start : start + len(batch)] = h.data[:, 0]
-    return out
+        out.append(h.data[:, 0])
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------

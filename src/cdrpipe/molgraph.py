@@ -210,14 +210,17 @@ def load_drug_manifest(manifest_file) -> dict[str, MolecularGraph]:
     """
     base = Path(manifest_file).parent
     graphs: dict[str, MolecularGraph] = {}
+    first_row: dict[str, int] = {}
     with read_table(manifest_file, GraphFormatError, MANIFEST_COLUMNS) as (header, rows):
-        for _, fields in rows:
+        for lineno, fields in rows:
             row = dict(zip(header, fields))
             drug_id = row["drug_id"].strip()
             if not drug_id:
-                raise GraphFormatError(f"{manifest_file}: empty drug_id")
+                raise GraphFormatError(f"{manifest_file}: row {lineno}: empty drug_id")
             if drug_id in graphs:
-                raise GraphConsistencyError(f"{manifest_file}: duplicate drug_id {drug_id!r}")
+                raise GraphConsistencyError(f"{manifest_file}: row {lineno}: duplicate drug_id "
+                                            f"{drug_id!r} (first at row {first_row[drug_id]})")
+            first_row[drug_id] = lineno
             paths = [base / row[c].strip() for c in MANIFEST_COLUMNS[1:]]
             graphs[drug_id] = load_graph(*paths, drug_id=drug_id)
     return graphs

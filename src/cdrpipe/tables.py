@@ -28,6 +28,15 @@ def text_input(path, error: type[Exception]):
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def csv_rows(path, fh, error: type[Exception]):
+    """Rows of ``fh``; a row csv rejects (an over-long field) raises ``error``."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise error(f"{path}, line {reader.line_num}: unreadable CSV row ({exc})") from None
+
+
 def _checked_rows(path, error: type[Exception], width: int, reader):
     for lineno, fields in enumerate(reader, 2):
         if not fields:  # a blank line holds no row
@@ -41,10 +50,10 @@ def _checked_rows(path, error: type[Exception], width: int, reader):
 def read_table(path, error: type[Exception], required: Sequence[str] = ()):
     """Yield ``(header, rows)``; ``rows`` gives ``(line number, fields)``
     for each non-blank row after the header (line 1). A missing ``required``
-    column, or a row narrower or wider than the header, raises ``error``
-    naming the file and row."""
+    column, or a row that is unreadable or narrower or wider than the
+    header, raises ``error`` naming the file and row."""
     with text_input(path, error) as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(path, fh, error)
         header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:

@@ -382,6 +382,35 @@ class TestBackward:
         assert ad.finite_diff_check(rest, ad.Tensor(hidden.data)) < 1e-6
 
 
+class TestNoTape:
+    """An operation given the tape ``None`` computes the value it would
+    record, records nothing, and its output requires no gradient."""
+
+    OPS = {
+        "matmul": lambda tape, x: ad.matmul(tape, x, ad.Tensor(np.ones((3, 2)))),
+        "add": lambda tape, x: ad.add(tape, x, x),
+        "relu": ad.relu,
+        "concat_cols": lambda tape, x: ad.concat_cols(tape, x, x),
+        "propagate": lambda tape, x: ad.propagate(tape, [np.eye(1), np.full((2, 2), 0.5)], x),
+        "segment_max": lambda tape, x: ad.segment_max(tape, x, [1, 2]),
+        "gather_rows": lambda tape, x: ad.gather_rows(tape, x, [2, 0, 2]),
+        "batch_norm": lambda tape, x: ad.batch_norm(tape, x, ad.BatchNormState(3), "train"),
+        "dropout": lambda tape, x: ad.dropout(tape, x, 0.5, "train", np.random.default_rng(0)),
+        "sum_all": ad.sum_all,
+        "loss": lambda tape, x: ad.loss(tape, x, ad.Tensor(np.zeros((3, 3)))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_an_op_without_a_tape_evaluates_and_records_nothing(self, name):
+        x = ad.Tensor(np.random.default_rng(0).normal(size=(3, 3)), requires_grad=True)
+        tape = ad.Tape()
+        recorded = self.OPS[name](tape, x)
+        evaluated = self.OPS[name](None, x)
+        assert recorded.requires_grad and len(tape.nodes) == 1
+        assert not evaluated.requires_grad
+        np.testing.assert_array_equal(evaluated.data, recorded.data)
+
+
 class TestAdam:
     def test_zero_gradient_is_noop_for_any_state(self):
         p = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)

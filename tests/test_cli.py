@@ -243,6 +243,38 @@ class TestIngest:
         assert code == 2
         assert err.getvalue().startswith(f"error: {path}: row {line + 1} has ")
 
+    @pytest.mark.parametrize("target, source", [
+        ("responses", "scgpt"), ("embeddings", "scgpt"), ("expression", "raw"),
+        ("drug_manifest", "scgpt")])
+    def test_a_field_over_the_csv_size_limit_exits_2_naming_file_and_row(
+            self, fixture_dir, tmp_path, capsys, target, source):
+        """csv rejects a field longer than csv.field_size_limit() (131,072
+        characters); that is an ingest error, not a traceback."""
+        _, files, config = copy_fixture(fixture_dir, tmp_path)
+        path = files[target]
+        replace_field(path, 2, -1, "1" * 140_000)
+        code = cli.main(["ingest", "--config", str(config), "--feature-source", source,
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}, line 3: unreadable CSV row (field larger than field limit")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines + [lines[1]], "row {n}: duplicate drug_id {drug!r} (first at row 2)"),
+        (lambda lines: lines + ["," + lines[1].split(",", 1)[1]], "row {n}: empty drug_id"),
+    ], ids=["repeated", "empty"])
+    def test_a_bad_manifest_drug_id_names_its_row(self, fixture_dir, tmp_path, capsys,
+                                                  edit, message):
+        _, files, config = copy_fixture(fixture_dir, tmp_path)
+        path = files["drug_manifest"]
+        lines = edit(path.read_text(encoding="utf-8").splitlines())
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / "o")])
+        drug = next(iter(fixture_dir["bench"].graphs))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {message.format(n=len(lines), drug=drug)}\n")
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("old, new, named", [
@@ -577,7 +609,9 @@ class TestReport:
 
     @pytest.mark.parametrize("row", ["2,m,0.6", "2,m,0.6,1.0,9", "two,m,0.6,1.0",
                                      "2,m,0.6,high", "2,m,nan,1.0", "2,m,0.6,inf",
-                                     "2,m,1.5,1.0"])
+                                     "2,m,1.5,1.0",
+                                     pytest.param("2,m,0.6," + "1" * 140_000,
+                                                  id="field_over_csv_limit")])
     def test_malformed_history_row_exits_5(self, tmp_path, capsys, row):
         self.make_run(tmp_path / "run", "m", [0.5])
         history = tmp_path / "run" / "history.csv"

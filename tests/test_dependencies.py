@@ -86,3 +86,32 @@ def test_the_write_guard_sees_every_form_of_write():
               "Path(p).write_bytes(b)\n")
     assert [call.split(": ")[0] for call in file_writes(source)] == [
         f"line {n}" for n in range(4, 11)]
+
+
+def tape_constructions(source: str) -> list[str]:
+    """Calls that build a tape: ``Tape()`` or ``<module>.Tape()``."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Tape"]
+
+
+def test_only_training_and_autodiff_build_a_tape():
+    """A tape is built only where a backward sweep runs; evaluation passes
+    the tape None, which records nothing."""
+    modules = [path for path in sorted(PACKAGE.rglob("*.py"))
+               if path.name not in ("training.py", "autodiff.py")]
+    tapes = {f"{path.relative_to(PACKAGE)} {call}"
+             for path in modules
+             for call in tape_constructions(path.read_text(encoding="utf-8"))}
+    assert not tapes
+
+
+def test_the_tape_guard_sees_every_form_of_construction():
+    source = ("Tape\n"
+              "tape = None\n"
+              "f(None, x)\n"
+              "Tape()\n"
+              "ad.Tape()\n"
+              "autodiff.Tape()\n"
+              "g(tape=cdrpipe.autodiff.Tape())\n")
+    assert tape_constructions(source) == [f"line {n}" for n in range(4, 8)]

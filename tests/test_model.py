@@ -308,6 +308,16 @@ class TestPredictRecords:
         assert len(cells) == 20 < len(dataset.records)
         assert sum(encoded) == len(cells)
 
+    def test_records_no_tape_node(self, monkeypatch):
+        dataset, cfg = self.dataset()
+
+        def refuse(*args):
+            raise AssertionError("predict_records recorded a tape node")
+
+        monkeypatch.setattr(ad, "TapeNode", refuse)
+        preds = m.predict_records(m.init_params(cfg, seed=0), cfg, dataset, batch_size=16)
+        assert preds.shape == (len(dataset.records),)
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data(),
            cell_branch_dims=st.sampled_from([(), (5,), (6, 3)]),
@@ -335,7 +345,21 @@ class TestPredictRecords:
                 layer.norm.running_var = rng.uniform(0.5, 2.0, layer.norm.running_var.shape)
                 layer.norm.gamma.data[...] = rng.uniform(0.5, 1.5, layer.norm.gamma.shape)
                 layer.norm.beta.data[...] = rng.normal(size=layer.norm.beta.shape)
-        preds = m.predict_records(params, cfg, dataset, batch_size)
+        packs = {"drug": [], "cell": []}
+
+        def counting(kind, encode):
+            def counted(tape, items, *rest):
+                packs[kind].append(len(items))
+                return encode(tape, items, *rest)
+            return counted
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(m, "encode_drug", counting("drug", m.encode_drug))
+            mp.setattr(m, "encode_cell", counting("cell", m.encode_cell))
+            preds = m.predict_records(params, cfg, dataset, batch_size)
+        assert sum(packs["drug"]) == len({d for d, _ in pairs})
+        assert sum(packs["cell"]) == len({c for _, c in pairs})
+        assert max(packs["drug"] + packs["cell"]) <= batch_size
         for start in range(0, len(pairs), batch_size):
             chunk = pairs[start : start + batch_size]
             expected = m.forward_batch(
