@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import platform
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .autodiff import pin_allocator
 from .evaluation import (PredictionRow, ReportError, build_eval_report, pearson,
                          ranked_gains, read_history_csv, stability_report,
                          summary_entries, write_grouped_csv, write_history_csv,
@@ -256,6 +258,9 @@ def write_run_manifest(path: Path, cfg: RunConfig, extra: dict) -> None:
         "seed": cfg.seed,
         "feature_source": cfg.feature_source,
         "config_sha256": _sha256(cfg.config_path),
+        "env.python": platform.python_version(),
+        "env.numpy": np.__version__,
+        "env.allocator": pin_allocator(),
     }
     for key in sorted(cfg.paths):
         if cfg.paths[key].exists():

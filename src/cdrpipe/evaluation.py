@@ -317,12 +317,12 @@ def read_history_csv(path) -> dict[str, list[EpochRecord]]:
     """
     with text_input(path, ReportError) as fh:
         lines = list(csv_rows(path, fh, ReportError))
-    header = lines[0] if lines else []
+    header = lines[0][1] if lines else []
     if header != HISTORY_COLUMNS:
         raise ReportError(f"{path}: not a history table (header {header})")
     out: dict[str, list[EpochRecord]] = {}
     seen: dict[tuple[str, int], int] = {}  # (model, epoch) -> line it is on
-    for line_no, fields in enumerate(lines[1:], start=2):
+    for line_no, fields in lines[1:]:
         try:
             epoch, model, pcc, loss = fields
             record = EpochRecord(

@@ -246,7 +246,13 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
     per ``encode_cell`` call, through ``W_c`` plus ``b``. Then each chunk of
     ``batch_size`` records sums its two gathered rows and runs the first
     layer's batch norm and relu and the rest of the head.
+
+    On entry it pins the process's allocator (:func:`autodiff.pin_allocator`):
+    a process-wide setting, made once, that overrides any
+    ``MALLOC_MMAP_THRESHOLD_`` or ``MALLOC_TRIM_THRESHOLD_`` in the
+    environment.
     """
+    ad.pin_allocator()
     records = dataset.records
     if not records:
         return np.empty(0)

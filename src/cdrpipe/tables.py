@@ -29,36 +29,42 @@ def text_input(path, error: type[Exception]):
 
 
 def csv_rows(path, fh, error: type[Exception]):
-    """Rows of ``fh``; a row csv rejects (an over-long field) raises ``error``."""
+    """``(line, fields)`` for each record of ``fh``, where ``line`` is the
+    physical line the record starts on (a quoted field may hold newlines);
+    a record csv rejects (an over-long field) raises ``error`` naming it."""
     reader = csv.reader(fh)
+    line = 1
     try:
-        yield from reader
+        for fields in reader:
+            yield line, fields
+            line = reader.line_num + 1
     except csv.Error as exc:
-        raise error(f"{path}, line {reader.line_num}: unreadable CSV row ({exc})") from None
+        raise error(f"{path}, line {line}: unreadable CSV row ({exc})") from None
 
 
-def _checked_rows(path, error: type[Exception], width: int, reader):
-    for lineno, fields in enumerate(reader, 2):
+def _checked_rows(path, error: type[Exception], width: int, rows):
+    for line, fields in rows:
         if not fields:  # a blank line holds no row
             continue
         if len(fields) != width:
-            raise error(f"{path}: row {lineno} has {len(fields)} fields, expected {width}")
-        yield lineno, fields
+            raise error(f"{path}: row {line} has {len(fields)} fields, expected {width}")
+        yield line, fields
 
 
 @contextmanager
 def read_table(path, error: type[Exception], required: Sequence[str] = ()):
-    """Yield ``(header, rows)``; ``rows`` gives ``(line number, fields)``
-    for each non-blank row after the header (line 1). A missing ``required``
-    column, or a row that is unreadable or narrower or wider than the
-    header, raises ``error`` naming the file and row."""
+    """Yield ``(header, rows)``; ``rows`` gives ``(line, fields)`` for each
+    non-blank row after the header, ``line`` being the physical line the
+    row starts on. A missing ``required`` column, or a row that is
+    unreadable or narrower or wider than the header, raises ``error``
+    naming the file and row."""
     with text_input(path, error) as fh:
-        reader = csv_rows(path, fh, error)
-        header = next(reader, [])
+        rows = csv_rows(path, fh, error)
+        _, header = next(rows, (1, []))
         missing = [c for c in required if c not in header]
         if missing:
             raise error(f"{path}: header is missing columns {missing}")
-        yield header, _checked_rows(path, error, len(header), reader)
+        yield header, _checked_rows(path, error, len(header), rows)
 
 
 @contextmanager

@@ -139,7 +139,13 @@ def train(train_set: ResponseDataset, val_set: ResponseDataset,
     Returns the parameters of the best-validation epoch (the final ones if
     no validation PCC was ever defined) and the full epoch history, which
     is shorter than train_cfg.epochs only under early stopping.
+
+    On entry it pins the process's allocator (:func:`autodiff.pin_allocator`):
+    a process-wide setting, made once, that overrides any
+    ``MALLOC_MMAP_THRESHOLD_`` or ``MALLOC_TRIM_THRESHOLD_`` in the
+    environment.
     """
+    ad.pin_allocator()
     if not train_set.records:
         raise SplitError("empty training set")
     params = init_params(model_cfg, derive_seed(train_cfg.seed, "init"))

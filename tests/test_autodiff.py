@@ -566,3 +566,43 @@ class TestFiniteDiffCheck:
         a = ad.relu(None, ad.matmul(None, ad.Tensor(x), ad.Tensor(x)))
         b = ad.relu(None, ad.matmul(None, ad.Tensor(x), ad.Tensor(x)))
         assert a.data.tobytes() == b.data.tobytes()
+
+
+class FakeLibc:
+    """A C library whose ``mallopt`` records its calls and succeeds."""
+
+    def __init__(self, glibc: bool = True):
+        self.calls = []
+        if glibc:
+            self.gnu_get_libc_version = lambda: b"2.0"
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+class TestPinAllocator:
+    def test_mallopt_runs_on_the_first_call_only(self, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(ad, "_allocator", None)
+        monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: libc)
+        setting = "glibc mmap_threshold=33554432 trim_threshold=67108864"
+        assert ad.pin_allocator() == setting
+        assert ad.pin_allocator() == setting
+        assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.parametrize("libc", [OSError("no C library"), FakeLibc(glibc=False)],
+                             ids=["unloadable", "not_glibc"])
+    def test_without_glibc_nothing_is_set(self, monkeypatch, libc):
+        def cdll(name):
+            if isinstance(libc, OSError):
+                raise libc
+            return libc
+
+        monkeypatch.setattr(ad, "_allocator", None)
+        monkeypatch.setattr(ad.ctypes, "CDLL", cdll)
+        assert ad.pin_allocator() == "default"
+        assert ad.pin_allocator() == "default"
+        assert getattr(libc, "calls", []) == []

@@ -115,3 +115,41 @@ def test_the_tape_guard_sees_every_form_of_construction():
               "autodiff.Tape()\n"
               "g(tape=cdrpipe.autodiff.Tape())\n")
     assert tape_constructions(source) == [f"line {n}" for n in range(4, 8)]
+
+
+def ctypes_imports(source: str) -> list[str]:
+    """Statements that import ``ctypes`` or one of its submodules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "ctypes" for name in modules):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_only_autodiff_imports_ctypes():
+    """The process-wide allocator setting has one home,
+    autodiff.pin_allocator; no other module reaches into the C library."""
+    modules = [path for path in sorted(PACKAGE.rglob("*.py")) if path.name != "autodiff.py"]
+    imports = {f"{path.relative_to(PACKAGE)} {stmt}"
+               for path in modules
+               for stmt in ctypes_imports(path.read_text(encoding="utf-8"))}
+    assert not imports
+    assert ctypes_imports((PACKAGE / "autodiff.py").read_text(encoding="utf-8"))
+
+
+def test_the_ctypes_guard_sees_every_form_of_import():
+    source = ("import os\n"
+              "from . import ctypes\n"
+              "from .ctypes import CDLL\n"
+              "import ctypes\n"
+              "import os, ctypes.util\n"
+              "from ctypes import CDLL\n"
+              "def f():\n"
+              "    import ctypes as c\n")
+    assert ctypes_imports(source) == [f"line {n}" for n in (4, 5, 6, 8)]

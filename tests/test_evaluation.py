@@ -1,6 +1,7 @@
 """Pearson metrics, grouped evaluation, gain ranking, and stability tables."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,19 @@ class TestWriters:
         assert list(back) == ["scgpt"]
         assert [r.val_pcc for r in back["scgpt"]] == [0.25, None, 0.5]
         assert [r.epoch for r in back["scgpt"]] == [1, 2, 3]
+
+    @pytest.mark.parametrize("row, message", [
+        ("2,m,0.6", "line 4: malformed history row"),
+        ("2,m,0.6," + "1" * (csv.field_size_limit() + 1), "line 4: unreadable CSV row"),
+        ('1,"m\nx",0.6,1.0', "line 4: epoch 1 of model 'm\\nx' repeats line 2"),
+    ], ids=["field_count", "over_limit", "repeat"])
+    def test_a_history_row_is_named_by_the_line_it_starts_on(self, tmp_path, row, message):
+        """Line 2's model name holds a newline, so the next record starts on line 4."""
+        path = tmp_path / "history.csv"
+        path.write_text(f'epoch,model,val_pcc,train_loss\n1,"m\nx",0.5,1.0\n{row}\n',
+                        encoding="utf-8")
+        with pytest.raises(ev.ReportError, match=re.escape(f"{path}, {message}")):
+            ev.read_history_csv(path)
 
     def test_outputs_are_byte_deterministic(self, tmp_path):
         rows = rows_from(["D0", "D1"], ["C0", "C1"], [0.1, 0.2], [0.3, 0.4], ["t", None])

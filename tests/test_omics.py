@@ -1,5 +1,7 @@
 """Expression/embedding/response ingestion and the dataset join."""
 
+import csv
+import io
 import re
 
 import numpy as np
@@ -220,6 +222,39 @@ class TestLoadResponses:
         p = write_csv(tmp_path / "r.csv", "drug_id,cell_line_id,ic50\nD0,C0,1.0\nD1,C1,2.0,x\n")
         with pytest.raises(omics.IngestError,
                            match=f"{re.escape(str(p))}: row 3 has 4 fields, expected 3"):
+            omics.load_responses(p)
+
+    @pytest.mark.parametrize("row, message", [
+        ("D1,C1", "{p}: row 4 has 2 fields, expected 3"),
+        ("D1,C1," + "1" * (csv.field_size_limit() + 1), "{p}, line 4: unreadable CSV row"),
+    ], ids=["field_count", "over_limit"])
+    def test_a_row_after_a_quoted_newline_is_named_by_its_line(self, tmp_path, row, message):
+        p = write_csv(tmp_path / "r.csv", f'drug_id,cell_line_id,ic50\n"D\n0",C0,1.0\n{row}\n')
+        with pytest.raises(omics.IngestError, match=re.escape(message.format(p=p))):
+            omics.load_responses(p)
+
+    @PROPERTY
+    @given(ids=st.lists(st.text(alphabet='ab\n,"', min_size=1, max_size=6)
+                        .filter(str.strip), max_size=6),
+           bad_id=st.text(alphabet='ab\n,"', min_size=1, max_size=6).filter(str.strip),
+           over_limit=st.booleans())
+    def test_a_bad_row_is_named_by_the_line_it_starts_on(self, tmp_path_factory, ids,
+                                                        bad_id, over_limit):
+        """Ids may hold quoted newlines, so a record can span lines; the
+        field-count and the unreadable-row errors both name the line the bad
+        record starts on."""
+        good = [[d, f"C{i}", "1.0"] for i, d in enumerate(ids)]
+        bad = ([bad_id + "1" * (csv.field_size_limit() + 1), "C", "1.0"] if over_limit
+               else [bad_id, "C"])
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerows([["drug_id", "cell_line_id", "ic50"], *good])
+        line = text.getvalue().count("\n") + 1
+        writer.writerow(bad)
+        p = write_csv(tmp_path_factory.mktemp("r") / "r.csv", text.getvalue())
+        message = (f"{p}, line {line}: unreadable CSV row" if over_limit
+                   else f"{p}: row {line} has 2 fields, expected 3")
+        with pytest.raises(omics.IngestError, match=re.escape(message)):
             omics.load_responses(p)
 
     def test_cancer_type_optional(self, tmp_path):
