@@ -320,7 +320,13 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path | None) -> int:
             f"checkpoint {ckpt_path} was trained with a different configuration "
             f"than the one this config and feature source imply")
     _, test_set = _split_sets(cfg, dataset)
-    preds = predict_records(params, saved_cfg, test_set)
+    # finite weights can still overflow; the count below reports it
+    with np.errstate(all="ignore"):
+        preds = predict_records(params, saved_cfg, test_set)
+    bad = int(np.count_nonzero(~np.isfinite(preds)))
+    if bad:
+        raise CheckpointError(f"checkpoint {ckpt_path}: {bad} of {len(preds)} predictions "
+                              f"are not finite")
     rows = _prediction_rows(test_set, preds)
     report = build_eval_report(rows)
 

@@ -233,19 +233,22 @@ def _packs(items: list, size: int) -> list[list]:
 
 def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
                     batch_size: int = 256) -> np.ndarray:
-    """Eval-mode predictions for every record of a joined dataset.
+    """Eval-mode predictions for every record of a joined dataset, in
+    record order.
 
     In eval mode a drug's embedding depends only on its graph and a cell
     line's only on its vector, and the head's first layer is linear over
     ``[drug ; cell]``: with its weight split as ``W = [W_d ; W_c]``, a
     record's first pre-activation is ``(D W_d)[drug] + (C W_c + b)[cell]``.
     Three passes run with the tape ``None``, so nothing is recorded. The
-    distinct drugs, in order of first appearance, are encoded at most
-    ``batch_size`` graphs per ``encode_drug`` call and projected through
-    ``W_d``; the distinct cell lines likewise, at most ``batch_size`` rows
-    per ``encode_cell`` call, through ``W_c`` plus ``b``. Then each chunk of
-    ``batch_size`` records sums its two gathered rows and runs the first
-    layer's batch norm and relu and the rest of the head.
+    dataset's ``drug_ids``, distinct and in order of first appearance, are
+    encoded at most ``batch_size`` graphs per ``encode_drug`` call and
+    projected through ``W_d``; its ``cell_ids`` likewise, at most
+    ``batch_size`` rows per ``encode_cell`` call, through ``W_c`` plus ``b``.
+    Then each chunk of ``batch_size`` records gathers its two rows through
+    the ``drug_index`` and ``cell_index`` columns, sums them, and runs the
+    first layer's batch norm and relu and the rest of the head. It reads
+    the columns only, never ``dataset.records``.
 
     On entry it pins the process's allocator (:func:`autodiff.pin_allocator`):
     a process-wide setting, made once, that overrides any
@@ -253,29 +256,27 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
     environment.
     """
     ad.pin_allocator()
-    records = dataset.records
-    if not records:
-        return np.empty(0)
-    drug_code = {d: i for i, d in enumerate(dict.fromkeys(r.drug_id for r in records))}
-    cell_code = {c: i for i, c in enumerate(dict.fromkeys(r.cell_line_id for r in records))}
+    out = np.empty(len(dataset))
+    if not out.size:
+        return out
     first, rest = params.head[0], params.head[1:]
     w_drug, w_cell = np.split(first.weight.data, [cfg.gcn_layer_dims[-1]])
     drug_part = np.concatenate([
         encode_drug(None, [dataset.graphs[d] for d in pack], params, cfg).data @ w_drug
-        for pack in _packs(list(drug_code), batch_size)])
+        for pack in _packs(dataset.drug_ids, batch_size)])
     cell_part = np.concatenate([
         encode_cell(None, np.stack([dataset.cells.vectors[c] for c in pack]), params, cfg,
                     "eval").data @ w_cell
-        for pack in _packs(list(cell_code), batch_size)]) + first.bias.data
-    out = []
-    for batch in _packs(records, batch_size):
-        h = ad.Tensor(drug_part[[drug_code[r.drug_id] for r in batch]]
-                      + cell_part[[cell_code[r.cell_line_id] for r in batch]])
+        for pack in _packs(dataset.cell_ids, batch_size)]) + first.bias.data
+    for start in range(0, out.size, batch_size):
+        chunk = slice(start, start + batch_size)
+        h = ad.Tensor(drug_part[dataset.drug_index[chunk]]
+                      + cell_part[dataset.cell_index[chunk]])
         if rest:
             h = _dense_stack(None, _post_linear(None, h, first, cfg, "eval", None), rest,
                              cfg, "eval", None, activate_last=False)
-        out.append(h.data[:, 0])
-    return np.concatenate(out)
+        out[chunk] = h.data[:, 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +302,13 @@ def save_checkpoint(path, cfg: ModelConfig, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
-    """Read a checkpoint, rejecting version, header-key or shape mismatches."""
-    with open(path, "rb") as fh:
+    """Read a checkpoint, rejecting a file that cannot be opened, version,
+    header-key or shape mismatches, and non-finite array values."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot open the checkpoint: {exc.strerror}") from None
+    with fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -333,6 +339,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
             if len(buf) != count * 8:
                 raise CheckpointError(f"{path}: truncated while reading {name}")
             arr[...] = np.frombuffer(buf, dtype="<f8").reshape(shape)
+            if not np.isfinite(arr).all():
+                at = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+                raise CheckpointError(f"{path}: array {name} holds a non-finite value at {at}")
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last array")
     return cfg, params

@@ -7,6 +7,11 @@ into a single matrix, so the profiles of one expression table share one gene
 list. Gene alignment zero-pads genes missing from a table and drops genes
 outside the canonical list; dropped/padded counts are surfaced so dataset
 shrinkage stays visible.
+
+A joined :class:`ResponseDataset` codes its records once, when it is built:
+integer columns give each record's drug and cell line as a position in the
+dataset's distinct ids, and a float column its IC50. Training batches and
+the prediction pass read those columns, not the records.
 """
 
 from __future__ import annotations
@@ -95,22 +100,49 @@ class JoinStats:
     missing_cell: int = 0
 
 
-@dataclass
-class ResponseDataset:
-    """Joined records plus the graph and cell lookups they reference."""
+def _code(ids: Iterable[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct ids in order of first appearance, and each id's position
+    among them."""
+    code: dict[str, int] = {}
+    index = np.fromiter((code.setdefault(i, len(code)) for i in ids), dtype=np.intp)
+    return list(code), index
 
-    records: list[ResponseRecord]
-    graphs: Mapping[str, PaddedGraph]
-    cells: CellFeatureSet
+
+class ResponseDataset:
+    """Joined records plus the graph and cell lookups they reference, and
+    the records coded as columns.
+
+    Built once, from the ids and values the records carry: ``drug_ids`` and
+    ``cell_ids`` list the distinct ids in order of first appearance;
+    ``drug_index[k]`` and ``cell_index[k]`` (``np.intp``) give record ``k``'s
+    positions in them, and ``labels()[k]`` its IC50. The columns are read-only
+    and are not rebuilt, so a record changed afterwards does not reach them.
+    Any dataset over the same records codes them the same way, whatever
+    graphs and cells it holds.
+    """
+
+    def __init__(self, records: Iterable[ResponseRecord], graphs: Mapping[str, PaddedGraph],
+                 cells: CellFeatureSet):
+        self.records = list(records)
+        self.graphs = graphs
+        self.cells = cells
+        self.drug_ids, self.drug_index = _code(r.drug_id for r in self.records)
+        self.cell_ids, self.cell_index = _code(r.cell_line_id for r in self.records)
+        self._labels = np.fromiter((r.ic50 for r in self.records), dtype=np.float64,
+                                   count=len(self.records))
+        for column in (self.drug_index, self.cell_index, self._labels):
+            column.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._labels)
 
     def subset(self, records: Iterable[ResponseRecord]) -> "ResponseDataset":
-        return ResponseDataset(list(records), self.graphs, self.cells)
+        """A dataset of ``records`` over this one's graphs and cells."""
+        return ResponseDataset(records, self.graphs, self.cells)
 
     def labels(self) -> np.ndarray:
-        return np.array([r.ic50 for r in self.records])
+        """The IC50 column, read-only."""
+        return self._labels
 
 
 # ---------------------------------------------------------------------------

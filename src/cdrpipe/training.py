@@ -146,40 +146,43 @@ def train(train_set: ResponseDataset, val_set: ResponseDataset,
     environment.
     """
     ad.pin_allocator()
-    if not train_set.records:
+    n = len(train_set)
+    if not n:
         raise SplitError("empty training set")
     params = init_params(model_cfg, derive_seed(train_cfg.seed, "init"))
     if train_cfg.epochs == 0:
         return params, []
-    if model_cfg.use_batch_norm and min(train_cfg.batch_size, len(train_set.records)) < 2:
+    if model_cfg.use_batch_norm and min(train_cfg.batch_size, n) < 2:
         raise SplitError(f"batch norm needs batches of >= 2 records, got batch_size "
-                         f"{train_cfg.batch_size} and {len(train_set.records)} training record(s)")
+                         f"{train_cfg.batch_size} and {n} training record(s)")
 
     order_rng = np.random.default_rng(derive_seed(train_cfg.seed, "batch-order"))
     dropout_rng = np.random.default_rng(derive_seed(train_cfg.seed, "dropout"))
     tensors = params.parameters()
     opt = ad.adam_init(tensors, lr=train_cfg.lr)
 
-    records = train_set.records
+    # one entry per distinct id: a batch's graphs and cell rows are gathered
+    # through the dataset's index columns, never looked up per record
+    graphs = [train_set.graphs[d] for d in train_set.drug_ids]
+    cell_rows = [train_set.cells.vectors[c] for c in train_set.cell_ids]
     history: list[EpochRecord] = []
     best_params: ModelParams | None = None
     best_pcc = -np.inf
     epochs_since_best = 0
 
     for epoch in range(1, train_cfg.epochs + 1):
-        order = order_rng.permutation(len(records))
+        order = order_rng.permutation(n)
         total = 0.0
-        for batch_no, idx in enumerate(_batches(len(records), train_cfg.batch_size, order)):
-            batch = [records[i] for i in idx]
-            graphs = [train_set.graphs[r.drug_id] for r in batch]
-            cells = np.stack([train_set.cells.vectors[r.cell_line_id] for r in batch])
-            target = ad.Tensor(np.array([[r.ic50] for r in batch]))
+        for batch_no, idx in enumerate(_batches(n, train_cfg.batch_size, order)):
+            batch_graphs = [graphs[k] for k in train_set.drug_index[idx].tolist()]
+            cells = np.stack([cell_rows[k] for k in train_set.cell_index[idx].tolist()])
+            target = ad.Tensor(train_set.labels()[idx][:, None])
 
             tape = ad.Tape()
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    pred = forward_batch(tape, graphs, cells, params, model_cfg, "train",
-                                         dropout_rng)
+                    pred = forward_batch(tape, batch_graphs, cells, params, model_cfg,
+                                         "train", dropout_rng)
                     batch_loss = ad.loss(tape, pred, target)
                     value = float(batch_loss.data[0, 0])
                     if not math.isfinite(value):
@@ -189,13 +192,13 @@ def train(train_set: ResponseDataset, val_set: ResponseDataset,
             except FloatingPointError as exc:
                 raise DivergenceError(
                     f"training diverged at epoch {epoch}, batch {batch_no}: {exc}") from None
-            total += value * len(batch)
+            total += value * len(idx)
 
         val_pcc = None
-        if len(val_set.records) >= 2:
+        if len(val_set) >= 2:
             preds = predict_records(params, model_cfg, val_set)
             val_pcc = pearson(preds, val_set.labels())
-        history.append(EpochRecord(epoch=epoch, train_loss=total / len(records),
+        history.append(EpochRecord(epoch=epoch, train_loss=total / n,
                                    val_pcc=val_pcc))
 
         if val_pcc is not None and val_pcc > best_pcc:

@@ -464,6 +464,43 @@ class TestEval:
                          "--checkpoint", str(fixture_dir["root"] / "ghost.ckpt")])
         assert code == 4
 
+    def test_a_checkpoint_that_cannot_be_opened_exits_4(self, fixture_dir, capsys):
+        run_dir = fixture_dir["root"] / "t1"
+        code = cli.main(["eval", "--config", str(fixture_dir["config"]),
+                         "--out", str(fixture_dir["root"] / "e_dir"),
+                         "--checkpoint", str(run_dir)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert str(run_dir) in err and "cannot open" in err
+
+    def test_a_non_finite_checkpoint_value_exits_4(self, fixture_dir, tmp_path, capsys):
+        cfg, params = load_checkpoint(fixture_dir["root"] / "t1" / "checkpoint.ckpt")
+        params.gcn[0].weight.data[0, 0] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(ckpt, cfg, params)
+        code = cli.main(["eval", "--config", str(fixture_dir["config"]),
+                         "--out", str(tmp_path / "o"), "--checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "nan.ckpt" in err and "gcn.0.weight" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_weights_that_overflow_the_forward_pass_exit_4(self, fixture_dir, tmp_path,
+                                                           capsys):
+        """Finite weights whose products overflow give no RuntimeWarning (tests
+        turn one into an error) and no scored output."""
+        cfg, params = load_checkpoint(fixture_dir["root"] / "t1" / "checkpoint.ckpt")
+        for layer in params.gcn + params.cell + params.head:
+            layer.weight.data *= 1e200
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(ckpt, cfg, params)
+        code = cli.main(["eval", "--config", str(fixture_dir["config"]),
+                         "--out", str(tmp_path / "o"), "--checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert re.search(r"huge\.ckpt: 16 of 16 predictions are not finite", err)
+        assert not (tmp_path / "o").exists()
+
     def test_checkpoint_with_a_task_key_exits_4(self, fixture_dir, tmp_path, capsys):
         """Checkpoints written while the model still had a task field no longer load."""
         head, _, body = (fixture_dir["root"] / "t1" / "checkpoint.ckpt").read_bytes().partition(b"\n")

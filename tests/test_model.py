@@ -308,6 +308,22 @@ class TestPredictRecords:
         assert len(cells) == 20 < len(dataset.records)
         assert sum(encoded) == len(cells)
 
+    def test_reads_the_columns_not_the_records(self):
+        dataset, cfg = self.dataset()
+        params = m.init_params(cfg, seed=2)
+        expected = m.predict_records(params, cfg, dataset, batch_size=16)
+
+        class Unreadable(list):
+            def __iter__(self):
+                raise AssertionError("predict_records read dataset.records")
+
+            def __getitem__(self, key):
+                raise AssertionError("predict_records read dataset.records")
+
+        dataset.records = Unreadable(dataset.records)
+        assert m.predict_records(params, cfg, dataset, batch_size=16).tobytes() == \
+            expected.tobytes()
+
     def test_records_no_tape_node(self, monkeypatch):
         dataset, cfg = self.dataset()
 
@@ -445,3 +461,18 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(m.CheckpointError, match="truncated"):
             m.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_value_naming_the_array_and_file(self, tmp_path, value):
+        params = m.init_params(TINY, seed=0)
+        params.gcn[0].weight.data[1, 2] = value
+        path = tmp_path / "model.ckpt"
+        m.save_checkpoint(path, TINY, params)
+        with pytest.raises(m.CheckpointError, match=r"gcn\.0\.weight .*\(1, 2\)") as caught:
+            m.load_checkpoint(path)
+        assert str(path) in str(caught.value)
+
+    def test_a_file_that_cannot_be_opened_names_its_path(self, tmp_path):
+        with pytest.raises(m.CheckpointError, match="cannot open") as caught:
+            m.load_checkpoint(tmp_path)
+        assert str(tmp_path) in str(caught.value)

@@ -331,3 +331,70 @@ class TestJoin:
                     omics.ExpressionProfile("B", np.array([2.0, 1.0]), ["g2", "g1"])]
         with pytest.raises(omics.IngestError, match="cell line 'B': gene list differs"):
             omics.expression_feature_set(profiles, ["g1", "g2"])
+
+
+class TestColumns:
+    """The integer columns a dataset codes its records into when it is built."""
+
+    DRUGS = ["D0", "D1", "D2", "D3"]
+    CELLS = ["C0", "C1", "C2"]
+
+    @classmethod
+    def cells(cls, dim, seed):
+        rng = np.random.default_rng(seed)
+        return omics.CellFeatureSet("raw_expression", dim,
+                                    {c: rng.normal(size=dim) for c in cls.CELLS})
+
+    @staticmethod
+    def columns(ds):
+        return (ds.drug_ids, ds.cell_ids, ds.drug_index.tolist(), ds.cell_index.tolist(),
+                ds.labels().tolist())
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), pairs=st.lists(
+        st.tuples(st.sampled_from(DRUGS), st.sampled_from(CELLS),
+                  st.floats(-1e6, 1e6, allow_nan=False)), max_size=25))
+    def test_columns_round_trip_and_subsets_code_by_id(self, data, pairs):
+        graphs = {d: object() for d in self.DRUGS}
+        records = [omics.ResponseRecord(d, c, y) for d, c, y in pairs]
+        ds = omics.ResponseDataset(records, graphs, self.cells(3, 0))
+
+        assert ds.drug_ids == list(dict.fromkeys(r.drug_id for r in records))
+        assert ds.cell_ids == list(dict.fromkeys(r.cell_line_id for r in records))
+        assert ds.drug_index.dtype == ds.cell_index.dtype == np.intp
+        for k, r in enumerate(records):
+            assert ds.drug_ids[ds.drug_index[k]] == r.drug_id
+            assert ds.cell_ids[ds.cell_index[k]] == r.cell_line_id
+            assert ds.labels()[k] == r.ic50
+        assert len(ds) == len(ds.labels()) == len(records)
+
+        outer = [r for r in records if data.draw(st.booleans())]
+        inner = [r for r in outer if data.draw(st.booleans())]
+        assert self.columns(ds.subset(outer).subset(inner)) == self.columns(ds.subset(inner))
+        assert ds.subset(outer).subset(inner).records == inner
+
+        # a sibling source: the same responses loaded again, other cell vectors
+        other = self.cells(2, 1)
+        sibling = omics.ResponseDataset(
+            [omics.ResponseRecord(r.drug_id, r.cell_line_id, r.ic50) for r in records],
+            graphs, other)
+        borrowed = sibling.subset(outer)
+        assert borrowed.cells is other and borrowed.graphs is graphs
+        assert self.columns(borrowed) == self.columns(ds.subset(outer))
+
+    def test_empty_subset(self):
+        ds = omics.ResponseDataset([omics.ResponseRecord("D0", "C0", 1.0)], {}, self.cells(3, 0))
+        empty = ds.subset([])
+        assert len(empty) == 0 and empty.records == []
+        assert empty.drug_ids == empty.cell_ids == []
+        assert empty.drug_index.shape == empty.cell_index.shape == empty.labels().shape == (0,)
+        assert empty.drug_index.dtype == np.intp
+
+    def test_columns_are_read_only_and_built_once(self):
+        record = omics.ResponseRecord("D0", "C0", 1.0)
+        ds = omics.ResponseDataset([record], {}, self.cells(3, 0))
+        for column in (ds.drug_index, ds.cell_index, ds.labels()):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        record.ic50 = 2.0
+        assert ds.labels().tolist() == [1.0]

@@ -224,9 +224,10 @@ class TestTrain:
         assert len(history) < 20
 
     def test_divergence_error_names_epoch_and_batch(self):
-        bench, dataset = small_bench()
-        for r in dataset.records:
+        bench, _ = small_bench()
+        for r in bench.records:
             r.ic50 = 1e200  # squared error overflows on the first batch
+        dataset = ResponseDataset(bench.records, bench.padded, bench.cells)
         with np.errstate(over="ignore"), pytest.raises(tr.DivergenceError,
                                                        match="epoch 1, batch 0"):
             tr.train(dataset, dataset, small_cfg(bench),
