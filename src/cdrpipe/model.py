@@ -339,8 +339,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
             if len(buf) != count * 8:
                 raise CheckpointError(f"{path}: truncated while reading {name}")
             arr[...] = np.frombuffer(buf, dtype="<f8").reshape(shape)
-            if not np.isfinite(arr).all():
-                at = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                at = tuple(int(i) for i in np.argwhere(bad)[0])
                 raise CheckpointError(f"{path}: array {name} holds a non-finite value at {at}")
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last array")
