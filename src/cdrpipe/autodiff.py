@@ -354,7 +354,7 @@ def _block_rows(shape: tuple[int, ...]) -> int:
 @dataclass
 class AdamState:
     """Adam moment buffers and learning rate for a fixed parameter list,
-    plus the two one-block scratch arrays :func:`adam_step` works in."""
+    plus the one-block scratch array :func:`adam_step` works in."""
 
     beta1: ClassVar[float] = 0.9
     beta2: ClassVar[float] = 0.999
@@ -364,8 +364,7 @@ class AdamState:
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
-    scratch: tuple[np.ndarray, np.ndarray] = field(
-        default_factory=lambda: (np.empty(0), np.empty(0)))
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def adam_init(params: Sequence[Tensor], lr: float = 1e-4) -> AdamState:
@@ -375,35 +374,44 @@ def adam_init(params: Sequence[Tensor], lr: float = 1e-4) -> AdamState:
         lr=lr,
         m=[np.zeros_like(p.data) for p in params],
         v=[np.zeros_like(p.data) for p in params],
-        scratch=(np.empty(block), np.empty(block)),
+        scratch=np.empty(block),
     )
 
 
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
               state: AdamState) -> None:
-    """One bias-corrected Adam update, in place.
+    """One bias-corrected Adam update, in place, with the corrections
+    folded into the step size (Kingma & Ba 2015, section 2):
+    ``p -= a_t * m / (sqrt(v) + e_t)`` with ``a_t = lr * sqrt(1 - beta2**t)
+    / (1 - beta1**t)`` and ``e_t = epsilon * sqrt(1 - beta2**t)``. This is
+    the textbook update ``lr * m_hat / (sqrt(v_hat) + epsilon)`` up to
+    rounding, and no element is divided by ``1 - beta**t``.
 
-    A parameter whose gradient is exactly all-zero is left untouched for
-    that step (no moment decay), so zero gradients are a strict no-op.
+    Every shape is checked before anything changes. A parameter whose
+    gradient is exactly all-zero is left untouched for that step (no
+    moment decay), so zero gradients are a strict no-op.
     Each parameter is updated one block of rows (of elements, for a 1-D
-    parameter) at a time, about ``ADAM_BLOCK`` elements, and every pass of
-    the update runs on one block before the next block starts. A block of
-    the parameter, its gradient, both moments and the two scratch arrays
-    then stays in cache across the passes, where whole arrays as wide as
-    the 5002-input cell layer would stream through memory once per pass.
-    Moments and parameters are updated in their own buffers, in the
+    parameter) at a time, about ``ADAM_BLOCK`` elements, and all twelve
+    passes of the update run on one block before the next block starts. A
+    block of the parameter, its gradient, both moments and the scratch
+    array then stays in cache across the passes, where whole arrays as
+    wide as the 5002-input cell layer would stream through memory once per
+    pass. Moments and parameters are updated in their own buffers, in the
     operation order of the written-out update; every operation is
     element-wise, so the results match that update bit for bit.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter, gradient, and state lists must align")
+    for p, g in zip(params, grads):
+        if g.shape != p.data.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    root_bc2 = math.sqrt(1.0 - state.beta2 ** t)
+    step_size = state.lr * root_bc2 / bc1
+    eps_hat = state.epsilon * root_bc2
     for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
         if not g.any():
             continue
         # row slices of these are views whatever the memory layout
@@ -411,21 +419,19 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
         rows = _block_rows(p_all.shape)
         for s in range(0, p_all.shape[0], rows):
             g_b, m_b, v_b = g_all[s : s + rows], m_all[s : s + rows], v_all[s : s + rows]
-            scratch, step = (buf[: g_b.size].reshape(g_b.shape) for buf in state.scratch)
+            scratch = state.scratch[: g_b.size].reshape(g_b.shape)
             np.multiply(g_b, 1.0 - state.beta1, out=scratch)
             m_b *= state.beta1
             m_b += scratch
-            np.multiply(g_b, g_b, out=scratch)
+            np.square(g_b, out=scratch)
             scratch *= 1.0 - state.beta2
             v_b *= state.beta2
             v_b += scratch
-            denom = np.divide(v_b, bc2, out=scratch)
-            np.sqrt(denom, out=denom)
-            denom += state.epsilon
-            np.divide(m_b, bc1, out=step)
-            step *= state.lr
-            step /= denom
-            p_all[s : s + rows] -= step
+            np.sqrt(v_b, out=scratch)
+            scratch += eps_hat
+            np.divide(m_b, scratch, out=scratch)
+            scratch *= step_size
+            p_all[s : s + rows] -= scratch
 
 
 # ---------------------------------------------------------------------------

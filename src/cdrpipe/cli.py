@@ -28,8 +28,7 @@ from .evaluation import (PredictionRow, ReportError, build_eval_report, pearson,
                          summary_entries, write_grouped_csv, write_history_csv,
                          write_lodo_gains_csv, write_predictions_csv,
                          write_stability_csv, write_summary)
-from .model import (CheckpointError, ModelConfig, load_checkpoint, predict_records,
-                    save_checkpoint)
+from .model import CheckpointError, ModelConfig, load_checkpoint, save_checkpoint
 from .molgraph import GraphError, load_drug_manifest, pad_graph
 from .omics import (FEATURE_SOURCES, CellFeatureSet, IngestError, ResponseDataset,
                     alignment_stats, expression_feature_set, join_dataset,
@@ -37,7 +36,7 @@ from .omics import (FEATURE_SOURCES, CellFeatureSet, IngestError, ResponseDatase
 from .seeding import derive_seed
 from .tables import text_input
 from .training import (DivergenceError, SplitError, SplitSpec, TrainConfig,
-                       lodo_splits, split_dataset, train)
+                       finite_predictions, lodo_splits, split_dataset, train)
 
 EXIT_OK = 0
 EXIT_INGEST = 2
@@ -320,13 +319,11 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path | None) -> int:
             f"checkpoint {ckpt_path} was trained with a different configuration "
             f"than the one this config and feature source imply")
     _, test_set = _split_sets(cfg, dataset)
-    # finite weights can still overflow; the count below reports it
-    with np.errstate(all="ignore"):
-        preds = predict_records(params, saved_cfg, test_set)
-    bad = int(np.count_nonzero(~np.isfinite(preds)))
-    if bad:
-        raise CheckpointError(f"checkpoint {ckpt_path}: {bad} of {len(preds)} predictions "
-                              f"are not finite")
+    # finite weights can still overflow; the checkpoint is then at fault
+    try:
+        preds = finite_predictions(params, saved_cfg, test_set, f"checkpoint {ckpt_path}")
+    except DivergenceError as exc:
+        raise CheckpointError(str(exc)) from None
     rows = _prediction_rows(test_set, preds)
     report = build_eval_report(rows)
 
@@ -368,9 +365,9 @@ def cmd_lodo(cfg: RunConfig) -> int:
             tcfg = replace(cfg.train_cfg, seed=derive_seed(cfg.seed, f"lodo:{source}:{drug}"))
             try:
                 params, _ = train(train_set, test_set, mcfg, tcfg)
+                preds = finite_predictions(params, mcfg, test_set, "test predictions")
             except (DivergenceError, SplitError) as exc:  # keep the kind: it picks the exit code
                 raise type(exc)(f"fold {drug!r} variant {source!r}: {exc}") from exc
-            preds = predict_records(params, mcfg, test_set)
             pcc = pearson(preds, test_set.labels())
             if pcc is None:
                 undefined.append(f"{source}:{drug}")

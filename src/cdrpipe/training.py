@@ -131,6 +131,18 @@ def _batches(n: int, batch_size: int, order: np.ndarray) -> list[np.ndarray]:
     return batches
 
 
+def finite_predictions(params: ModelParams, model_cfg: ModelConfig,
+                       dataset: ResponseDataset, where: str) -> np.ndarray:
+    """``predict_records`` with overflow counted, not warned about: a
+    DivergenceError naming ``where`` if any prediction is NaN or inf."""
+    with np.errstate(all="ignore"):
+        preds = predict_records(params, model_cfg, dataset)
+    bad = int(np.count_nonzero(~np.isfinite(preds)))
+    if bad:
+        raise DivergenceError(f"{where}: {bad} of {len(preds)} predictions are not finite")
+    return preds
+
+
 def train(train_set: ResponseDataset, val_set: ResponseDataset,
           model_cfg: ModelConfig, train_cfg: TrainConfig
           ) -> tuple[ModelParams, list[EpochRecord]]:
@@ -138,7 +150,9 @@ def train(train_set: ResponseDataset, val_set: ResponseDataset,
 
     Returns the parameters of the best-validation epoch (the final ones if
     no validation PCC was ever defined) and the full epoch history, which
-    is shorter than train_cfg.epochs only under early stopping.
+    is shorter than train_cfg.epochs only under early stopping. A step that
+    overflows or yields NaN, and a validation pass with a non-finite
+    prediction, raise DivergenceError naming the epoch.
 
     On entry it pins the process's allocator (:func:`autodiff.pin_allocator`):
     a process-wide setting, made once, that overrides any
@@ -196,7 +210,8 @@ def train(train_set: ResponseDataset, val_set: ResponseDataset,
 
         val_pcc = None
         if len(val_set) >= 2:
-            preds = predict_records(params, model_cfg, val_set)
+            preds = finite_predictions(params, model_cfg, val_set,
+                                       f"validation after epoch {epoch}")
             val_pcc = pearson(preds, val_set.labels())
         history.append(EpochRecord(epoch=epoch, train_loss=total / n,
                                    val_pcc=val_pcc))

@@ -5,11 +5,15 @@ differences for gradients, direct formula evaluation for batch norm and the
 losses, and Monte-Carlo estimation for dropout.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdrpipe import autodiff as ad
+from cdrpipe.model import ModelConfig, init_params
 
 
 def scalar(t):
@@ -411,6 +415,34 @@ class TestNoTape:
         np.testing.assert_array_equal(evaluated.data, recorded.data)
 
 
+def textbook_moments(m, v, g):
+    """Adam's moment updates, written out with fresh arrays."""
+    return 0.9 * m + (1.0 - 0.9) * g, 0.999 * v + (1.0 - 0.999) * (g * g)
+
+
+def folded_update(p, m, v, t, lr):
+    """The parameter update with the bias corrections folded into the step
+    size and epsilon, written out with fresh arrays in adam_step's order."""
+    root_bc2 = math.sqrt(1.0 - 0.999 ** t)
+    step_size = lr * root_bc2 / (1.0 - 0.9 ** t)
+    return p - (m / (np.sqrt(v) + 1e-8 * root_bc2)) * step_size
+
+
+def unfolded_update(p, m, v, t, lr):
+    """The textbook parameter update from bias-corrected moments."""
+    m_hat = m / (1.0 - 0.9 ** t)
+    v_hat = v / (1.0 - 0.999 ** t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def assert_near_the_unfolded_update(new_p, p, m, v, t, lr):
+    """new_p, one step on from p with the moments m and v, lies within
+    1e-14 of the textbook step plus two units in the last place of p."""
+    ref = unfolded_update(p, m, v, t, lr)
+    slack = 1e-14 * np.abs(ref - p) + 2 * np.spacing(np.maximum(np.abs(p), np.abs(ref)))
+    assert np.all(np.abs(new_p - ref) <= slack)
+
+
 class TestAdam:
     def test_zero_gradient_is_noop_for_any_state(self):
         p = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
@@ -452,11 +484,9 @@ class TestAdam:
             ad.adam_step([p], [g], state)
             t += 1
             if g.any():
-                ref_m = 0.9 * ref_m + (1.0 - 0.9) * g
-                ref_v = 0.999 * ref_v + (1.0 - 0.999) * (g * g)
-                m_hat = ref_m / (1.0 - 0.9 ** t)
-                v_hat = ref_v / (1.0 - 0.999 ** t)
-                ref_p = ref_p - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+                ref_m, ref_v = textbook_moments(ref_m, ref_v, g)
+                assert_near_the_unfolded_update(p.data, ref_p, ref_m, ref_v, t, 0.01)
+                ref_p = folded_update(ref_p, ref_m, ref_v, t, 0.01)
             assert p.data.tobytes() == ref_p.tobytes()
             assert state.m[0].tobytes() == ref_m.tobytes()
             assert state.v[0].tobytes() == ref_v.tobytes()
@@ -466,6 +496,35 @@ class TestAdam:
         state = ad.adam_init([p])
         with pytest.raises(ValueError, match="shape"):
             ad.adam_step([p], [np.zeros(4)], state)
+
+    def test_a_shape_mismatch_changes_nothing(self):
+        """Every shape is checked before the first parameter is updated."""
+        rng = np.random.default_rng(9)
+        params = [ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True),
+                  ad.Tensor(rng.normal(size=4), requires_grad=True)]
+        state = ad.adam_init(params, lr=0.1)
+        ad.adam_step(params, [rng.normal(size=(3, 2)), rng.normal(size=4)], state)
+        before = [a.tobytes() for a in [p.data for p in params] + state.m + state.v]
+        with pytest.raises(ValueError, match="shape"):
+            ad.adam_step(params, [rng.normal(size=(3, 2)), rng.normal(size=5)], state)
+        assert [a.tobytes() for a in [p.data for p in params] + state.m + state.v] == before
+        assert state.step == 1
+
+    def test_a_step_allocates_no_block_sized_temporary(self):
+        """The update works in the state's scratch array: one step of the
+        widest default model (a 5002-input cell layer) allocates well under
+        one 512 KB block."""
+        params = init_params(ModelConfig(cell_input_dim=5002), 0).parameters()
+        rng = np.random.default_rng(10)
+        grads = [rng.normal(size=p.shape) for p in params]
+        state = ad.adam_init(params, lr=1e-3)
+        tracemalloc.start()
+        try:
+            ad.adam_step(params, grads, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @staticmethod
     def textbook_steps(p_data, grads, lr=0.01):
@@ -479,11 +538,9 @@ class TestAdam:
         for t, g in enumerate(grads, start=1):
             ad.adam_step([p], [g], state)
             if g.any():
-                ref_m = 0.9 * ref_m + (1.0 - 0.9) * g
-                ref_v = 0.999 * ref_v + (1.0 - 0.999) * (g * g)
-                m_hat = ref_m / (1.0 - 0.9 ** t)
-                v_hat = ref_v / (1.0 - 0.999 ** t)
-                ref_p = ref_p - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+                ref_m, ref_v = textbook_moments(ref_m, ref_v, g)
+                assert_near_the_unfolded_update(p.data, ref_p, ref_m, ref_v, t, lr)
+                ref_p = folded_update(ref_p, ref_m, ref_v, t, lr)
             assert p.data.tobytes() == ref_p.tobytes()
             assert state.m[0].tobytes() == ref_m.tobytes()
             assert state.v[0].tobytes() == ref_v.tobytes()
@@ -527,6 +584,38 @@ class TestAdam:
             alone = ad.Tensor(a.copy(), requires_grad=True)
             ad.adam_step([alone], [g], ad.adam_init([alone], lr=0.01))
             assert t.data.tobytes() == alone.data.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(shape=st.sampled_from([(), (1,), (7,), (1, 5), (6, 4), (33, 3)]),
+           log_lr=st.floats(-6, 0), log_scale=st.floats(-6, 6),
+           start=st.integers(0, 10_000), zero_steps=st.lists(st.booleans(), min_size=1,
+                                                             max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_the_folded_update_is_the_textbook_update_up_to_rounding(
+            self, shape, log_lr, log_scale, start, zero_steps, seed):
+        """Each step's moments equal the textbook moments byte for byte;
+        its parameter update lies within assert_near_the_unfolded_update's
+        bound of the textbook update from the same starting state; and an
+        all-zero gradient changes nothing."""
+        rng = np.random.default_rng(seed)
+        lr = 10.0 ** log_lr
+        p = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+        state = ad.adam_init([p], lr=lr)
+        state.step = start
+        for zero in zero_steps:
+            g = np.zeros(shape) if zero else rng.normal(scale=10.0 ** log_scale, size=shape)
+            p0, m0, v0 = p.data.copy(), state.m[0].copy(), state.v[0].copy()
+            ad.adam_step([p], [g], state)
+            if zero:
+                assert p.data.tobytes() == p0.tobytes()
+                assert state.m[0].tobytes() == m0.tobytes()
+                assert state.v[0].tobytes() == v0.tobytes()
+                continue
+            m, v = textbook_moments(m0, v0, g)
+            assert state.m[0].tobytes() == m.tobytes()
+            assert state.v[0].tobytes() == v.tobytes()
+            assert_near_the_unfolded_update(p.data, p0, m, v, state.step, lr)
+        assert state.step == start + len(zero_steps)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(cols=st.integers(1, 2 * ad.ADAM_BLOCK), extra_row=st.booleans(),

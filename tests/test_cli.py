@@ -383,6 +383,38 @@ class TestTrain:
         assert re.match(r"error: training diverged at epoch 1, batch \d+: overflow", err)
         assert not (tmp_path / "o" / "checkpoint.ckpt").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_validation_pass_that_overflows_exits_3_naming_the_epoch(self, fixture_dir,
+                                                                        tmp_path, capsys):
+        """One step at lr = 1e150 stays finite; the validation pass after it
+        overflows."""
+        config = write_config(tmp_path / "run.ini", fixture_dir["files"],
+                              fixture_dir["bench"].n_max_atoms)
+        config.write_text(config.read_text().replace("epochs = 2", "epochs = 1")
+                          .replace("batch_size = 16", "batch_size = 1000")
+                          .replace("lr = 0.003", "lr = 1e150"))
+        code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert re.match(r"error: validation after epoch 1: \d+ of \d+ predictions are not "
+                        r"finite", err)
+        assert not (tmp_path / "o" / "checkpoint.ckpt").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_lodo_fold_that_overflows_exits_3_naming_fold_and_variant(self, fixture_dir,
+                                                                         tmp_path, capsys):
+        config = write_config(tmp_path / "run.ini", fixture_dir["files"],
+                              fixture_dir["bench"].n_max_atoms)
+        config.write_text(config.read_text().replace("epochs = 2", "epochs = 1")
+                          .replace("batch_size = 16", "batch_size = 1000")
+                          .replace("lr = 0.003", "lr = 1e150"))
+        code = cli.main(["lodo", "--config", str(config), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert re.match(r"error: fold '\w+' variant 'raw_expression': validation after "
+                        r"epoch 1: \d+ of \d+ predictions are not finite", err)
+        assert not (tmp_path / "o").exists()
+
     def test_synthetic_fixture_reaches_high_pcc(self, tmp_path):
         """A convergence fixture: low noise, enough records, 12 epochs."""
         bench = make_benchmark(n_cells=120, cell_dim=12, n_drugs=6, atom_range=(3, 7),

@@ -233,6 +233,18 @@ class TestTrain:
             tr.train(dataset, dataset, small_cfg(bench),
                      tr.TrainConfig(epochs=1, batch_size=16, seed=0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_validation_pass_that_overflows_raises_naming_the_epoch(self):
+        """lr = 1e150 keeps the one step finite, but its parameters are
+        about 1e149, so every validation prediction overflows."""
+        bench, dataset = small_bench()
+        train_set = dataset.subset(dataset.records[:50])
+        val_set = dataset.subset(dataset.records[50:])
+        with pytest.raises(tr.DivergenceError,
+                           match=r"validation after epoch 1: 20 of 20 predictions"):
+            tr.train(train_set, val_set, small_cfg(bench),
+                     tr.TrainConfig(epochs=1, batch_size=50, lr=1e150, seed=0))
+
     def test_trailing_singleton_batch_is_folded(self):
         batches = tr._batches(33, 16, np.arange(33))
         assert [len(b) for b in batches] == [16, 17]
