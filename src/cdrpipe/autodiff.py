@@ -381,11 +381,11 @@ def adam_init(params: Sequence[Tensor], lr: float = 1e-4) -> AdamState:
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
               state: AdamState) -> None:
     """One bias-corrected Adam update, in place, with the corrections
-    folded into the step size (Kingma & Ba 2015, section 2):
-    ``p -= a_t * m / (sqrt(v) + e_t)`` with ``a_t = lr * sqrt(1 - beta2**t)
-    / (1 - beta1**t)`` and ``e_t = epsilon * sqrt(1 - beta2**t)``. This is
-    the textbook update ``lr * m_hat / (sqrt(v_hat) + epsilon)`` up to
-    rounding, and no element is divided by ``1 - beta**t``.
+    folded into the step size and epsilon (Kingma & Ba 2015, section 2):
+    ``p -= a_t * m / (sqrt(v) + e_t)``, where ``a_t = lr * sqrt(1 - beta2**t)
+    / (1 - beta1**t)`` and ``e_t = epsilon * sqrt(1 - beta2**t)``. That is the
+    textbook ``lr * m_hat / (sqrt(v_hat) + epsilon)`` up to rounding, with
+    no per-element division by ``1 - beta**t``.
 
     Every shape is checked before anything changes. A parameter whose
     gradient is exactly all-zero is left untouched for that step (no
@@ -397,8 +397,8 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
     array then stays in cache across the passes, where whole arrays as
     wide as the 5002-input cell layer would stream through memory once per
     pass. Moments and parameters are updated in their own buffers, in the
-    operation order of the written-out update; every operation is
-    element-wise, so the results match that update bit for bit.
+    operation order of the folded update written out; every operation is
+    element-wise, so the results match it bit for bit.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter, gradient, and state lists must align")

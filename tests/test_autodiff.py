@@ -437,7 +437,8 @@ def unfolded_update(p, m, v, t, lr):
 
 def assert_near_the_unfolded_update(new_p, p, m, v, t, lr):
     """new_p, one step on from p with the moments m and v, lies within
-    1e-14 of the textbook step plus two units in the last place of p."""
+    1e-14 times the textbook step, plus two units in the last place, of the
+    textbook update."""
     ref = unfolded_update(p, m, v, t, lr)
     slack = 1e-14 * np.abs(ref - p) + 2 * np.spacing(np.maximum(np.abs(p), np.abs(ref)))
     assert np.all(np.abs(new_p - ref) <= slack)
@@ -492,13 +493,8 @@ class TestAdam:
             assert state.v[0].tobytes() == ref_v.tobytes()
 
     def test_shape_mismatch(self):
-        p = ad.Tensor(np.zeros(3), requires_grad=True)
-        state = ad.adam_init([p])
-        with pytest.raises(ValueError, match="shape"):
-            ad.adam_step([p], [np.zeros(4)], state)
-
-    def test_a_shape_mismatch_changes_nothing(self):
-        """Every shape is checked before the first parameter is updated."""
+        """Every shape is checked before the first parameter is updated, so
+        a mismatch in the second changes nothing."""
         rng = np.random.default_rng(9)
         params = [ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True),
                   ad.Tensor(rng.normal(size=4), requires_grad=True)]
