@@ -412,7 +412,7 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
     step_size = state.lr * root_bc2 / bc1
     eps_hat = state.epsilon * root_bc2
     for i, (p, g) in enumerate(zip(params, grads)):
-        if not g.any():
+        if g.flat[0] == 0 and not g.any():  # a nonzero or NaN first element skips the scan
             continue
         # row slices of these are views whatever the memory layout
         p_all, g_all, m_all, v_all = map(np.atleast_1d, (p.data, g, state.m[i], state.v[i]))

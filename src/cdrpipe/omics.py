@@ -1,12 +1,14 @@
 """Cell-line feature ingestion: expression matrices, precomputed embedding
 files, response tables, and the join that assembles a training dataset.
 
-All inputs are comma-separated UTF-8 tables read through
-:func:`tables.read_table`. Each expression or embedding table is streamed
-into a single matrix, so the profiles of one expression table share one gene
-list. Gene alignment zero-pads genes missing from a table and drops genes
-outside the canonical list; dropped/padded counts are surfaced so dataset
-shrinkage stays visible.
+All inputs are comma-separated UTF-8 tables read through :mod:`tables`.
+Each expression or embedding table is read into a single matrix by
+:func:`tables.read_matrix`, so the profiles of one expression table share
+one gene list. A plain table is parsed by one ``np.loadtxt`` call; any other
+goes to the row reader, which gives the same values and error messages.
+Every error names the line its row starts on. Gene alignment zero-pads genes
+missing from a table and drops genes outside the canonical list;
+dropped/padded counts are surfaced so dataset shrinkage stays visible.
 
 A joined :class:`ResponseDataset` codes its records once, when it is built:
 integer columns give each record's drug and cell line as a position in the
@@ -24,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .molgraph import PaddedGraph
-from .tables import read_table, text_input
+from .tables import read_matrix, read_table, text_input
 
 FEATURE_SOURCES = ("scgpt", "scfoundation", "raw_expression")
 
@@ -149,49 +151,33 @@ class ResponseDataset:
 # loading
 # ---------------------------------------------------------------------------
 
-def _read_matrix(path) -> tuple[list[str], list[str], np.ndarray]:
-    """Stream a table keyed by ``cell_line_id`` into (ids, column names,
-    matrix), one matrix row per cell line in file order."""
-    ids: dict[str, None] = {}
-    rows = []
-    with read_table(path, IngestError) as (header, table):
-        if header[:1] != ["cell_line_id"]:
-            raise IngestError(f"{path}: first header column must be 'cell_line_id'")
-        for lineno, row in table:
-            if row[0] in ids:
-                raise IngestError(f"{path}: duplicate cell_line_id {row[0]!r} at row {lineno}")
-            ids[row[0]] = None
-            try:
-                rows.append(np.array(row[1:], dtype=np.float64))
-            except ValueError:
-                for col, raw in enumerate(row[1:], 2):
-                    try:
-                        float(raw)
-                    except ValueError:
-                        raise IngestError(f"{path}: row {lineno} column {col} "
-                                          f"is not numeric: {raw!r}") from None
-                raise
-    if not rows:
+def _read_cells(path) -> tuple[list[str], list[str], np.ndarray, list[int]]:
+    """:func:`tables.read_matrix` keyed by ``cell_line_id``: (ids, column
+    names, matrix, start line of each row); a table with no rows is an
+    error."""
+    ids, columns, matrix, lines = read_matrix(path, IngestError, "cell_line_id")
+    if not ids:
         raise IngestError(f"{path}: no cell lines")
-    return list(ids), header[1:], np.stack(rows)
+    return ids, columns, matrix, lines
 
 
-def _reject_first(path, bad: np.ndarray, what: str) -> None:
-    """Raise naming the file row and column of the first True in ``bad``."""
+def _reject_first(path, bad: np.ndarray, lines: Sequence[int], what: str) -> None:
+    """Raise naming the file line and column of the first True in ``bad``,
+    whose row ``i`` starts on line ``lines[i]``."""
     if bad.any():
         row, col = np.argwhere(bad)[0]
-        raise IngestError(f"{path}: row {row + 2} column {col + 2} is {what}")
+        raise IngestError(f"{path}: row {lines[row]} column {col + 2} is {what}")
 
 
 def load_expression(matrix_file) -> list[ExpressionProfile]:
     """Load an expression matrix: header of gene ids, one row per cell line.
     The profiles are the rows of one matrix and share the header's gene list."""
-    ids, genes, matrix = _read_matrix(matrix_file)
+    ids, genes, matrix, lines = _read_cells(matrix_file)
     repeated = [gene for gene, count in Counter(genes).items() if count > 1]
     if repeated:
         raise IngestError(f"{matrix_file}: gene {repeated[0]!r} appears more than once "
                           f"in the header")
-    _reject_first(matrix_file, ~(np.isfinite(matrix) & (matrix >= 0)),
+    _reject_first(matrix_file, ~(np.isfinite(matrix) & (matrix >= 0)), lines,
                   "outside the non-negative expression domain")
     return [ExpressionProfile(cid, values, genes) for cid, values in zip(ids, matrix)]
 
@@ -248,8 +234,8 @@ def cpm_log1p(values: np.ndarray) -> np.ndarray:
 def load_embeddings(path, expected_source: str) -> CellFeatureSet:
     """Load a precomputed embedding table; every value must be finite and
     the width must match the source's declared one."""
-    ids, columns, matrix = _read_matrix(path)
-    _reject_first(path, ~np.isfinite(matrix), "not finite")
+    ids, columns, matrix, lines = _read_cells(path)
+    _reject_first(path, ~np.isfinite(matrix), lines, "not finite")
     dim = len(columns)
     expected = EXPECTED_EMBEDDING_DIM.get(expected_source)
     if expected is not None and dim != expected:

@@ -1,20 +1,28 @@
 """The one text-table layer: how the pipeline reads and writes its tables.
 
 Inputs are UTF-8 text. A table has a header row, and a row wider or narrower
-than the header is an error naming the file and row. Every output is written
-to a temporary file beside its target and moved over it in one
-``os.replace``, so it appears whole or not at all; CSV outputs are quoted so
-that every row parses back to the values written.
+than the header is an error naming the file and row. This is the only module
+that parses CSV, so quoting, the field-size limit and blank lines follow one
+set of rules. A numeric table keyed by its first column is parsed by numpy's
+C reader where every data line is plain; any other table goes to the row
+reader, which takes every decision and raises every error.
+
+Every output is written to a temporary file beside its target and moved over
+it in one ``os.replace``, so it appears whole or not at all; CSV outputs are
+quoted so that every row parses back to the values written.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 @contextmanager
@@ -65,6 +73,105 @@ def read_table(path, error: type[Exception], required: Sequence[str] = ()):
         if missing:
             raise error(f"{path}: header is missing columns {missing}")
         yield header, _checked_rows(path, error, len(header), rows)
+
+
+def read_matrix(path, error: type[Exception], key: str):
+    """Read a numeric table whose first header column is ``key`` into
+    ``(ids, columns, matrix, lines)``: the row ids in file order, the other
+    header columns, a float64 matrix with one row per id, and the physical
+    line each row starts on.
+
+    The header is read through csv. When every data line is plain, the
+    data are parsed by one ``np.loadtxt`` call, numpy's C reader. Any other
+    table is read again from the start by the row reader: one with a line
+    holding ``"``, a field over ``csv.field_size_limit()``, a repeated id, a
+    row of another width, a value ``loadtxt`` rejects (``1_0`` or non-ASCII
+    digits, which ``float`` reads) or no data rows. The row reader is the
+    only one that raises ``error``, naming the file, row and column, so both
+    give the same bytes and the same messages. A table with no data rows
+    gives an empty matrix.
+    """
+    plain = _read_plain(path, key)
+    return plain if plain is not None else _read_rows(path, error, key)
+
+
+class _NotPlain(Exception):
+    """A data line left to the row reader."""
+
+
+# ASCII controls that loadtxt strips around a number as whitespace and
+# float() rejects
+_LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+
+
+def _plain_values(fh, header_lines: int, ids: dict[str, None], lines: list[int]):
+    """The values part of each data line of ``fh``, which follows
+    ``header_lines`` lines of header, recording each row's id and line; a
+    line that is not plain raises :class:`_NotPlain`."""
+    limit = csv.field_size_limit()
+    for line, text in enumerate(fh, header_lines + 1):
+        text = text.rstrip("\r\n")
+        if not text:  # a blank line holds no row
+            continue
+        row_id, _, values = text.partition(",")
+        if (not values or '"' in text
+                or any(c in text for c in _LOADTXT_ONLY_SPACES)
+                or len(text) > limit and max(map(len, text.split(","))) > limit):
+            raise _NotPlain
+        ids[row_id] = None
+        lines.append(line)
+        yield values
+
+
+def _read_plain(path, key: str):
+    """``read_matrix``'s result through ``np.loadtxt``, or None where the
+    table is not plain."""
+    ids: dict[str, None] = {}
+    lines: list[int] = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if header[:1] != [key]:
+                return None
+            values = _plain_values(fh, reader.line_num, ids, lines)
+            first = next(values, None)
+            if first is None:  # loadtxt warns on a table with no rows
+                return None
+            matrix = np.loadtxt(itertools.chain([first], values), delimiter=",",
+                                comments=None, dtype=np.float64, ndmin=2)
+    except (_NotPlain, ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        return None
+    if matrix.shape != (len(ids), len(header) - 1):  # a repeated id or another width
+        return None
+    return list(ids), header[1:], matrix, lines
+
+
+def _read_rows(path, error: type[Exception], key: str):
+    """``read_matrix``'s result, one csv row at a time."""
+    ids: dict[str, None] = {}
+    lines = []
+    rows = []
+    with read_table(path, error) as (header, table):
+        if header[:1] != [key]:
+            raise error(f"{path}: first header column must be {key!r}")
+        for lineno, row in table:
+            if row[0] in ids:
+                raise error(f"{path}: duplicate {key} {row[0]!r} at row {lineno}")
+            ids[row[0]] = None
+            lines.append(lineno)
+            try:
+                rows.append(np.array(row[1:], dtype=np.float64))
+            except ValueError:
+                for col, raw in enumerate(row[1:], 2):
+                    try:
+                        float(raw)
+                    except ValueError:
+                        raise error(f"{path}: row {lineno} column {col} "
+                                    f"is not numeric: {raw!r}") from None
+                raise
+    matrix = np.stack(rows) if rows else np.empty((0, len(header) - 1))
+    return list(ids), header[1:], matrix, lines
 
 
 @contextmanager

@@ -455,6 +455,15 @@ class TestAdam:
         np.testing.assert_array_equal(p.data, before)
         assert state.step == 1
 
+    def test_a_gradient_zero_only_in_its_first_element_still_updates(self):
+        p = ad.Tensor(np.array([[1.0, -2.0], [3.0, 4.0]]), requires_grad=True)
+        state = ad.adam_init([p], lr=0.5)
+        before = p.data.copy()
+        ad.adam_step([p], [np.array([[0.0, 0.0], [0.0, 2.0]])], state)
+        assert p.data[1, 1] < before[1, 1]
+        np.testing.assert_array_equal(p.data[[0, 0, 1], [0, 1, 0]], before[[0, 0, 1], [0, 1, 0]])
+        assert state.m[0][1, 1] != 0
+
     def test_first_step_magnitude(self):
         """Closed form: after bias correction the first update is
         lr * g / (|g| + eps), i.e. lr * sign(g) up to eps."""

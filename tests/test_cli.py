@@ -137,6 +137,7 @@ class TestIngest:
         assert code == 2
         assert "declares 512" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
     def test_expression_table_without_cell_lines_exits_2(self, fixture_dir, tmp_path, capsys):
         header = fixture_dir["files"]["expression"].read_text().splitlines()[0]
         files = dict(fixture_dir["files"], expression=tmp_path / "header_only.csv")

@@ -117,8 +117,8 @@ def test_the_tape_guard_sees_every_form_of_construction():
     assert tape_constructions(source) == [f"line {n}" for n in range(4, 8)]
 
 
-def ctypes_imports(source: str) -> list[str]:
-    """Statements that import ``ctypes`` or one of its submodules."""
+def module_imports(source: str, module: str) -> list[str]:
+    """Statements that import ``module`` or one of its submodules."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -127,7 +127,7 @@ def ctypes_imports(source: str) -> list[str]:
             modules = [node.module]
         else:
             continue
-        if any(name.split(".")[0] == "ctypes" for name in modules):
+        if any(name.split(".")[0] == module for name in modules):
             found.append(f"line {node.lineno}")
     return found
 
@@ -138,9 +138,9 @@ def test_only_autodiff_imports_ctypes():
     modules = [path for path in sorted(PACKAGE.rglob("*.py")) if path.name != "autodiff.py"]
     imports = {f"{path.relative_to(PACKAGE)} {stmt}"
                for path in modules
-               for stmt in ctypes_imports(path.read_text(encoding="utf-8"))}
+               for stmt in module_imports(path.read_text(encoding="utf-8"), "ctypes")}
     assert not imports
-    assert ctypes_imports((PACKAGE / "autodiff.py").read_text(encoding="utf-8"))
+    assert module_imports((PACKAGE / "autodiff.py").read_text(encoding="utf-8"), "ctypes")
 
 
 def test_the_ctypes_guard_sees_every_form_of_import():
@@ -152,4 +152,28 @@ def test_the_ctypes_guard_sees_every_form_of_import():
               "from ctypes import CDLL\n"
               "def f():\n"
               "    import ctypes as c\n")
-    assert ctypes_imports(source) == [f"line {n}" for n in (4, 5, 6, 8)]
+    assert module_imports(source, "ctypes") == [f"line {n}" for n in (4, 5, 6, 8)]
+
+
+def test_only_tables_imports_csv():
+    """Quoting, the field-size limit and blank lines are csv's rules, so
+    only tables.py parses or writes CSV."""
+    modules = [path for path in sorted(PACKAGE.rglob("*.py")) if path.name != "tables.py"]
+    imports = {f"{path.relative_to(PACKAGE)} {stmt}"
+               for path in modules
+               for stmt in module_imports(path.read_text(encoding="utf-8"), "csv")}
+    assert not imports
+    assert module_imports((PACKAGE / "tables.py").read_text(encoding="utf-8"), "csv")
+
+
+def test_the_csv_guard_sees_every_form_of_import():
+    source = ("import os\n"
+              "from . import csv\n"
+              "from .tables import csv_rows\n"
+              "import csv\n"
+              "import os, csv\n"
+              "from csv import reader\n"
+              "import csvkit\n"
+              "def f():\n"
+              "    import csv as c\n")
+    assert module_imports(source, "csv") == [f"line {n}" for n in (4, 5, 6, 9)]

@@ -1,14 +1,16 @@
 """Expression/embedding/response ingestion and the dataset join."""
 
+import contextlib
 import csv
 import io
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdrpipe import omics
+from cdrpipe import omics, tables
 from cdrpipe.molgraph import pad_graph
 from cdrpipe.synthetic import random_graph
 
@@ -45,6 +47,12 @@ class TestLoadExpression:
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         p = write_csv(tmp_path / "e.csv", "cell_line_id,g1,g2\nA,1,oops\n")
         with pytest.raises(omics.IngestError, match="row 2 column 3"):
+            omics.load_expression(p)
+
+    def test_a_domain_error_after_a_blank_line_names_the_line(self, tmp_path):
+        p = write_csv(tmp_path / "e.csv", "cell_line_id,g1,g2\nA,1,2\n\nB,3,-4\n")
+        with pytest.raises(omics.IngestError, match=re.escape(
+                f"{p}: row 4 column 3 is outside the non-negative expression domain")):
             omics.load_expression(p)
 
     def test_deterministic_ordering(self, tmp_path):
@@ -177,6 +185,7 @@ class TestLoadEmbeddings:
         with pytest.raises(omics.IngestError, match="768.*declares 512"):
             omics.load_embeddings(p, "scgpt")
 
+    @pytest.mark.filterwarnings("error")
     def test_empty_file(self, tmp_path):
         p = write_csv(tmp_path / "emb.csv", self.header(512) + "\n")
         with pytest.raises(omics.IngestError, match="no cell lines"):
@@ -190,6 +199,144 @@ class TestLoadEmbeddings:
     def test_raw_source_takes_any_width(self, tmp_path):
         p = write_csv(tmp_path / "emb.csv", "cell_line_id,e0,e1\nC0,1.0,2.0\n")
         assert omics.load_embeddings(p, "raw_expression").dim == 2
+
+    def test_a_non_finite_value_after_a_quoted_newline_names_the_line(self, tmp_path):
+        p = write_csv(tmp_path / "emb.csv", 'cell_line_id,e0\n"A\nx",1\nB,nan\n')
+        with pytest.raises(omics.IngestError, match=re.escape(f"{p}: row 4 column 2 is not finite")):
+            omics.load_embeddings(p, "raw_expression")
+
+
+def csv_line(fields):
+    """One CSV record without its line end, quoted where csv needs it."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\r\n").writerow(fields)
+    return text.getvalue()[:-2]
+
+
+# whitespace that both np.loadtxt and float() strip around a number
+PADDING = " \t\x0b\x0c\u2000\u3000"
+EDGE_VALUES = [5e-324, -2.5e-320, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1e300, 1e-300, 0.0, -0.0]
+FORMATS = [repr, "{:.17g}".format, "{:.6e}".format, "{:.3f}".format]
+ARABIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                            "\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def number_texts(draw):
+    """A float written in one of the formats tables are saved in, maybe
+    padded with whitespace."""
+    value = draw(st.one_of(st.floats(), st.sampled_from(EDGE_VALUES)))
+    pad = st.text(PADDING, max_size=2)
+    return draw(pad) + draw(st.sampled_from(FORMATS))(value) + draw(pad)
+
+
+@st.composite
+def numeric_tables(draw, plain=True):
+    """(header, rows) of a valid table keyed by cell_line_id. A table that
+    is not plain holds one thing np.loadtxt must not see: an id csv quotes,
+    or a value only float() reads."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    # the index keeps the ids distinct
+    ids = [draw(st.text("aB #._-\u00e9", max_size=3)) + str(i) for i in range(n)]
+    rows = [[ids[i]] + draw(st.lists(number_texts(), min_size=m, max_size=m)) for i in range(n)]
+    if not plain:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(1, m))
+        kind = draw(st.sampled_from(["quoted_id", "underscore", "arabic"]))
+        if kind == "quoted_id":
+            rows[i][0] = ids[i][:-1] + draw(st.sampled_from([",", '"', "\n", "\r\n"])) + ids[i][-1]
+        elif kind == "underscore":
+            rows[i][j] = f"{draw(st.integers(1, 99))}_{draw(st.integers(0, 9))}"
+        else:
+            rows[i][j] = str(draw(st.integers(0, 10**6))).translate(ARABIC_DIGITS)
+    return ["cell_line_id"] + [f"g{j}" for j in range(m)], rows
+
+
+@st.composite
+def table_texts(draw, header, rows):
+    """The table's text with blank lines between rows, LF or CRLF line ends
+    and maybe no end on the last line."""
+    ends = st.sampled_from(["\n", "\r\n"])
+    text = csv_line(header)
+    for row in rows:
+        text += draw(ends) + "".join(draw(ends) for _ in range(draw(st.integers(0, 1))))
+        text += csv_line(row)
+    return text + (draw(ends) if draw(st.booleans()) else "")
+
+
+def read_cells(path, **patches):
+    """omics._read_cells' result, or its error message, with ``patches``
+    set on the tables module."""
+    with mock.patch.multiple(tables, **patches) if patches else contextlib.nullcontext():
+        try:
+            ids, columns, matrix, lines = omics._read_cells(path)
+        except omics.IngestError as exc:
+            return str(exc)
+    return ids, columns, matrix.dtype, matrix.shape, matrix.tobytes(), lines
+
+
+def no_row_reader(path, error, key):
+    raise AssertionError("a plain table reached the row reader")
+
+
+# leaves every table to the row reader
+ROW_READER = dict(_read_plain=lambda path, key: None)
+
+
+class TestReadMatrix:
+    """np.loadtxt reads plain tables; every other table goes to the row
+    reader, and both readers give the same result."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), plain=st.booleans())
+    @pytest.mark.filterwarnings("error::UserWarning")  # loadtxt's warning on an empty table
+    def test_both_readers_return_the_same_table(self, tmp_path_factory, data, plain):
+        header, rows = data.draw(numeric_tables(plain))
+        path = write_csv(tmp_path_factory.mktemp("m") / "t.csv",
+                         data.draw(table_texts(header, rows)))
+        read = read_cells(path, **({"_read_rows": no_row_reader} if plain else {}))
+        assert not isinstance(read, str)
+        assert read == read_cells(path, **ROW_READER)
+        assert read[0] == [row[0] for row in rows]
+        assert plain or tables._read_plain(path, "cell_line_id") is None
+
+    @pytest.mark.parametrize("defect", ["short", "long", "non_numeric", "repeated_id",
+                                        "over_limit", "header_only", "bad_header"])
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    @pytest.mark.filterwarnings("error::UserWarning")  # loadtxt's warning on an empty table
+    def test_both_readers_raise_the_same_error(self, tmp_path_factory, data, defect):
+        header, rows = data.draw(numeric_tables())
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(1, len(header) - 1))
+        if defect == "short":
+            rows[i].pop()
+        elif defect == "long":
+            rows[i].append("1.0")
+        elif defect == "non_numeric":
+            rows[i][j] = data.draw(st.sampled_from(["oops", "", " ", "1.2.3", "0x1p3", "1e",
+                                                    "\x1c1", "1\x1f"]))
+        elif defect == "repeated_id":
+            rows.insert(i, list(rows[i]))
+        elif defect == "over_limit":
+            rows[i][data.draw(st.sampled_from([0, j]))] += " " * csv.field_size_limit()
+        elif defect == "header_only":
+            rows = []
+        else:
+            header[0] = data.draw(st.sampled_from(["", "cell", " cell_line_id", '"cell_line_id"']))
+        path = write_csv(tmp_path_factory.mktemp("m") / "t.csv",
+                         data.draw(table_texts(header, rows)))
+        message = read_cells(path)
+        assert isinstance(message, str)
+        assert message == read_cells(path, **ROW_READER)
+
+    @pytest.mark.parametrize("value", ["\x1c1", "1\x1f"])
+    def test_a_value_only_loadtxt_reads_is_not_numeric(self, tmp_path, value):
+        """loadtxt strips these ASCII controls around a number; float() does not."""
+        p = write_csv(tmp_path / "t.csv", f"cell_line_id,g1\nA,1\nB,{value}\n")
+        with pytest.raises(omics.IngestError, match=re.escape(
+                f"{p}: row 3 column 2 is not numeric: {value!r}")):
+            omics.load_embeddings(p, "raw_expression")
 
 
 class TestLoadResponses:
