@@ -48,7 +48,7 @@ wins = sum(row.gains["embedding"] > 0 for row in gains)
 print(f"embedding model ahead on {wins}/{len(gains)} drugs")
 for row in gains:
     print(f"  rank {row.rank:2d}  {row.drug_id}  gain {row.gains['embedding']:+.3f}")
-write_lodo_gains_csv(out / "gains.csv", gains)
+write_lodo_gains_csv(out / "gains.csv", ["embedding"], gains)
 
 # Per-epoch stability comparison of the two runs.
 report = stability_report(histories)

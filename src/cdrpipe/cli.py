@@ -380,7 +380,7 @@ def cmd_lodo(cfg: RunConfig) -> int:
     rows = ranked_gains({v: {d: pccs[v][d] for d in scored} for v in variants},
                         {d: pccs[cfg.lodo_baseline][d] for d in scored})
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    write_lodo_gains_csv(cfg.output_dir / "lodo_gains.csv", rows)
+    write_lodo_gains_csv(cfg.output_dir / "lodo_gains.csv", variants, rows)
     write_summary(cfg.output_dir / "lodo_summary.txt", {
         "baseline": cfg.lodo_baseline,
         "variants": ",".join(variants),

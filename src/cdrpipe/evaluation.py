@@ -352,10 +352,8 @@ def write_stability_csv(path, report: StabilityReport) -> None:
     write_rows(path, chain([header], body))
 
 
-def write_lodo_gains_csv(path, rows: Sequence[GainRow]) -> None:
-    if not rows:
-        raise ReportError("no gain rows to write")
-    names = list(rows[0].gains)
+def write_lodo_gains_csv(path, names: Sequence[str], rows: Sequence[GainRow]) -> None:
+    """One gain column per model in ``names``; with no rows, the header alone."""
     header = ["drug_id", "rank", *(f"gain_{n}" for n in names)]
     body = ([row.drug_id, row.rank, *(_fmt(row.gains[n]) for n in names)] for row in rows)
     write_rows(path, chain([header], body))

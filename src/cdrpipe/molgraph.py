@@ -2,25 +2,25 @@
 
 Each drug is described by a per-atom feature matrix (75 columns), an
 undirected adjacency list of 0-based atom index pairs, and a degree list,
-each a headerless CSV file; a drug manifest table, read through
-:func:`tables.read_table`, names them. All are written through
-:func:`tables.write_rows`. This module loads and validates that
-representation, builds the symmetrically normalized adjacency (with self
-loops) used by the graph encoder, and enforces the atom capacity. The
-encoder's input record holds the real atoms only, nothing padded to the
-capacity, and their features already propagated once over the normalized
-adjacency.
+each a headerless CSV file read by :func:`tables.read_headerless` under the
+tables rules (so a line of whitespace is an error naming its line, not a
+blank line); a drug manifest table, read through :func:`tables.read_table`,
+names them. All are written through :func:`tables.write_rows`. This module
+loads and validates that representation, builds the symmetrically
+normalized adjacency (with self loops) used by the graph encoder, and
+enforces the atom capacity. The encoder's input record holds the real atoms
+only, nothing padded to the capacity, and their features already propagated
+once over the normalized adjacency.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .tables import read_table, text_input, write_rows
+from .tables import read_headerless, read_table, write_rows
 
 ATOM_FEATURE_DIM = 75
 
@@ -66,7 +66,7 @@ class MolecularGraph:
             raise GraphConsistencyError(
                 f"drug {self.drug_id!r}: degree list has {self.degrees.shape[0]} entries "
                 f"for {n} atoms")
-        seen = set()
+        seen: dict[tuple[int, int], None] = {}
         counts = np.zeros(n, dtype=np.int64)
         for i, j in self.adjacency:
             if not (0 <= i < n and 0 <= j < n):
@@ -78,9 +78,10 @@ class MolecularGraph:
             pair = (min(i, j), max(i, j))
             if pair in seen:
                 raise GraphConsistencyError(f"drug {self.drug_id!r}: duplicate bond {pair}")
-            seen.add(pair)
+            seen[pair] = None
             counts[i] += 1
             counts[j] += 1
+        self.adjacency = list(seen)
         if not np.array_equal(counts, self.degrees):
             bad = int(np.nonzero(counts != self.degrees)[0][0])
             raise GraphConsistencyError(
@@ -143,53 +144,30 @@ def pad_graph(graph: MolecularGraph, n_max: int) -> PaddedGraph:
 # file loading
 # ---------------------------------------------------------------------------
 
-def _numeric_rows(path, kind: str) -> list[list[float]]:
-    with text_input(path, GraphFormatError) as fh:
-        text = fh.read()
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = [float(v) for v in line.split(",")]
-        except ValueError:
-            raise GraphFormatError(f"{path}: {kind} row {lineno} is not numeric: {line!r}") from None
-        if not all(map(math.isfinite, row)):
-            raise GraphFormatError(f"{path}: {kind} row {lineno} is not finite: {line!r}")
-        rows.append(row)
-    return rows
+def _read_graph_file(path, kind: str, width: int, integer: bool = False) -> np.ndarray:
+    """One graph file as a float64 matrix; a value that is not finite (or,
+    where ``integer``, not a 64-bit integer) raises naming its line and column."""
+    matrix, lines = read_headerless(path, GraphFormatError, width)
+    bad = ~np.isfinite(matrix)
+    if integer:
+        bad |= (matrix != np.trunc(matrix)) | (np.abs(matrix) >= 2.0 ** 63)
+    for row, col in np.argwhere(bad)[:1]:
+        value = float(matrix[row, col])
+        what = "not a 64-bit integer" if np.isfinite(value) else "not finite"
+        raise GraphFormatError(f"{path}: {kind} row {lines[row]} is {what} "
+                               f"in column {col + 1}: {value!r}")
+    return matrix
 
 
 def load_graph(feature_file, adjacency_file, degree_file, drug_id: str | None = None) -> MolecularGraph:
     """Load and cross-validate one drug's three-part graph representation."""
-    drug_id = drug_id if drug_id is not None else Path(feature_file).stem
-    feat_rows = _numeric_rows(feature_file, "feature")
-    if not feat_rows:
+    features = _read_graph_file(feature_file, "feature", ATOM_FEATURE_DIM)
+    if not len(features):
         raise GraphFormatError(f"{feature_file}: no atoms")
-    for idx, row in enumerate(feat_rows):
-        if len(row) != ATOM_FEATURE_DIM:
-            raise GraphFormatError(
-                f"{feature_file}: feature row {idx} has {len(row)} values, "
-                f"expected {ATOM_FEATURE_DIM}")
-    pairs = []
-    for row in _numeric_rows(adjacency_file, "adjacency"):
-        if len(row) != 2 or any(v != int(v) for v in row):
-            raise GraphFormatError(
-                f"{adjacency_file}: adjacency rows must hold two integer indices, got {row}")
-        i, j = int(row[0]), int(row[1])
-        pairs.append((min(i, j), max(i, j)))
-    degrees = []
-    for row in _numeric_rows(degree_file, "degree"):
-        if len(row) != 1 or row[0] != int(row[0]):
-            raise GraphFormatError(f"{degree_file}: degree rows must hold one integer, got {row}")
-        degrees.append(int(row[0]))
-    return MolecularGraph(
-        drug_id=drug_id,
-        features=np.array(feat_rows),
-        adjacency=pairs,
-        degrees=np.array(degrees, dtype=np.int64),
-    )
+    pairs = _read_graph_file(adjacency_file, "adjacency", 2, integer=True)
+    degrees = _read_graph_file(degree_file, "degree", 1, integer=True)
+    return MolecularGraph(drug_id if drug_id is not None else Path(feature_file).stem,
+                          features, pairs.astype(np.int64).tolist(), degrees[:, 0])
 
 
 def save_graph(graph: MolecularGraph, feature_file, adjacency_file, degree_file) -> None:

@@ -5,7 +5,9 @@ than the header is an error naming the file and row. This is the only module
 that parses CSV, so quoting, the field-size limit and blank lines follow one
 set of rules. A numeric table keyed by its first column is parsed by numpy's
 C reader where every data line is plain; any other table goes to the row
-reader, which takes every decision and raises every error.
+reader, which takes every decision and raises every error. A headerless
+numeric table of a fixed width, such as a drug's graph files, is read by
+``read_headerless`` under the same rules.
 
 Every output is written to a temporary file beside its target and moved over
 it in one ``os.replace``, so it appears whole or not at all; CSV outputs are
@@ -95,6 +97,34 @@ def read_matrix(path, error: type[Exception], key: str):
     return plain if plain is not None else _read_rows(path, error, key)
 
 
+def read_headerless(path, error: type[Exception], width: int):
+    """``(matrix, lines)`` of a headerless numeric table of ``width``
+    columns: float64, a row per non-blank row, and the physical line each
+    starts on. A row error raises ``error`` naming the file and row."""
+    with text_input(path, error) as fh:
+        rows = list(_checked_rows(path, error, width, csv_rows(path, fh, error)))
+    lines = [line for line, _ in rows]
+    matrix = _floats(path, error, [fields for _, fields in rows], lines, 1)
+    return matrix.reshape(len(rows), width), lines
+
+
+def _floats(path, error: type[Exception], rows, lines, first_column: int):
+    """``rows``, lists of fields, as one float64 array; a field ``float``
+    rejects raises ``error`` naming its row's line in ``lines`` and its
+    column, counted from ``first_column``."""
+    try:
+        return np.array(rows, dtype=np.float64)
+    except ValueError:
+        for line, row in zip(lines, rows):
+            for col, raw in enumerate(row, first_column):
+                try:
+                    float(raw)
+                except ValueError:
+                    raise error(f"{path}: row {line} column {col} "
+                                f"is not numeric: {raw!r}") from None
+        raise
+
+
 class _NotPlain(Exception):
     """A data line left to the row reader."""
 
@@ -160,16 +190,7 @@ def _read_rows(path, error: type[Exception], key: str):
                 raise error(f"{path}: duplicate {key} {row[0]!r} at row {lineno}")
             ids[row[0]] = None
             lines.append(lineno)
-            try:
-                rows.append(np.array(row[1:], dtype=np.float64))
-            except ValueError:
-                for col, raw in enumerate(row[1:], 2):
-                    try:
-                        float(raw)
-                    except ValueError:
-                        raise error(f"{path}: row {lineno} column {col} "
-                                    f"is not numeric: {raw!r}") from None
-                raise
+            rows.append(_floats(path, error, [row[1:]], [lineno], 2)[0])
     matrix = np.stack(rows) if rows else np.empty((0, len(header) - 1))
     return list(ids), header[1:], matrix, lines
 

@@ -220,19 +220,28 @@ class TestIngest:
 
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-    @given(target=st.sampled_from(["expression", "embeddings", "responses", "drug_manifest"]),
+    @given(target=st.sampled_from(["expression", "embeddings", "responses", "drug_manifest",
+                                   "features", "adjacency", "degrees"]),
            duplicate=st.booleans(), data=st.data())
     def test_a_row_of_the_wrong_width_exits_2_naming_file_and_row(
             self, fixture_dir, tmp_path_factory, target, duplicate, data):
-        """Dropping or duplicating one field of one row of a keyed table is
-        an ingest error naming the file and the row."""
+        """Dropping or duplicating one field of one row of a keyed table or
+        of a drug's headerless graph file is an ingest error naming the file
+        and the row."""
         tmp = tmp_path_factory.mktemp("shape")
-        _, files, config = copy_fixture(fixture_dir, tmp)
-        path = files[target]
+        root, files, config = copy_fixture(fixture_dir, tmp)
+        headerless = target in ("features", "adjacency", "degrees")
+        if headerless:
+            drug = data.draw(st.sampled_from(sorted(fixture_dir["bench"].graphs)))
+            path = root / "drugs" / f"{drug}.{target}.csv"
+        else:
+            path = files[target]
         lines = path.read_text(encoding="utf-8").splitlines()
-        line = data.draw(st.integers(1, len(lines) - 1))
+        line = data.draw(st.integers(0 if headerless else 1, len(lines) - 1))
         fields = lines[line].split(",")
         field = data.draw(st.integers(0, len(fields) - 1))
+        # a row's only field dropped leaves a blank line, which holds no row
+        duplicate = duplicate or len(fields) == 1
         fields[field:field + 1] = [fields[field]] * 2 if duplicate else []
         lines[line] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -246,13 +255,14 @@ class TestIngest:
 
     @pytest.mark.parametrize("target, source", [
         ("responses", "scgpt"), ("embeddings", "scgpt"), ("expression", "raw"),
-        ("drug_manifest", "scgpt")])
+        ("drug_manifest", "scgpt"), ("features", "scgpt")])
     def test_a_field_over_the_csv_size_limit_exits_2_naming_file_and_row(
             self, fixture_dir, tmp_path, capsys, target, source):
         """csv rejects a field longer than csv.field_size_limit() (131,072
         characters); that is an ingest error, not a traceback."""
-        _, files, config = copy_fixture(fixture_dir, tmp_path)
-        path = files[target]
+        data, files, config = copy_fixture(fixture_dir, tmp_path)
+        first_drug = next(iter(fixture_dir["bench"].graphs))
+        path = dict(files, features=data / "drugs" / f"{first_drug}.features.csv")[target]
         replace_field(path, 2, -1, "1" * 140_000)
         code = cli.main(["ingest", "--config", str(config), "--feature-source", source,
                          "--out", str(tmp_path / "o")])
@@ -591,6 +601,27 @@ class TestLodo:
                        for line in (out / "lodo_summary.txt").read_text().splitlines())
         assert summary["pairs_dropped.raw_expression"] == "0"
         assert summary["pairs_dropped.scgpt"] == str(missing)
+
+    def test_no_scorable_fold_exits_0_with_a_header_only_gains_table(self, fixture_dir,
+                                                                       tmp_path):
+        """D000 keeps one response, so its held-out fold has no PCC; the run
+        still writes the gains header and a summary naming the fold."""
+        _, files, config = copy_fixture(fixture_dir, tmp_path)
+        lines = files["responses"].read_text(encoding="utf-8").splitlines()
+        rest = [ln for ln in lines[1:] if not ln.startswith("D000,")]
+        kept = next(ln for ln in lines[1:] if ln.startswith("D000,"))
+        files["responses"].write_text("\n".join([lines[0], *rest, kept]) + "\n",
+                                      encoding="utf-8")
+        config.write_text(config.read_text().replace("seed = 0", "seed = 1"))
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["lodo", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "lodo_gains.csv").read_text() == "drug_id,rank,gain_scgpt\n"
+        summary = dict(line.split("=", 1)
+                       for line in (out / "lodo_summary.txt").read_text().splitlines())
+        assert summary["folds"] == "1"
+        assert summary["folds_scored"] == "0"
+        assert summary["folds_undefined"] == "raw_expression:D000;scgpt:D000"
 
     def test_requires_a_non_baseline_variant(self, fixture_dir, tmp_path, capsys):
         config = write_config(tmp_path / "lodo.ini", fixture_dir["files"],

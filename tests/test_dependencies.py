@@ -177,3 +177,47 @@ def test_the_csv_guard_sees_every_form_of_import():
               "def f():\n"
               "    import csv as c\n")
     assert module_imports(source, "csv") == [f"line {n}" for n in (4, 5, 6, 9)]
+
+
+def comma_splits(source: str) -> list[str]:
+    """Calls that split text on a string literal holding a comma:
+    ``split``, ``rsplit``, ``partition`` or ``rpartition`` with it as one of
+    the first two arguments (the second in ``str.split(text, ",")``) or as
+    ``sep``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("split", "rsplit", "partition", "rpartition")):
+            continue
+        seps = node.args[:2] + [kw.value for kw in node.keywords if kw.arg == "sep"]
+        if any(isinstance(sep, ast.Constant) and "," in str(sep.value) for sep in seps):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_only_tables_splits_text_on_commas():
+    """A comma-separated file is read through tables.py, so quoting, the
+    field-size limit and row numbering follow csv's rules; cli.py splits
+    only INI list values such as ``gcn_layer_dims = 256,128``."""
+    modules = [path for path in sorted(PACKAGE.rglob("*.py"))
+               if path.name not in ("tables.py", "cli.py")]
+    splits = {f"{path.relative_to(PACKAGE)} {call}"
+              for path in modules
+              for call in comma_splits(path.read_text(encoding="utf-8"))}
+    assert not splits
+
+
+def test_the_comma_guard_sees_every_form_of_split():
+    source = ("line.split()\n"
+              "line.split('=', 1)\n"
+              "np.split(a, [3])\n"
+              "','.join(parts)\n"
+              "line.split(',')\n"
+              "line.strip().split(\", \")\n"
+              "line.rsplit(',', 1)\n"
+              "line.partition(',')\n"
+              "text.rpartition(',')\n"
+              "line.split(sep=',', maxsplit=2)\n"
+              "re.split(',', line)\n"
+              "str.split(line, ',')\n")
+    assert comma_splits(source) == [f"line {n}" for n in range(5, 13)]

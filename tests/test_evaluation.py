@@ -336,7 +336,7 @@ class TestWriters:
         ev.write_grouped_csv(tmp_path / "g.csv",
                              {odd: ev.GroupStat(0.5, 3), "D1": ev.GroupStat(0.1, 2)})
         gains = ev.ranked_gains({"scgpt": {odd: 0.7, "D1": 0.2}}, {odd: 0.5, "D1": 0.4})
-        ev.write_lodo_gains_csv(tmp_path / "l.csv", gains)
+        ev.write_lodo_gains_csv(tmp_path / "l.csv", ["scgpt"], gains)
         ev.write_history_csv(tmp_path / "h.csv", odd, history(0.25, None))
         assert ev.read_history_csv(tmp_path / "h.csv") == {odd: history(0.25, None)}
         report = ev.stability_report({odd: history(0.5, 0.6), "m": history(0.7)})
@@ -359,5 +359,5 @@ class TestWriters:
         rows = ev.ranked_gains({"scgpt": {"D0": 0.7}, "scfoundation": {"D0": 0.6}},
                                {"D0": 0.5})
         path = tmp_path / "gains.csv"
-        ev.write_lodo_gains_csv(path, rows)
+        ev.write_lodo_gains_csv(path, ["scgpt", "scfoundation"], rows)
         assert path.read_text().splitlines()[0] == "drug_id,rank,gain_scgpt,gain_scfoundation"

@@ -26,6 +26,12 @@ def two_atom_graph(bond=True):
     return mg.MolecularGraph("toy", features, adjacency, np.array(degrees))
 
 
+class TestMolecularGraph:
+    def test_bonds_are_held_as_canonical_pairs_in_their_given_order(self):
+        g = mg.MolecularGraph("x", np.zeros((3, 75)), [(2, 0), (1, 0)], np.array([2, 1, 1]))
+        assert g.adjacency == [(0, 2), (0, 1)]
+
+
 class TestLoadGraph:
     def test_valid_two_atom_graph(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -45,7 +51,7 @@ class TestLoadGraph:
     def test_short_feature_row_names_the_row(self, tmp_path):
         rows = [list(range(75)), list(range(74))]
         paths = write_graph_files(tmp_path, rows, [], [0, 0])
-        with pytest.raises(mg.GraphFormatError, match="row 1 has 74"):
+        with pytest.raises(mg.GraphFormatError, match="row 2 has 74"):
             mg.load_graph(*paths)
 
     def test_out_of_range_index(self, tmp_path):
@@ -62,6 +68,21 @@ class TestLoadGraph:
         paths = write_graph_files(tmp_path, np.zeros((2, 75)), [(1, 1)], [0, 2])
         with pytest.raises(mg.GraphConsistencyError, match="self-loop"):
             mg.load_graph(*paths)
+
+    @pytest.mark.parametrize("part, text, message", [
+        (2, "0,1\n\n1,0.5\n", "adjacency row 3 is not a 64-bit integer in column 2: 0.5"),
+        (2, "0,1\n1e300,0\n", "adjacency row 2 is not a 64-bit integer in column 1: 1e+300"),
+        (3, "1\n1e300\n", "degree row 2 is not a 64-bit integer in column 1: 1e+300"),
+        (3, "1\n \n1\n", "row 2 column 1 is not numeric: ' '"),
+        (1, "0,1\n", "row 1 has 2 fields, expected 75"),
+    ], ids=["fraction", "huge-index", "huge-degree", "whitespace-line", "narrow"])
+    def test_a_bad_graph_row_names_its_file_line_and_column(self, tmp_path, part, text,
+                                                           message):
+        paths = write_graph_files(tmp_path, np.zeros((2, 75)), [(0, 1)], [1, 1])
+        paths[part - 1].write_text(text)
+        with pytest.raises(mg.GraphFormatError) as info:
+            mg.load_graph(*paths)
+        assert str(info.value) == f"{paths[part - 1]}: {message}"
 
     def test_non_numeric_feature(self, tmp_path):
         f = tmp_path / "f.csv"
