@@ -52,24 +52,22 @@ class ConfigError(ValueError):
     """The run configuration is missing or inconsistent."""
 
 
-# section -> key -> (ConfigParser getter, default): the only keys a config
-# may set, besides [paths], which is open because its keys name the inputs
+# section -> key -> ConfigParser getter: the only keys a config may set,
+# besides [paths], which is open because its keys name the inputs. A key the
+# file leaves out takes the default of the dataclass its section fills, or,
+# for [run] and [lodo], which fill none, the default below.
 CONFIG_SCHEMA = {
-    "run": {"seed": ("getint", 0), "feature_source": ("get", "scgpt")},
-    "model": {
-        "gcn_layer_dims": ("getdims", (256, 128)),
-        "cell_branch_dims": ("getdims", (128,)),
-        "head_dims": ("getdims", (128, 1)),
-        "dropout_rate": ("getfloat", 0.1),
-        "use_batch_norm": ("getboolean", True),
-        "n_max_atoms": ("getint", 100),
-    },
-    "train": {"epochs": ("getint", 20), "batch_size": ("getint", 32), "lr": ("getfloat", 1e-3),
-              "early_stop_patience": ("getoptint", None)},
-    "split": {"test_fraction": ("getfloat", 0.05), "train_cap": ("getoptint", 90_000),
-              "cap_mode": ("get", "slice")},
-    "lodo": {"n_drugs": ("getint", 20), "variants": ("get", "scgpt"), "baseline": ("get", "raw")},
+    "run": {"seed": "getint", "feature_source": "get"},
+    "model": {"gcn_layer_dims": "getdims", "cell_branch_dims": "getdims", "head_dims": "getdims",
+              "dropout_rate": "getfloat", "use_batch_norm": "getboolean", "n_max_atoms": "getint"},
+    "train": {"epochs": "getint", "batch_size": "getint", "lr": "getfloat",
+              "early_stop_patience": "getoptint"},
+    "split": {"test_fraction": "getfloat", "train_cap": "getoptint", "cap_mode": "get"},
+    "lodo": {"n_drugs": "getint", "variants": "get", "baseline": "get"},
 }
+SECTION_CLASSES = {"model": ModelConfig, "train": TrainConfig, "split": SplitSpec}
+SECTION_DEFAULTS = {"run": {"seed": 0, "feature_source": "scgpt"},
+                    "lodo": {"n_drugs": 20, "variants": "scgpt", "baseline": "raw"}}
 
 
 @dataclass
@@ -81,7 +79,7 @@ class RunConfig:
     output_dir: Path
     seed: int
     feature_source: str
-    model: dict
+    model: ModelConfig  # cell_input_dim is set per dataset by model_config
     train_cfg: TrainConfig
     split: SplitSpec
     lodo_n_drugs: int
@@ -124,14 +122,20 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
         unknown = [key for key in cp.options(section) if key not in CONFIG_SCHEMA[section]]
         if unknown:
             raise ConfigError(f"{path}: unknown key(s) in [{section}]: {', '.join(unknown)}")
-    conf: dict[str, dict] = {}
+    conf: dict = {}
     for section, schema in CONFIG_SCHEMA.items():
-        conf[section] = {}
-        for key, (getter, default) in schema.items():
+        conf[section] = dict(SECTION_DEFAULTS.get(section, {}))
+        for key, getter in schema.items():
+            if cp.has_option(section, key):
+                try:
+                    conf[section][key] = getattr(cp, getter)(section, key)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
+        if section in SECTION_CLASSES:  # seeds stay 0; a run derives them per purpose
             try:
-                conf[section][key] = getattr(cp, getter)(section, key, fallback=default)
+                conf[section] = SECTION_CLASSES[section](**conf[section])
             except ValueError as exc:
-                raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
+                raise ConfigError(f"{path}: [{section}] {exc}") from None
     base = path.parent
 
     paths = {}
@@ -150,15 +154,6 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
     source = _source(feature_source or conf["run"]["feature_source"],
                      f"{path}: [run] feature_source")
 
-    try:  # seeds are derived per purpose later
-        train_cfg = TrainConfig(seed=0, **conf["train"])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [train] {exc}") from None
-    try:
-        split = SplitSpec(seed=0, **conf["split"])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [split] {exc}") from None
-
     variants_raw = conf["lodo"]["variants"].replace(" ", "")
     variants = [_source(v, f"{path}: [lodo] variants") for v in variants_raw.split(",") if v]
     baseline = _source(conf["lodo"]["baseline"], f"{path}: [lodo] baseline")
@@ -169,8 +164,8 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
         seed=seed if seed is not None else conf["run"]["seed"],
         feature_source=source,
         model=conf["model"],
-        train_cfg=train_cfg,
-        split=split,
+        train_cfg=conf["train"],
+        split=conf["split"],
         lodo_n_drugs=conf["lodo"]["n_drugs"],
         lodo_variants=variants,
         lodo_baseline=baseline,
@@ -217,7 +212,7 @@ def assemble_dataset(cfg: RunConfig, source: str) -> tuple[ResponseDataset, dict
     """Load graphs, cells, and responses for one source and join them."""
     entries: dict[str, object] = {"feature_source": source}
     graphs = load_drug_manifest(_require_path(cfg, "drug_manifest"))
-    padded = {d: pad_graph(g, cfg.model["n_max_atoms"]) for d, g in graphs.items()}
+    padded = {d: pad_graph(g, cfg.model.n_max_atoms) for d, g in graphs.items()}
     entries["drugs.rows"] = len(padded)
     cells, cell_entries = load_cells(cfg, source)
     entries.update(cell_entries)
@@ -231,10 +226,7 @@ def assemble_dataset(cfg: RunConfig, source: str) -> tuple[ResponseDataset, dict
 
 
 def model_config(cfg: RunConfig, cell_dim: int) -> ModelConfig:
-    try:
-        return ModelConfig(cell_input_dim=cell_dim, **cfg.model)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.config_path}: {exc}") from None
+    return replace(cfg.model, cell_input_dim=cell_dim)
 
 
 def _split_sets(cfg: RunConfig, dataset: ResponseDataset):
@@ -309,8 +301,6 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig, checkpoint: Path | None) -> int:
     ckpt_path = checkpoint or (cfg.output_dir / "checkpoint.ckpt")
-    if not Path(ckpt_path).exists():
-        raise CheckpointError(f"checkpoint not found: {ckpt_path}")
     saved_cfg, params = load_checkpoint(ckpt_path)
     dataset, _ = assemble_dataset(cfg, cfg.feature_source)
     expected = model_config(cfg, dataset.cells.dim)

@@ -66,8 +66,9 @@ class ModelConfig:
             raise ValueError(f"the head must end in width 1, got {self.head_dims[-1]}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
-        if min(self.n_max_atoms, self.cell_input_dim, self.atom_input_dim) <= 0:
-            raise ValueError("sizes must be positive")
+        for name in ("n_max_atoms", "cell_input_dim", "atom_input_dim"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass

@@ -270,13 +270,17 @@ def expression_feature_set(profiles: Iterable[ExpressionProfile],
 def load_responses(path) -> list[ResponseRecord]:
     """Load the ground-truth response table.
 
-    Referential checks against available drugs/cells happen at join time,
-    where unmatched rows are counted rather than silently dropped.
+    A (drug, cell line) pair may appear once: a repeat could fall on both
+    sides of a split. Referential checks against available drugs/cells
+    happen at join time, where unmatched rows are counted rather than
+    silently dropped.
     """
     records = []
+    lines = []
     with read_table(path, IngestError, ("drug_id", "cell_line_id", "ic50")) as (header, rows):
         for lineno, fields in rows:
             row = dict(zip(header, fields))
+            lines.append(lineno)
             try:
                 ic50 = float(row["ic50"])
             except ValueError:
@@ -291,6 +295,14 @@ def load_responses(path) -> list[ResponseRecord]:
                 ))
             except IngestError as exc:
                 raise IngestError(f"{path}: row {lineno}: {exc}") from None
+    # keyed once the records exist: keys made between them slowed the eval pass
+    first_row: dict[tuple[str, str], int] = {}
+    for lineno, rec in zip(lines, records):
+        pair = (rec.drug_id, rec.cell_line_id)
+        first = first_row.setdefault(pair, lineno)
+        if first != lineno:
+            raise IngestError(f"{path}: row {lineno}: duplicate (drug_id, cell_line_id) "
+                              f"{pair} (first at row {first})")
     return records
 
 

@@ -1,13 +1,14 @@
 """The one text-table layer: how the pipeline reads and writes its tables.
 
-Inputs are UTF-8 text. A table has a header row, and a row wider or narrower
+Inputs are UTF-8 text, with or without a byte-order mark, decoded by
+``text_input`` alone. A table has a header row, and a row wider or narrower
 than the header is an error naming the file and row. This is the only module
-that parses CSV, so quoting, the field-size limit and blank lines follow one
-set of rules. A numeric table keyed by its first column is parsed by numpy's
-C reader where every data line is plain; any other table goes to the row
-reader, which takes every decision and raises every error. A headerless
-numeric table of a fixed width, such as a drug's graph files, is read by
-``read_headerless`` under the same rules.
+that opens text or parses CSV, so decoding, quoting, the field-size limit and
+blank lines follow one set of rules. A numeric table keyed by its first
+column is parsed by numpy's C reader where every data line is plain; any
+other table goes to the row reader, which takes every decision and raises
+every error. A headerless numeric table of a fixed width, such as a drug's
+graph files, is read by ``read_headerless`` under the same rules.
 
 Every output is written to a temporary file beside its target and moved over
 it in one ``os.replace``, so it appears whole or not at all; CSV outputs are
@@ -29,10 +30,11 @@ import numpy as np
 
 @contextmanager
 def text_input(path, error: type[Exception]):
-    """Yield ``path`` opened as UTF-8 text; a decoding failure inside the
-    block is raised as ``error`` naming the file."""
+    """Yield ``path`` opened as UTF-8 text, a leading byte-order mark
+    skipped; a decoding failure inside the block is raised as ``error``
+    naming the file."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -126,7 +128,8 @@ def _floats(path, error: type[Exception], rows, lines, first_column: int):
 
 
 class _NotPlain(Exception):
-    """A data line left to the row reader."""
+    """A table left to the row reader: a data line that is not plain, or
+    text that is not UTF-8."""
 
 
 # ASCII controls that loadtxt strips around a number as whitespace and
@@ -159,7 +162,7 @@ def _read_plain(path, key: str):
     ids: dict[str, None] = {}
     lines: list[int] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with text_input(path, _NotPlain) as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             if header[:1] != [key]:
@@ -170,7 +173,7 @@ def _read_plain(path, key: str):
                 return None
             matrix = np.loadtxt(itertools.chain([first], values), delimiter=",",
                                 comments=None, dtype=np.float64, ndmin=2)
-    except (_NotPlain, ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+    except (_NotPlain, ValueError, csv.Error):
         return None
     if matrix.shape != (len(ids), len(header) - 1):  # a repeated id or another width
         return None

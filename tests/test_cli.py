@@ -17,7 +17,7 @@ from cdrpipe.evaluation import read_history_csv, write_history_csv
 from cdrpipe.model import ModelConfig, init_params, load_checkpoint, predict_records, save_checkpoint
 from cdrpipe.omics import ResponseDataset
 from cdrpipe.synthetic import make_benchmark, write_benchmark_files, write_response_csv
-from cdrpipe.training import EpochRecord
+from cdrpipe.training import EpochRecord, SplitSpec, TrainConfig
 
 MODEL_SECTION = """\
 [model]
@@ -286,6 +286,37 @@ class TestIngest:
         assert capsys.readouterr().err == (
             f"error: {path}: {message.format(n=len(lines), drug=drug)}\n")
 
+    def test_a_repeated_response_pair_exits_2_naming_both_rows(self, fixture_dir, tmp_path,
+                                                                capsys):
+        """A pair held twice could fall on both sides of the split."""
+        _, files, config = copy_fixture(fixture_dir, tmp_path)
+        path = files["responses"]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        drug, cell, _, cancer = lines[1].split(",")
+        lines.append(f"{drug},{cell},0.5,{cancer}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: row {len(lines)}: duplicate (drug_id, cell_line_id) "
+            f"{(drug, cell)} (first at row 2)\n")
+
+    @pytest.mark.parametrize("source", ["scgpt", "raw"])
+    def test_a_byte_order_mark_changes_no_report(self, fixture_dir, tmp_path, source):
+        """A UTF-8 byte-order mark is not part of any input's first field."""
+        plain = tmp_path / "plain"
+        assert cli.main(["ingest", "--config", str(fixture_dir["config"]),
+                         "--feature-source", source, "--out", str(plain)]) == 0
+        data, files, config = copy_fixture(fixture_dir, tmp_path)
+        first_drug = next(iter(fixture_dir["bench"].graphs))
+        for path in [config, *files.values(), data / "drugs" / f"{first_drug}.features.csv"]:
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code = cli.main(["ingest", "--config", str(config), "--feature-source", source,
+                         "--out", str(tmp_path / "bom")])
+        assert code == 0
+        assert ((tmp_path / "bom" / "ingest_report.txt").read_bytes()
+                == (plain / "ingest_report.txt").read_bytes())
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("old, new, named", [
@@ -320,6 +351,35 @@ class TestConfigErrors:
         assert code == 2
         assert err.startswith("error: ") and named in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "train"])
+    @pytest.mark.parametrize("key, value, reason", [
+        ("head_dims", "8,2", "the head must end in width 1, got 2"),
+        ("dropout_rate", "1.5", "dropout_rate must lie in [0, 1), got 1.5"),
+        ("n_max_atoms", "0", "n_max_atoms must be positive, got 0"),
+    ], ids=["head_dims", "dropout_rate", "n_max_atoms"])
+    def test_a_bad_model_value_exits_2_before_any_table_is_read(
+            self, fixture_dir, tmp_path, capsys, command, key, value, reason):
+        files = dict(fixture_dir["files"], responses=tmp_path / "missing.csv")
+        config = write_config(tmp_path / "bad.ini", files, fixture_dir["bench"].n_max_atoms)
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", config.read_text(),
+                              flags=re.MULTILINE)
+        assert count == 1
+        config.write_text(text)
+        code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {config}: [model] {reason}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_sections_take_the_dataclass_defaults(self, tmp_path):
+        config = tmp_path / "empty.ini"
+        config.write_text("[model]\n[train]\n[split]\n", encoding="utf-8")
+        cfg = cli.load_run_config(config)
+        assert cfg.model == ModelConfig()
+        assert cfg.train_cfg == TrainConfig()
+        assert cfg.split == SplitSpec()
+        assert (cfg.seed, cfg.feature_source, cfg.lodo_n_drugs, cfg.lodo_variants,
+                cfg.lodo_baseline) == (0, "scgpt", 20, ["scgpt"], "raw_expression")
 
     def test_percent_sign_in_a_path_is_taken_literally(self, fixture_dir, tmp_path, capsys):
         files = dict(fixture_dir["files"], drug_manifest="50%off/m.csv")
@@ -501,11 +561,14 @@ class TestEval:
         assert code == 4
         assert "different configuration" in capsys.readouterr().err
 
-    def test_missing_checkpoint_exits_4(self, fixture_dir):
+    def test_missing_checkpoint_exits_4(self, fixture_dir, capsys):
+        ghost = fixture_dir["root"] / "ghost.ckpt"
         code = cli.main(["eval", "--config", str(fixture_dir["config"]),
                          "--out", str(fixture_dir["root"] / "e_none"),
-                         "--checkpoint", str(fixture_dir["root"] / "ghost.ckpt")])
+                         "--checkpoint", str(ghost)])
+        err = capsys.readouterr().err
         assert code == 4
+        assert str(ghost) in err and "cannot open" in err
 
     def test_a_checkpoint_that_cannot_be_opened_exits_4(self, fixture_dir, capsys):
         run_dir = fixture_dir["root"] / "t1"

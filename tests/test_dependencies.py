@@ -43,11 +43,18 @@ def test_the_guard_sees_nested_and_conditional_imports():
     assert imported_top_levels(source) - ALLOWED == {"scipy", "hypothesis"}
 
 
+def open_mode(node: ast.Call) -> ast.expr:
+    """The mode of an ``open`` call: its ``mode`` keyword, else the second
+    argument of ``open`` or the first of ``Path.open``, else ``"r"``."""
+    at = 1 if isinstance(node.func, ast.Name) else 0
+    return next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                node.args[at] if len(node.args) > at else ast.Constant("r"))
+
+
 def file_writes(source: str) -> list[str]:
     """Calls that write a file directly: ``write_text``, ``write_bytes``, and
-    ``open`` with a mode (the second argument of ``open``, the first of
-    ``Path.open``) that writes, appends, creates or updates, or that is not
-    a literal."""
+    ``open`` with a mode that writes, appends, creates or updates, or that
+    is not a literal."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -56,9 +63,7 @@ def file_writes(source: str) -> list[str]:
         if name in ("write_text", "write_bytes"):
             found.append(f"line {node.lineno}: {name}")
         elif name == "open":
-            at = 1 if isinstance(node.func, ast.Name) else 0
-            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
-                        node.args[at] if len(node.args) > at else ast.Constant("r"))
+            mode = open_mode(node)
             if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
                 found.append(f"line {node.lineno}: open")
     return found
@@ -86,6 +91,51 @@ def test_the_write_guard_sees_every_form_of_write():
               "Path(p).write_bytes(b)\n")
     assert [call.split(": ")[0] for call in file_writes(source)] == [
         f"line {n}" for n in range(4, 11)]
+
+
+def text_opens(source: str) -> list[str]:
+    """Calls that open a file as text: ``read_text``, ``write_text``, and
+    ``open`` with a mode that is not a literal holding ``b``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in ("read_text", "write_text"):
+            found.append(f"line {node.lineno}: {name}")
+        elif name == "open":
+            mode = open_mode(node)
+            if not (isinstance(mode, ast.Constant) and "b" in str(mode.value)):
+                found.append(f"line {node.lineno}: open")
+    return found
+
+
+def test_only_the_tables_module_opens_text():
+    """Text is decoded by tables.text_input alone, so every input follows
+    one rule for UTF-8 and its byte-order mark; a checkpoint is read as
+    bytes."""
+    modules = [path for path in sorted(PACKAGE.rglob("*.py")) if path.name != "tables.py"]
+    opens = {f"{path.relative_to(PACKAGE)} {call}"
+             for path in modules
+             for call in text_opens(path.read_text(encoding="utf-8"))}
+    assert not opens
+    assert text_opens((PACKAGE / "tables.py").read_text(encoding="utf-8"))
+
+
+def test_the_text_guard_sees_every_form_of_text_open():
+    source = ("open(p, 'rb')\n"
+              "path.open('wb')\n"
+              "open(p, mode='r+b')\n"
+              "path.read_bytes()\n"
+              "open(p)\n"
+              "open(p, encoding='utf-8-sig')\n"
+              "open(p, 'r')\n"
+              "path.open(mode='w')\n"
+              "open(p, m)\n"
+              "path.read_text()\n"
+              "Path(p).write_text(s)\n")
+    assert [call.split(": ")[0] for call in text_opens(source)] == [
+        f"line {n}" for n in range(5, 12)]
 
 
 def tape_constructions(source: str) -> list[str]:

@@ -404,6 +404,13 @@ class TestLoadResponses:
         with pytest.raises(omics.IngestError, match=re.escape(message)):
             omics.load_responses(p)
 
+    def test_a_repeated_pair_names_both_rows(self, tmp_path):
+        p = write_csv(tmp_path / "r.csv",
+                      "drug_id,cell_line_id,ic50\nD0,C0,1.0\nD0,C1,2.0\nD0,C0,3.0\n")
+        with pytest.raises(omics.IngestError, match=re.escape(
+                f"{p}: row 4: duplicate (drug_id, cell_line_id) ('D0', 'C0') (first at row 2)")):
+            omics.load_responses(p)
+
     def test_cancer_type_optional(self, tmp_path):
         p = write_csv(tmp_path / "r.csv", "drug_id,cell_line_id,ic50\nD0,C0,1.0\n")
         assert omics.load_responses(p)[0].cancer_type is None
