@@ -16,7 +16,7 @@ import configparser
 import hashlib
 import platform
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,52 +54,72 @@ class ConfigError(ValueError):
 
 # section -> key -> ConfigParser getter: the only keys a config may set,
 # besides [paths], which is open because its keys name the inputs. A key the
-# file leaves out takes the default of the dataclass its section fills, or,
-# for [run] and [lodo], which fill none, the default below.
+# file leaves out takes the default of the dataclass field it fills.
 CONFIG_SCHEMA = {
     "run": {"seed": "getint", "feature_source": "get"},
-    "model": {"gcn_layer_dims": "getdims", "cell_branch_dims": "getdims", "head_dims": "getdims",
+    "model": {"gcn_layer_dims": "getints", "cell_branch_dims": "getints", "head_dims": "getints",
               "dropout_rate": "getfloat", "use_batch_norm": "getboolean", "n_max_atoms": "getint"},
     "train": {"epochs": "getint", "batch_size": "getint", "lr": "getfloat",
               "early_stop_patience": "getoptint"},
     "split": {"test_fraction": "getfloat", "train_cap": "getoptint", "cap_mode": "get"},
-    "lodo": {"n_drugs": "getint", "variants": "get", "baseline": "get"},
+    "lodo": {"n_drugs": "getint", "variants": "getlist", "baseline": "get"},
 }
-SECTION_CLASSES = {"model": ModelConfig, "train": TrainConfig, "split": SplitSpec}
-SECTION_DEFAULTS = {"run": {"seed": 0, "feature_source": "scgpt"},
-                    "lodo": {"n_drugs": 20, "variants": "scgpt", "baseline": "raw"}}
-
-
-@dataclass
-class RunConfig:
-    """Everything a run needs, resolved from one config file plus overrides."""
-
-    config_path: Path
-    paths: dict[str, Path]
-    output_dir: Path
-    seed: int
-    feature_source: str
-    model: ModelConfig  # cell_input_dim is set per dataset by model_config
-    train_cfg: TrainConfig
-    split: SplitSpec
-    lodo_n_drugs: int
-    lodo_variants: list[str]
-    lodo_baseline: str
-
-
-def _split_dims(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.replace(" ", "").split(",") if part)
-
-
-def _optional_int(raw: str) -> int | None:
-    return int(raw) if raw.strip() else None
+# section -> the RunConfig field it fills and that field's dataclass; [run]
+# and [lodo] fill RunConfig's own fields, [lodo]'s keys prefixed "lodo_"
+SECTION_CLASSES = {"model": ("model", ModelConfig), "train": ("train_cfg", TrainConfig),
+                   "split": ("split", SplitSpec)}
 
 
 def _source(raw: str, where: str) -> str:
     source = SOURCE_ALIASES.get(raw, raw)
     if source not in FEATURE_SOURCES:
-        raise ConfigError(f"{where}: unknown feature source {raw!r}")
+        raise ValueError(f"{where}: unknown feature source {raw!r}")
     return source
+
+
+@dataclass
+class RunConfig:
+    """Everything a run needs, resolved from one config file plus overrides.
+
+    Feature sources may be given by their flag spelling (``raw``);
+    ``lodo_variants`` keeps the distinct variants in file order, without the
+    baseline, which every LODO fold scores them against."""
+
+    config_path: Path
+    paths: dict[str, Path]
+    output_dir: Path
+    model: ModelConfig  # cell_input_dim is set per dataset by model_config
+    train_cfg: TrainConfig
+    split: SplitSpec
+    seed: int = 0
+    feature_source: str = "scgpt"
+    lodo_n_drugs: int = 20
+    lodo_variants: list[str] = field(default_factory=lambda: ["scgpt"])
+    lodo_baseline: str = "raw_expression"
+
+    def __post_init__(self):
+        self.feature_source = _source(self.feature_source, "[run] feature_source")
+        self.lodo_baseline = _source(self.lodo_baseline, "[lodo] baseline")
+        variants = dict.fromkeys(_source(v, "[lodo] variants") for v in self.lodo_variants)
+        variants.pop(self.lodo_baseline, None)
+        self.lodo_variants = list(variants)
+        if not self.lodo_variants:
+            raise ValueError("[lodo] variants must name at least one non-baseline source")
+        if self.lodo_n_drugs < 1:
+            raise ValueError(f"[lodo] n_drugs must be at least 1, got {self.lodo_n_drugs}")
+
+
+def _list(raw: str) -> list[str]:
+    """An INI list value: comma-separated items, each stripped; a blank
+    value is the empty list, and an empty item is an error."""
+    items = [item.strip() for item in raw.split(",")] if raw.strip() else []
+    if "" in items:
+        raise ValueError(f"empty item in {raw!r}")
+    return items
+
+
+def _optional_int(raw: str) -> int | None:
+    return int(raw) if raw.strip() else None
 
 
 def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig:
@@ -107,8 +127,9 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(interpolation=None,
-                                   converters={"dims": _split_dims, "optint": _optional_int})
+    cp = configparser.ConfigParser(interpolation=None, converters={
+        "list": _list, "ints": lambda raw: [int(item) for item in _list(raw)],
+        "optint": _optional_int})
     try:
         with text_input(path, ConfigError) as fh:
             cp.read_file(fh)
@@ -122,54 +143,32 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
         unknown = [key for key in cp.options(section) if key not in CONFIG_SCHEMA[section]]
         if unknown:
             raise ConfigError(f"{path}: unknown key(s) in [{section}]: {', '.join(unknown)}")
-    conf: dict = {}
-    for section, schema in CONFIG_SCHEMA.items():
-        conf[section] = dict(SECTION_DEFAULTS.get(section, {}))
-        for key, getter in schema.items():
-            if cp.has_option(section, key):
-                try:
-                    conf[section][key] = getattr(cp, getter)(section, key)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
-        if section in SECTION_CLASSES:  # seeds stay 0; a run derives them per purpose
-            try:
-                conf[section] = SECTION_CLASSES[section](**conf[section])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: [{section}] {exc}") from None
-    base = path.parent
-
-    paths = {}
-    if cp.has_section("paths"):
-        for key, value in cp.items("paths"):
-            if key == "output_dir" or not value.strip():
-                continue
-            p = Path(value.strip())
-            paths[key] = p if p.is_absolute() else base / p
-
-    out_raw = out or (cp.get("paths", "output_dir", fallback="out"))
-    output_dir = Path(out_raw)
-    if not output_dir.is_absolute() and out is None:
-        output_dir = base / output_dir
-
-    source = _source(feature_source or conf["run"]["feature_source"],
-                     f"{path}: [run] feature_source")
-
-    variants_raw = conf["lodo"]["variants"].replace(" ", "")
-    variants = [_source(v, f"{path}: [lodo] variants") for v in variants_raw.split(",") if v]
-    baseline = _source(conf["lodo"]["baseline"], f"{path}: [lodo] baseline")
-    return RunConfig(
-        config_path=path,
-        paths=paths,
-        output_dir=output_dir,
-        seed=seed if seed is not None else conf["run"]["seed"],
-        feature_source=source,
-        model=conf["model"],
-        train_cfg=conf["train"],
-        split=conf["split"],
-        lodo_n_drugs=conf["lodo"]["n_drugs"],
-        lodo_variants=variants,
-        lodo_baseline=baseline,
-    )
+    base = path.parent  # relative paths are the config's; `/` keeps an absolute one
+    entries = cp.items("paths") if cp.has_section("paths") else []
+    paths = {key: base / value for key, value in entries if key != "output_dir" and value}
+    output_dir = Path(out) if out else base / cp.get("paths", "output_dir", fallback="out")
+    fields: dict = {}
+    where = ""  # the part of the file a ValueError below is about
+    try:
+        for section, schema in CONFIG_SCHEMA.items():
+            values = {}
+            for key, getter in schema.items():
+                if cp.has_option(section, key):
+                    where = f"[{section}] {key}: "
+                    values[key] = getattr(cp, getter)(section, key)
+            where = f"[{section}] "
+            if section in SECTION_CLASSES:  # seeds stay 0; a run derives them per purpose
+                name, cls = SECTION_CLASSES[section]
+                fields[name] = cls(**values)
+            else:
+                prefix = "lodo_" if section == "lodo" else ""
+                fields.update((prefix + key, value) for key, value in values.items())
+        where = ""  # RunConfig names the section and key itself
+        overrides = {"seed": seed, "feature_source": feature_source}
+        fields.update((key, value) for key, value in overrides.items() if value is not None)
+        return RunConfig(path, paths, output_dir, **fields)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {where}{exc}") from None
 
 
 def _require_path(cfg: RunConfig, key: str) -> Path:
@@ -328,12 +327,7 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path | None) -> int:
 
 
 def cmd_lodo(cfg: RunConfig) -> int:
-    variants = list(dict.fromkeys(cfg.lodo_variants))
-    if cfg.lodo_baseline in variants:
-        variants.remove(cfg.lodo_baseline)
-    if not variants:
-        raise ConfigError("lodo needs at least one non-baseline variant")
-    sources = [cfg.lodo_baseline] + variants
+    sources = [cfg.lodo_baseline, *cfg.lodo_variants]
 
     datasets = {source: assemble_dataset(cfg, source)[0] for source in sources}
 
@@ -367,13 +361,13 @@ def cmd_lodo(cfg: RunConfig) -> int:
             f"{s}={pccs[s].get(drug, float('nan')):.3f}" for s in sources))
 
     scored = [d for d in fold_drugs if all(d in pccs[s] for s in sources)]
-    rows = ranked_gains({v: {d: pccs[v][d] for d in scored} for v in variants},
+    rows = ranked_gains({v: {d: pccs[v][d] for d in scored} for v in cfg.lodo_variants},
                         {d: pccs[cfg.lodo_baseline][d] for d in scored})
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    write_lodo_gains_csv(cfg.output_dir / "lodo_gains.csv", variants, rows)
+    write_lodo_gains_csv(cfg.output_dir / "lodo_gains.csv", cfg.lodo_variants, rows)
     write_summary(cfg.output_dir / "lodo_summary.txt", {
         "baseline": cfg.lodo_baseline,
-        "variants": ",".join(variants),
+        "variants": ",".join(cfg.lodo_variants),
         "folds": len(fold_drugs),
         "folds_scored": len(scored),
         "folds_undefined": ";".join(undefined) if undefined else "none",

@@ -26,23 +26,8 @@ ATOM_FEATURE_DIM = 75
 
 
 class GraphError(ValueError):
-    """Base class for molecular-graph problems."""
-
-
-class GraphFormatError(GraphError):
-    """A graph file does not parse as the expected numeric table."""
-
-
-class GraphIndexError(GraphError):
-    """An adjacency pair references an atom outside [0, n_atoms)."""
-
-
-class GraphConsistencyError(GraphError):
-    """Self-loops, duplicate bonds, or degrees that contradict the bonds."""
-
-
-class GraphCapacityError(GraphError):
-    """A graph has more atoms than the atom capacity (n_max) allows."""
+    """A drug graph or its files are malformed, inconsistent, or over the
+    atom capacity."""
 
 
 @dataclass
@@ -59,32 +44,30 @@ class MolecularGraph:
         self.degrees = np.asarray(self.degrees, dtype=np.int64)
         n = self.n_atoms
         if self.features.ndim != 2 or self.features.shape[1] != ATOM_FEATURE_DIM:
-            raise GraphFormatError(
+            raise GraphError(
                 f"drug {self.drug_id!r}: feature matrix must be n x {ATOM_FEATURE_DIM}, "
                 f"got {self.features.shape}")
         if self.degrees.shape != (n,):
-            raise GraphConsistencyError(
-                f"drug {self.drug_id!r}: degree list has {self.degrees.shape[0]} entries "
-                f"for {n} atoms")
+            raise GraphError(f"drug {self.drug_id!r}: degree list has "
+                             f"{self.degrees.shape[0]} entries for {n} atoms")
         seen: dict[tuple[int, int], None] = {}
         counts = np.zeros(n, dtype=np.int64)
         for i, j in self.adjacency:
             if not (0 <= i < n and 0 <= j < n):
-                raise GraphIndexError(
-                    f"drug {self.drug_id!r}: bond ({i}, {j}) references an atom outside "
-                    f"[0, {n})")
+                raise GraphError(f"drug {self.drug_id!r}: bond ({i}, {j}) references an "
+                                 f"atom outside [0, {n})")
             if i == j:
-                raise GraphConsistencyError(f"drug {self.drug_id!r}: self-loop on atom {i}")
+                raise GraphError(f"drug {self.drug_id!r}: self-loop on atom {i}")
             pair = (min(i, j), max(i, j))
             if pair in seen:
-                raise GraphConsistencyError(f"drug {self.drug_id!r}: duplicate bond {pair}")
+                raise GraphError(f"drug {self.drug_id!r}: duplicate bond {pair}")
             seen[pair] = None
             counts[i] += 1
             counts[j] += 1
         self.adjacency = list(seen)
         if not np.array_equal(counts, self.degrees):
             bad = int(np.nonzero(counts != self.degrees)[0][0])
-            raise GraphConsistencyError(
+            raise GraphError(
                 f"drug {self.drug_id!r}: degree list says {int(self.degrees[bad])} for atom "
                 f"{bad} but the adjacency implies {int(counts[bad])}")
 
@@ -135,8 +118,7 @@ def pad_graph(graph: MolecularGraph, n_max: int) -> PaddedGraph:
     """Check that the graph fits n_max atoms; return its encoder record."""
     n = graph.n_atoms
     if n > n_max:
-        raise GraphCapacityError(
-            f"drug {graph.drug_id!r} has {n} atoms but the atom capacity is {n_max}")
+        raise GraphError(f"drug {graph.drug_id!r} has {n} atoms but the atom capacity is {n_max}")
     return PaddedGraph(graph.features, normalized_adjacency(graph), np.arange(n_max) < n)
 
 
@@ -147,15 +129,15 @@ def pad_graph(graph: MolecularGraph, n_max: int) -> PaddedGraph:
 def _read_graph_file(path, kind: str, width: int, integer: bool = False) -> np.ndarray:
     """One graph file as a float64 matrix; a value that is not finite (or,
     where ``integer``, not a 64-bit integer) raises naming its line and column."""
-    matrix, lines = read_headerless(path, GraphFormatError, width)
+    matrix, lines = read_headerless(path, GraphError, width)
     bad = ~np.isfinite(matrix)
     if integer:
         bad |= (matrix != np.trunc(matrix)) | (np.abs(matrix) >= 2.0 ** 63)
     for row, col in np.argwhere(bad)[:1]:
         value = float(matrix[row, col])
         what = "not a 64-bit integer" if np.isfinite(value) else "not finite"
-        raise GraphFormatError(f"{path}: {kind} row {lines[row]} is {what} "
-                               f"in column {col + 1}: {value!r}")
+        raise GraphError(f"{path}: {kind} row {lines[row]} is {what} "
+                         f"in column {col + 1}: {value!r}")
     return matrix
 
 
@@ -163,7 +145,7 @@ def load_graph(feature_file, adjacency_file, degree_file, drug_id: str | None = 
     """Load and cross-validate one drug's three-part graph representation."""
     features = _read_graph_file(feature_file, "feature", ATOM_FEATURE_DIM)
     if not len(features):
-        raise GraphFormatError(f"{feature_file}: no atoms")
+        raise GraphError(f"{feature_file}: no atoms")
     pairs = _read_graph_file(adjacency_file, "adjacency", 2, integer=True)
     degrees = _read_graph_file(degree_file, "degree", 1, integer=True)
     return MolecularGraph(drug_id if drug_id is not None else Path(feature_file).stem,
@@ -189,15 +171,15 @@ def load_drug_manifest(manifest_file) -> dict[str, MolecularGraph]:
     base = Path(manifest_file).parent
     graphs: dict[str, MolecularGraph] = {}
     first_row: dict[str, int] = {}
-    with read_table(manifest_file, GraphFormatError, MANIFEST_COLUMNS) as (header, rows):
+    with read_table(manifest_file, GraphError, MANIFEST_COLUMNS) as (header, rows):
         for lineno, fields in rows:
             row = dict(zip(header, fields))
             drug_id = row["drug_id"].strip()
             if not drug_id:
-                raise GraphFormatError(f"{manifest_file}: row {lineno}: empty drug_id")
+                raise GraphError(f"{manifest_file}: row {lineno}: empty drug_id")
             if drug_id in graphs:
-                raise GraphConsistencyError(f"{manifest_file}: row {lineno}: duplicate drug_id "
-                                            f"{drug_id!r} (first at row {first_row[drug_id]})")
+                raise GraphError(f"{manifest_file}: row {lineno}: duplicate drug_id "
+                                 f"{drug_id!r} (first at row {first_row[drug_id]})")
             first_row[drug_id] = lineno
             paths = [base / row[c].strip() for c in MANIFEST_COLUMNS[1:]]
             graphs[drug_id] = load_graph(*paths, drug_id=drug_id)

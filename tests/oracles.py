@@ -3,7 +3,8 @@
 These stay deliberately naive: exact-summation Pearson, an explicit
 central-difference sweep over parameter tensors, a hand-rolled graph
 builder that does not go through the library's normalization code path more
-than it must, and a forward pass over zero-padded, masked graph matrices.
+than it must, a forward pass over zero-padded, masked graph matrices, and an
+eval-mode prediction computed one record at a time.
 """
 
 import math
@@ -118,6 +119,39 @@ def reference_forward(graphs, cells, params, cfg):
     cell = dense_stack(np.asarray(cells, dtype=np.float64), params.cell, True)
     out = dense_stack(np.concatenate([drug, cell], axis=1), params.head, False)
     return out, float(min(margins))
+
+
+def reference_predict(dataset, params):
+    """Plain-numpy eval-mode predictions for a joined dataset, one record at
+    a time, in record order.
+
+    Each record's graph runs every GCN layer over its own normalized
+    adjacency and is max-pooled; its cell vector runs the cell branch; their
+    concatenation runs the whole head. Batch norm uses the running
+    statistics and dropout is the identity. Nothing is packed, factorized,
+    recorded or shared between records.
+    """
+    def dense_stack(x, layers, activate_last):
+        for i, layer in enumerate(layers):
+            x = x @ layer.weight.data + layer.bias.data[0]
+            if not activate_last and i == len(layers) - 1:
+                return x
+            if layer.norm is not None:
+                bn = layer.norm
+                xhat = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
+                x = bn.gamma.data[0] * xhat + bn.beta.data[0]
+            x = np.maximum(x, 0.0)
+        return x
+
+    out = []
+    for record in dataset.records:
+        graph = dataset.graphs[record.drug_id]
+        h = graph.features
+        for layer in params.gcn:
+            h = np.maximum(graph.norm_adjacency @ (h @ layer.weight.data) + layer.bias.data[0], 0.0)
+        cell = dense_stack(dataset.cells.vectors[record.cell_line_id], params.cell, True)
+        out.append(dense_stack(np.concatenate([h.max(axis=0), cell]), params.head, False)[0])
+    return np.array(out)
 
 
 def random_padded_graph(rng, n_atoms, n_max, feat_dim):

@@ -336,9 +336,19 @@ class TestConfigErrors:
         ("variants = scgpt", "variants = scgpt,bogus", "[lodo] variants: unknown feature "
                                                         "source 'bogus'"),
         ("baseline = raw", "baseline = bogus", "[lodo] baseline: unknown feature source 'bogus'"),
+        ("n_drugs = 1", "n_drugs = 0", "[lodo] n_drugs must be at least 1, got 0"),
+        ("n_drugs = 1", "n_drugs = -3", "[lodo] n_drugs must be at least 1, got -3"),
+        ("gcn_layer_dims = 12,8", "gcn_layer_dims = 12,,8",
+         "[model] gcn_layer_dims: empty item in '12,,8'"),
+        ("cell_branch_dims = 8", "cell_branch_dims = 8,",
+         "[model] cell_branch_dims: empty item in '8,'"),
+        ("variants = scgpt", "variants = scgpt,,raw", "[lodo] variants: empty item in 'scgpt,,raw'"),
+        ("variants = scgpt", "variants =", "[lodo] variants must name at least one non-baseline"),
+        ("gcn_layer_dims = 12,8", "gcn_layer_dims = 1 2,8", "[model] gcn_layer_dims: invalid"),
     ], ids=["head_width", "test_fraction", "epochs", "dims", "boolean", "task",
             "no_section", "train_key", "split_key", "section", "run_key", "lr_inf", "lr_nan",
-            "lodo_variant", "lodo_baseline"])
+            "lodo_variant", "lodo_baseline", "n_drugs_0", "n_drugs_negative", "dims_empty_item",
+            "dims_trailing_comma", "variants_empty_item", "variants_blank", "dims_inner_space"])
     def test_bad_config_exits_2_naming_the_problem(self, fixture_dir, tmp_path, capsys,
                                                    old, new, named):
         config = write_config(tmp_path / "bad.ini", fixture_dir["files"],
@@ -352,12 +362,13 @@ class TestConfigErrors:
         assert err.startswith("error: ") and named in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["ingest", "train"])
+    @pytest.mark.parametrize("command", ["ingest", "train", "lodo"])
     @pytest.mark.parametrize("key, value, reason", [
-        ("head_dims", "8,2", "the head must end in width 1, got 2"),
-        ("dropout_rate", "1.5", "dropout_rate must lie in [0, 1), got 1.5"),
-        ("n_max_atoms", "0", "n_max_atoms must be positive, got 0"),
-    ], ids=["head_dims", "dropout_rate", "n_max_atoms"])
+        ("head_dims", "8,2", "[model] the head must end in width 1, got 2"),
+        ("dropout_rate", "1.5", "[model] dropout_rate must lie in [0, 1), got 1.5"),
+        ("n_max_atoms", "0", "[model] n_max_atoms must be positive, got 0"),
+        ("n_drugs", "0", "[lodo] n_drugs must be at least 1, got 0"),
+    ], ids=["head_dims", "dropout_rate", "n_max_atoms", "n_drugs"])
     def test_a_bad_model_value_exits_2_before_any_table_is_read(
             self, fixture_dir, tmp_path, capsys, command, key, value, reason):
         files = dict(fixture_dir["files"], responses=tmp_path / "missing.csv")
@@ -368,7 +379,7 @@ class TestConfigErrors:
         config.write_text(text)
         code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert capsys.readouterr().err == f"error: {config}: [model] {reason}\n"
+        assert capsys.readouterr().err == f"error: {config}: {reason}\n"
         assert not (tmp_path / "o").exists()
 
     def test_empty_sections_take_the_dataclass_defaults(self, tmp_path):

@@ -11,7 +11,7 @@ from cdrpipe import model as m
 from cdrpipe.molgraph import MolecularGraph, pad_graph
 from cdrpipe.omics import ResponseDataset, ResponseRecord
 from cdrpipe.synthetic import make_benchmark, random_graph
-from oracles import finite_diff_params, random_padded_graph
+from oracles import finite_diff_params, random_padded_graph, reference_predict
 
 TINY = m.ModelConfig(
     gcn_layer_dims=(8, 6), cell_branch_dims=(5,), head_dims=(7, 1),
@@ -252,6 +252,18 @@ class TestPredict:
         assert small_err < 1e-9
 
 
+def perturb(layers, rng):
+    """Random biases and, where a layer has batch norm, a running mean,
+    variance, gamma and beta that do not make eval batch norm the identity."""
+    for layer in layers:
+        layer.bias.data[...] = rng.normal(size=layer.bias.shape)
+        if layer.norm is not None:
+            layer.norm.running_mean = rng.normal(size=layer.norm.running_mean.shape)
+            layer.norm.running_var = rng.uniform(0.5, 2.0, layer.norm.running_var.shape)
+            layer.norm.gamma.data[...] = rng.uniform(0.5, 1.5, layer.norm.gamma.shape)
+            layer.norm.beta.data[...] = rng.normal(size=layer.norm.beta.shape)
+
+
 PROPERTY_BENCH = make_benchmark(n_cells=5, cell_dim=4, n_drugs=4, atom_range=(1, 6),
                                 n_records=10, seed=11)
 
@@ -334,6 +346,34 @@ class TestPredictRecords:
         preds = m.predict_records(m.init_params(cfg, seed=0), cfg, dataset, batch_size=16)
         assert preds.shape == (len(dataset.records),)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(),
+           gcn_layer_dims=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           cell_branch_dims=st.lists(st.integers(1, 6), max_size=2),
+           hidden_head_dims=st.lists(st.integers(1, 6), max_size=2),
+           use_batch_norm=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_equals_the_per_record_reference(self, data, gcn_layer_dims, cell_branch_dims,
+                                             hidden_head_dims, use_batch_norm, seed):
+        """``oracles.reference_predict`` shares no code path with
+        ``predict_records``: GCN depth 1-3, cell depth 0-2, head depth 1-3,
+        repeated drugs and cells, chunks of one record up to more than all."""
+        bench = PROPERTY_BENCH
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(sorted(bench.padded)),
+                                             st.sampled_from(sorted(bench.cells.vectors))),
+                                   min_size=1, max_size=20))
+        batch_size = data.draw(st.integers(1, len(pairs) + 2))
+        dataset = ResponseDataset([ResponseRecord(d, c, 0.0) for d, c in pairs],
+                                  bench.padded, bench.cells)
+        cfg = m.ModelConfig(gcn_layer_dims=tuple(gcn_layer_dims),
+                            cell_branch_dims=tuple(cell_branch_dims),
+                            head_dims=(*hidden_head_dims, 1), use_batch_norm=use_batch_norm,
+                            n_max_atoms=bench.n_max_atoms, cell_input_dim=4)
+        params = m.init_params(cfg, seed)
+        perturb(params.gcn + params.cell + params.head, np.random.default_rng(seed))
+        np.testing.assert_allclose(m.predict_records(params, cfg, dataset, batch_size),
+                                   reference_predict(dataset, params), rtol=0, atol=1e-10)
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data(),
            cell_branch_dims=st.sampled_from([(), (5,), (6, 3)]),
@@ -353,14 +393,7 @@ class TestPredictRecords:
                             head_dims=head_dims, use_batch_norm=use_batch_norm,
                             n_max_atoms=bench.n_max_atoms, cell_input_dim=4)
         params = m.init_params(cfg, seed=len(pairs))
-        rng = np.random.default_rng(batch_size)
-        for layer in params.cell + params.head:
-            layer.bias.data[...] = rng.normal(size=layer.bias.shape)
-            if layer.norm is not None:  # eval batch norm that is not the identity
-                layer.norm.running_mean = rng.normal(size=layer.norm.running_mean.shape)
-                layer.norm.running_var = rng.uniform(0.5, 2.0, layer.norm.running_var.shape)
-                layer.norm.gamma.data[...] = rng.uniform(0.5, 1.5, layer.norm.gamma.shape)
-                layer.norm.beta.data[...] = rng.normal(size=layer.norm.beta.shape)
+        perturb(params.cell + params.head, np.random.default_rng(batch_size))
         packs = {"drug": [], "cell": []}
 
         def counting(kind, encode):
