@@ -8,7 +8,8 @@ evaluation harness around it.
 
 from .autodiff import (AdamState, BatchNormState, Tape, Tensor, adam_init, adam_step,
                        backward, batch_norm, concat_cols, dropout, finite_diff_check,
-                       gather_rows, loss, matmul, propagate, relu, segment_max, sum_all)
+                       gather_rows, graph_conv, loss, matmul, propagate, relu, segment_max,
+                       sum_all)
 from .evaluation import (EpochRecord, EvalReport, GainRow, GroupStat, PredictionRow,
                          StabilityReport, build_eval_report, grouped_pcc, pearson,
                          ranked_gains, stability_report)

@@ -2,10 +2,12 @@
 
 Provides exactly the operations the drug-response regression model needs:
 matrix products, bias addition, relu, column concatenation, row gathering,
-batch normalization, inverted dropout and the mean squared error, plus two
-for graphs packed as one disjoint union of row segments: ``propagate``
-(each graph's adjacency block times its own rows) and ``segment_max``
-(column-wise max-pool per graph). An Adam optimizer and a
+batch normalization, inverted dropout and the mean squared error, plus
+three for graphs packed as one disjoint union of row segments:
+``propagate`` (each graph's adjacency block times its own rows),
+``graph_conv`` (a whole graph-convolution layer, product, propagation, bias
+and relu, as one node) and ``segment_max`` (column-wise max-pool per
+graph). An Adam optimizer and a
 central-finite-difference gradient checker complete it, and
 :func:`pin_allocator` keeps the memory a step frees for the next step.
 Everything is float64 and at most rank 2, recorded on an explicit
@@ -147,50 +149,105 @@ def concat_cols(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     return _result(tape, (a, b), np.concatenate([a.data, b.data], axis=1), backward_fn)
 
 
+def _block_bounds(blocks: Sequence[np.ndarray], rows: int, op: str) -> np.ndarray:
+    """Row offsets of each square block's segment, checking that the blocks
+    tile ``rows`` rows."""
+    sizes = [b.shape[0] for b in blocks]
+    if any(b.shape != (n, n) for b, n in zip(blocks, sizes)) or sum(sizes) != rows:
+        raise ValueError(f"{op}: blocks of sizes {sizes} do not tile {rows} rows")
+    return np.cumsum([0] + sizes)
+
+
+def _block_product(blocks: Sequence[np.ndarray], bounds: np.ndarray, m: np.ndarray,
+                   transpose: bool) -> np.ndarray:
+    """Each block (or its transpose) times its own row segment of m, into a
+    new array; one matmul per block."""
+    out = np.empty_like(m)
+    for block, s, e in zip(blocks, bounds[:-1], bounds[1:]):
+        np.matmul(block.T if transpose else block, m[s:e], out=out[s:e])
+    return out
+
+
 def propagate(tape: Tape | None, blocks: Sequence[np.ndarray], x: Tensor) -> Tensor:
     """Block-diagonal product: each square block multiplies its own segment
     of x's rows, in order, so the blocks' sizes must add up to x's row count.
 
     The block-diagonal matrix is never formed; the blocks are constants.
     """
-    sizes = [b.shape[0] for b in blocks]
-    if any(b.shape != (n, n) for b, n in zip(blocks, sizes)) or sum(sizes) != x.data.shape[0]:
-        raise ValueError(f"propagate: blocks of sizes {sizes} do not tile {x.data.shape[0]} rows")
-    bounds = np.cumsum([0] + sizes)
-
-    def product(transpose, m):
-        out = np.empty_like(m)
-        for block, s, e in zip(blocks, bounds[:-1], bounds[1:]):
-            np.matmul(block.T if transpose else block, m[s:e], out=out[s:e])
-        return out
+    bounds = _block_bounds(blocks, x.data.shape[0], "propagate")
 
     def backward_fn(g):
-        return (product(True, g),)
+        return (_block_product(blocks, bounds, g, True),)
 
-    return _result(tape, (x,), product(False, x.data), backward_fn)
+    return _result(tape, (x,), _block_product(blocks, bounds, x.data, False), backward_fn)
+
+
+def graph_conv(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor,
+               blocks: Sequence[np.ndarray] | None = None) -> Tensor:
+    """One graph-convolution layer as one node: ``relu(A (x w) + b)``, where
+    A is the block-diagonal matrix of ``blocks`` (as in :func:`propagate`),
+    or the identity when ``blocks`` is None, and b is one row broadcast
+    over the rows.
+
+    The bias add and the relu work in place on the product, and the relu's
+    mask is read back from the output (``out > 0`` exactly where the
+    pre-activation is), so the node keeps one array. The values and
+    gradients are those of ``relu(add(propagate(matmul(x, w)), b))`` bit for
+    bit: the same ufuncs in the same order. The one exception is the sign
+    of a zero in the bias gradient of a one-row x, which ``add`` passes on
+    unsummed; Adam moves no parameter differently for it.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ValueError(f"graph_conv shape mismatch: {x.data.shape} @ {w.data.shape}")
+    if b.data.shape != (1, w.data.shape[1]):
+        raise ValueError(f"graph_conv bias of shape {b.data.shape}, expected "
+                         f"(1, {w.data.shape[1]})")
+    bounds = None if blocks is None else _block_bounds(blocks, x.data.shape[0], "graph_conv")
+    z = x.data @ w.data
+    if bounds is not None:
+        z = _block_product(blocks, bounds, z, False)
+    z += b.data
+    np.maximum(z, 0.0, out=z)
+
+    def backward_fn(g):
+        gz = g * (z > 0.0)
+        gb = gz.sum(axis=0).reshape(b.data.shape) if b.requires_grad else None
+        if bounds is not None:
+            gz = _block_product(blocks, bounds, gz, True)
+        gw = x.data.T @ gz if w.requires_grad else None
+        gx = gz @ w.data.T if x.requires_grad else None
+        return gx, gw, gb
+
+    return _result(tape, (x, w, b), z, backward_fn)
 
 
 def segment_max(tape: Tape | None, x: Tensor, sizes: Sequence[int]) -> Tensor:
     """Column-wise maximum over each consecutive segment of x's rows: one
-    output row per segment, every segment at least one row long.
+    output row per segment, every segment at least one row long. A segment
+    holding a NaN in a column has the maximum NaN there.
 
-    Each column's gradient is routed to its argmax row within the segment;
-    ties break toward the lowest row index.
+    Only the backward pass finds the winning rows, so an unrecorded call
+    computes the maxima alone. Each column's gradient goes to the lowest
+    row of the segment that equals its maximum (to the first NaN row where
+    the maximum is NaN), which is the row ``np.argmax`` picks.
     """
     if x.data.ndim != 2 or min(sizes, default=0) < 1 or sum(sizes) != x.data.shape[0]:
         raise ValueError(f"segment_max needs segments of at least one row tiling the input, "
                          f"got sizes {list(sizes)} for shape {x.data.shape}")
     starts = np.cumsum([0] + list(sizes[:-1]))
-    winners = np.stack([s + np.argmax(x.data[s : s + n], axis=0)  # first maximal row
-                        for s, n in zip(starts, sizes)])
-    cols = np.arange(x.data.shape[1])
+    out = np.maximum.reduceat(x.data, starts, axis=0)
 
     def backward_fn(g):
+        n, d = x.data.shape
+        # only NaN maxima have NaN rows in their segment, so the two tests never mix
+        hit = (x.data == np.repeat(out, sizes, axis=0)) | np.isnan(x.data)
+        rows = np.where(hit, np.arange(n)[:, None], n)
+        winners = np.minimum.reduceat(rows, starts, axis=0)
         gx = np.zeros_like(x.data)
-        gx[winners, cols] = g
+        gx[winners, np.arange(d)] = g
         return (gx,)
 
-    return _result(tape, (x,), x.data[winners, cols], backward_fn)
+    return _result(tape, (x,), out, backward_fn)
 
 
 def gather_rows(tape: Tape | None, x: Tensor, index: Sequence[int]) -> Tensor:

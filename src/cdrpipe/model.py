@@ -4,7 +4,8 @@ over the concatenated embeddings.
 
 The graph encoder packs a list of drugs into one disjoint union: their atoms
 stacked into one matrix, each graph's normalized adjacency applied to its
-own row segment, and one max-pooled row per graph. The first layer's
+own row segment, and one max-pooled row per graph. Each layer,
+``relu(Â(H W) + b)``, is one node on the tape. The first layer's
 propagation is a per-drug constant, ``ÂX``, built at ingest (see
 ``PaddedGraph``), so only the deeper layers propagate. It carries no batch
 normalization or dropout, so a drug's embedding depends only on its graph
@@ -153,12 +154,12 @@ def encode_drug(tape: ad.Tape | None, graphs: Sequence[PaddedGraph], params: Mod
     """One pooled embedding row per graph, in order.
 
     The graphs' ingest-time propagated features ``ÂX`` are stacked into one
-    (total atoms) x features matrix, so the first GCN layer records only
-    the product with its weight, the bias add and the relu. Each deeper
-    layer records the product, one block-diagonal propagation over the
-    graphs' normalized adjacencies, the bias add and the relu; a per-graph
-    column max is the readout. No other graph in the list reaches a graph's
-    row.
+    (total atoms) x features matrix. Each GCN layer is one
+    :func:`autodiff.graph_conv` node: the first layer's takes no blocks,
+    since its propagation is already done; each deeper layer's propagates
+    over the graphs' normalized adjacencies, one block per graph. A
+    per-graph column max is the readout, so a tape gains one node per layer
+    plus one. No other graph in the list reaches a graph's row.
     """
     propagated = np.concatenate([g.propagated for g in graphs])
     if propagated.shape[1] != cfg.atom_input_dim:
@@ -166,11 +167,9 @@ def encode_drug(tape: ad.Tape | None, graphs: Sequence[PaddedGraph], params: Mod
                          f"{cfg.atom_input_dim}")
     blocks = [g.norm_adjacency for g in graphs]
     first, *deeper = params.gcn
-    h = ad.relu(tape, ad.add(tape, ad.matmul(tape, ad.Tensor(propagated), first.weight),
-                             first.bias))
+    h = ad.graph_conv(tape, ad.Tensor(propagated), first.weight, first.bias)
     for layer in deeper:
-        h = ad.propagate(tape, blocks, ad.matmul(tape, h, layer.weight))
-        h = ad.relu(tape, ad.add(tape, h, layer.bias))
+        h = ad.graph_conv(tape, h, layer.weight, layer.bias, blocks)
     return ad.segment_max(tape, h, [b.shape[0] for b in blocks])
 
 

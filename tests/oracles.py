@@ -3,8 +3,9 @@
 These stay deliberately naive: exact-summation Pearson, an explicit
 central-difference sweep over parameter tensors, a hand-rolled graph
 builder that does not go through the library's normalization code path more
-than it must, a forward pass over zero-padded, masked graph matrices, and an
-eval-mode prediction computed one record at a time.
+than it must, a forward pass over zero-padded, masked graph matrices, an
+eval-mode prediction computed one record at a time, and a max-pool routed by
+one ``np.argmax`` per segment.
 """
 
 import math
@@ -169,3 +170,40 @@ def random_padded_graph(rng, n_atoms, n_max, feat_dim):
     mask = np.zeros(n_max, dtype=bool)
     mask[:n_atoms] = True
     return PaddedGraph(features=features, norm_adjacency=norm, mask=mask)
+
+
+def graph_conv_point(rng, n, d, k, blocks, margin=0.05):
+    """Inputs x (n x d), W (d x k) and b (1 x k) of a graph-convolution layer
+    ``relu(A (x W) + b)`` whose pre-activations all lie at least ``margin``
+    from the relu kink, some of them above it; redrawn from rng until they
+    do. A is the block-diagonal matrix of ``blocks``, formed densely here,
+    or the identity when ``blocks`` is None."""
+    a = np.eye(n)
+    if blocks is not None:
+        s = 0
+        for block in blocks:
+            e = s + block.shape[0]
+            a[s:e, s:e] = block
+            s = e
+    while True:
+        x, w, b = rng.normal(size=(n, d)), rng.normal(size=(d, k)), rng.normal(size=(1, k))
+        pre = a @ (x @ w) + b
+        if np.abs(pre).min() > margin and (pre > 0).any():
+            return x, w, b
+
+
+def segment_argmax(x, sizes):
+    """Column maxima of each consecutive segment of x's rows, and the
+    gradient of their sum with respect to x: a 1 in each column at the row
+    ``np.argmax`` picks within the segment (the lowest maximal row, or the
+    first NaN row), 0 elsewhere. One argmax per segment."""
+    maxima = np.empty((len(sizes), x.shape[1]))
+    routing = np.zeros_like(x)
+    cols = np.arange(x.shape[1])
+    start = 0
+    for i, n in enumerate(sizes):
+        rows = start + np.argmax(x[start : start + n], axis=0)
+        maxima[i] = x[rows, cols]
+        routing[rows, cols] = 1.0
+        start += n
+    return maxima, routing

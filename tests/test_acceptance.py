@@ -23,8 +23,8 @@ from cdrpipe.model import ModelConfig, init_params, forward_batch, predict_recor
 from cdrpipe.molgraph import pad_graph
 from cdrpipe.omics import ResponseDataset
 from cdrpipe.synthetic import make_benchmark, noisy_projection_set, random_graph
-from oracles import (finite_diff_params, pearson_bruteforce, random_padded_graph,
-                     reference_forward)
+from oracles import (finite_diff_params, graph_conv_point, pearson_bruteforce,
+                     random_padded_graph, reference_forward)
 
 GRAD_TOL = 1e-4
 N_GRAD_SEEDS = 20
@@ -109,6 +109,15 @@ def _check_single_ops(seed):
     target = ad.Tensor(rng.normal(size=(4, 1)))
     worst = max(worst, ad.finite_diff_check(
         lambda t, x: ad.loss(t, x, target), ad.Tensor(rng.normal(size=(4, 1)))))
+
+    conv_blocks = [rng.normal(size=(2, 2)), rng.normal(size=(3, 3))]
+    for blk in (None, conv_blocks):
+        x0, w0, b0 = graph_conv_point(rng, 5, 3, 4, blk)
+        for i in range(3):
+            def f(t, v, i=i, blk=blk):
+                args = [v if j == i else ad.Tensor(a) for j, a in enumerate((x0, w0, b0))]
+                return ad.matmul(t, ad.matmul(t, u5, ad.graph_conv(t, *args, blk)), w)
+            worst = max(worst, ad.finite_diff_check(f, ad.Tensor((x0, w0, b0)[i])))
     return worst
 
 

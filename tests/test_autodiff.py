@@ -158,6 +158,67 @@ class TestPropagate:
         assert ad.finite_diff_check(f, ad.Tensor(rng.normal(size=(6, 4)))) < 1e-4
 
 
+class TestGraphConv:
+    @staticmethod
+    def case(seed, sizes=(2, 1, 3)):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        blocks = [rng.normal(size=(k, k)) for k in sizes]
+        return (blocks, rng.normal(size=(n, 4)), rng.normal(size=(4, 5)),
+                rng.normal(size=(1, 5)))
+
+    def test_equals_the_dense_layer(self):
+        blocks, x, w, b = self.case(0)
+        dense = np.zeros((6, 6))
+        dense[:2, :2], dense[2:3, 2:3], dense[3:, 3:] = blocks
+        w_t, b_t = ad.Tensor(w), ad.Tensor(b)
+        out = ad.graph_conv(None, ad.Tensor(x), w_t, b_t, blocks)
+        np.testing.assert_allclose(out.data, np.maximum(dense @ x @ w + b, 0.0), atol=1e-13)
+        plain = ad.graph_conv(None, ad.Tensor(x), w_t, b_t)
+        np.testing.assert_allclose(plain.data, np.maximum(x @ w + b, 0.0), atol=1e-13)
+
+    @pytest.mark.parametrize("with_blocks", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bytes_of_the_unfused_ops(self, seed, with_blocks):
+        """Value and gradients equal matmul, propagate, add and relu recorded
+        one by one, byte for byte."""
+        blocks, *arrays = self.case(seed)
+        blocks = blocks if with_blocks else None
+        target = ad.Tensor(np.random.default_rng(seed + 10).normal(size=(6, 5)))
+
+        def run(layer):
+            x, w, b = (ad.Tensor(a.copy(), requires_grad=True) for a in arrays)
+            tape = ad.Tape()
+            out = layer(tape, x, w, b)
+            grads = ad.backward(tape, ad.loss(tape, out, target), [x, w, b])
+            return [a.tobytes() for a in (out.data, *grads)]
+
+        def unfused(tape, x, w, b):
+            h = ad.matmul(tape, x, w)
+            if blocks is not None:
+                h = ad.propagate(tape, blocks, h)
+            return ad.relu(tape, ad.add(tape, h, b))
+
+        assert run(lambda tape, x, w, b: ad.graph_conv(tape, x, w, b, blocks)) == run(unfused)
+
+    def test_a_constant_input_gets_no_gradient_work(self):
+        blocks, x, w, b = self.case(1)
+        tape = ad.Tape()
+        ad.graph_conv(tape, ad.Tensor(x), ad.Tensor(w, requires_grad=True),
+                      ad.Tensor(b, requires_grad=True), blocks)
+        gx, gw, gb = tape.nodes[0].backward_fn(np.ones((6, 5)))
+        assert gx is None and gw.shape == (4, 5) and gb.shape == (1, 5)
+
+    def test_shape_errors(self):
+        blocks, x, w, b = self.case(2)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ad.graph_conv(None, ad.Tensor(x), ad.Tensor(w.T), ad.Tensor(b))
+        with pytest.raises(ValueError, match="bias of shape"):
+            ad.graph_conv(None, ad.Tensor(x), ad.Tensor(w), ad.Tensor(b.T))
+        with pytest.raises(ValueError, match="do not tile 6 rows"):
+            ad.graph_conv(None, ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), blocks[:2])
+
+
 class TestSegmentMax:
     def test_columnwise_max(self):
         x = ad.Tensor([[1.0, 5.0], [3.0, 2.0], [-1.0, -4.0], [0.0, 7.0], [-2.0, -3.0]])
@@ -396,6 +457,11 @@ class TestNoTape:
         "relu": ad.relu,
         "concat_cols": lambda tape, x: ad.concat_cols(tape, x, x),
         "propagate": lambda tape, x: ad.propagate(tape, [np.eye(1), np.full((2, 2), 0.5)], x),
+        "graph_conv": lambda tape, x: ad.graph_conv(tape, x, ad.Tensor(np.ones((3, 2))),
+                                                    ad.Tensor(np.zeros((1, 2)))),
+        "graph_conv_blocks": lambda tape, x: ad.graph_conv(
+            tape, x, ad.Tensor(np.ones((3, 2))), ad.Tensor(np.zeros((1, 2))),
+            [np.eye(1), np.full((2, 2), 0.5)]),
         "segment_max": lambda tape, x: ad.segment_max(tape, x, [1, 2]),
         "gather_rows": lambda tape, x: ad.gather_rows(tape, x, [2, 0, 2]),
         "batch_norm": lambda tape, x: ad.batch_norm(tape, x, ad.BatchNormState(3), "train"),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdrpipe import autodiff as ad
-from oracles import finite_diff_params
+from oracles import finite_diff_params, graph_conv_point, segment_argmax
 
 # derandomized so that every run of the suite draws the same examples
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -50,6 +50,14 @@ def _cases(rng, n, d):
     bn_train, bn_eval = _bn_state(rng, d), _bn_state(rng, d)
     drop_seed = int(rng.integers(1 << 30))
     x = rng.normal(size=(n, d))
+    plain = graph_conv_point(rng, n, d, 3, None)
+    conv_x, conv_w, conv_b = graph_conv_point(rng, n, d, 3, blocks)
+
+    def conv(i, blk, point):
+        """The layer as a function of its i-th input (x, W, b), the others fixed."""
+        return to_scalar((n, 3), lambda t, v: ad.graph_conv(
+            t, *[v if j == i else ad.Tensor(a) for j, a in enumerate(point)], blk))
+
     return {
         "matmul_left": (to_scalar((n, 3), lambda t, x: ad.matmul(t, x, b)), x),
         "matmul_right": (to_scalar((2, d), lambda t, x: ad.matmul(t, a, x)), x),
@@ -61,6 +69,10 @@ def _cases(rng, n, d):
         "concat_cols_right": (to_scalar((n, d + 2), lambda t, x: ad.concat_cols(t, right, x)), x),
         "gather_rows": (to_scalar((n + 2, d), lambda t, x: ad.gather_rows(t, x, picks)), x),
         "propagate": (to_scalar((n, d), lambda t, x: ad.propagate(t, blocks, x)), x),
+        "graph_conv": (conv(0, None, plain), plain[0]),
+        "graph_conv_blocks": (conv(0, blocks, (conv_x, conv_w, conv_b)), conv_x),
+        "graph_conv_weight": (conv(1, blocks, (conv_x, conv_w, conv_b)), conv_w),
+        "graph_conv_bias": (conv(2, blocks, (conv_x, conv_w, conv_b)), conv_b),
         "segment_max": (to_scalar((2, d), lambda t, x: ad.segment_max(t, x, [n - 2, 2])),
                         pool_x),
         "batch_norm_train": (to_scalar((n, d), lambda t, x: ad.batch_norm(t, x, bn_train, "train")),
@@ -83,6 +95,27 @@ OPS = sorted(_cases(np.random.default_rng(0), 3, 2))
 def test_every_op_gradient_matches_finite_differences(op, n, d, seed):
     f, x0 = _cases(np.random.default_rng(seed), n, d)[op]
     assert ad.finite_diff_check(f, ad.Tensor(x0)) < 1e-4
+
+
+@PROPERTY
+@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5), d=st.integers(2, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_segment_max_routes_each_column_like_argmax(sizes, d, seed):
+    """Small integers tie often; one column is all zero, as a relu-dead unit
+    is, so every row of every segment ties there, and another holds a NaN.
+    The maxima and the gradient equal one ``np.argmax`` per segment exactly."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=(sum(sizes), d)).astype(float)
+    dead, nan_col = rng.permutation(d)[:2]
+    x[:, dead] = 0.0
+    x[rng.integers(len(x)), nan_col] = np.nan
+    maxima, routing = segment_argmax(x, sizes)
+    t = ad.Tensor(x, requires_grad=True)
+    tape = ad.Tape()
+    pooled = ad.segment_max(tape, t, sizes)
+    (grad,) = ad.backward(tape, ad.sum_all(tape, pooled), [t])
+    np.testing.assert_array_equal(pooled.data, maxima)
+    np.testing.assert_array_equal(grad, routing)
 
 
 @PROPERTY

@@ -160,17 +160,22 @@ class TestEncodeDrug:
         out_large = m.encode_drug(ad.Tape(), [pad_graph(g, 30)], params, cfg_large)
         np.testing.assert_allclose(out_small.data, out_large.data, atol=1e-10)
 
-    def test_first_layer_records_no_propagation(self):
-        """Layer 1 reads the ingest-time propagation: matmul, add and relu;
-        layer 2 adds a propagation; one readout. Nine nodes would mean the
-        first layer propagates again."""
+    def test_first_layer_records_no_propagation(self, monkeypatch):
+        """Layer 1 reads the ingest-time propagation, so only layer 2 runs a
+        block product; each layer is one node, plus one readout. Two block
+        products would mean the first layer propagates again."""
         rng = np.random.default_rng(5)
         cfg = m.ModelConfig(gcn_layer_dims=(16, 8), cell_branch_dims=(4,), head_dims=(1,),
                             n_max_atoms=12, cell_input_dim=4)
         graphs = [pad_graph(random_graph(rng, f"d{i}", 4 + i), 12) for i in range(3)]
+        calls = []
+        block_product = ad._block_product
+        monkeypatch.setattr(ad, "_block_product",
+                            lambda *args: calls.append(args) or block_product(*args))
         tape = ad.Tape()
         m.encode_drug(tape, graphs, m.init_params(cfg, seed=0), cfg)
-        assert len(tape.nodes) == 8
+        assert len(tape.nodes) == 3
+        assert len(calls) == 1
 
     def test_packed_rows_equal_each_graph_encoded_alone(self):
         """A 1-atom graph, isolated atoms whose twin rows tie in every column,
