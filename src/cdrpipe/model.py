@@ -19,7 +19,15 @@ factorized: in eval mode a cell line's embedding depends only on its
 vector, and the head's first layer is linear over ``[drug ; cell]``. So one
 pass encodes and projects through its half of that layer each distinct drug,
 another each distinct cell line, at most ``batch_size`` per call; a third
-runs, per chunk of records, the gathered sum and the rest of the head.
+runs, per chunk of records, the gathered sum and the rest of the head. A
+drug pack also closes before its atom rows times the widest GCN layer's
+8-byte activations would pass ``DRUG_PACK_BYTES``, one core's L2 cache, so
+each layer's bias add, relu, block product and readout work on an
+activation held in L2 rather than streamed from L3. Each row's arithmetic
+is the same in any pack, so where BLAS runs every product as a matrix
+product (layers at least 4 wide, packs of at least 2 atom rows) the packing
+leaves every prediction's bytes unchanged; a one-row product takes BLAS's
+matrix-vector routine and may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -227,8 +235,29 @@ def forward_batch(tape: ad.Tape, graphs: Sequence[PaddedGraph], cell_matrix,
     return predict(tape, drug_emb, cell_emb, params, cfg, mode, rng)
 
 
-def _packs(items: list, size: int) -> list[list]:
-    return [items[s : s + size] for s in range(0, len(items), size)]
+# An eval drug pack closes before its widest GCN activation (atom rows x the
+# widest layer x 8 bytes) would pass this many bytes: one core's 2 MiB L2 on
+# the 2-core x86-64 host measured, 1,024 rows at the default widths. With
+# screen_eval's 200 drugs (6,244 atom rows) in one pack, the first layer's
+# activation was 12.8 MB and streamed from L3; in packs, predict_records_per_s
+# rose 11.2% in 10 of 10 pairs (BENCH_22.json). 0.75 to 4 MiB timed alike.
+DRUG_PACK_BYTES = 2 * 1024 * 1024
+
+
+def _packs(items: list, size: int, rows: Sequence[int] | None = None,
+           max_rows: float = float("inf")) -> list[list]:
+    """Consecutive packs of ``items``, in order, each of at most ``size``
+    items whose ``rows`` sum to at most ``max_rows``; an item with more rows
+    than that is a pack of its own."""
+    packs, total = [], 0
+    for item, n in zip(items, [0] * len(items) if rows is None else rows):
+        if packs and len(packs[-1]) < size and total + n <= max_rows:
+            packs[-1].append(item)
+            total += n
+        else:
+            packs.append([item])
+            total = n
+    return packs
 
 
 def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
@@ -242,28 +271,37 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
     record's first pre-activation is ``(D W_d)[drug] + (C W_c + b)[cell]``.
     Three passes run with the tape ``None``, so nothing is recorded. The
     dataset's ``drug_ids``, distinct and in order of first appearance, are
-    encoded at most ``batch_size`` graphs per ``encode_drug`` call and
-    projected through ``W_d``; its ``cell_ids`` likewise, at most
-    ``batch_size`` rows per ``encode_cell`` call, through ``W_c`` plus ``b``.
+    encoded in consecutive packs, then projected through ``W_d`` in one
+    product. A pack holds at most ``batch_size`` graphs and at most
+    ``DRUG_PACK_BYTES`` of its widest GCN activation (atom rows x the widest
+    of ``gcn_layer_dims`` x 8 bytes), so each layer's activation stays in one
+    core's L2 cache; a graph over that budget is a pack of its own. The
+    dataset's ``cell_ids`` are encoded at most ``batch_size`` rows per
+    ``encode_cell`` call and projected through ``W_c`` plus ``b``.
     Then each chunk of ``batch_size`` records gathers its two rows through
     the ``drug_index`` and ``cell_index`` columns, sums them, and runs the
     first layer's batch norm and relu and the rest of the head. It reads
-    the columns only, never ``dataset.records``.
+    the columns only, never ``dataset.records``. A ``batch_size`` below 1
+    raises ``ValueError``.
 
     On entry it pins the process's allocator (:func:`autodiff.pin_allocator`):
     a process-wide setting, made once, that overrides any
     ``MALLOC_MMAP_THRESHOLD_`` or ``MALLOC_TRIM_THRESHOLD_`` in the
     environment.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     ad.pin_allocator()
     out = np.empty(len(dataset))
     if not out.size:
         return out
     first, rest = params.head[0], params.head[1:]
     w_drug, w_cell = np.split(first.weight.data, [cfg.gcn_layer_dims[-1]])
-    drug_part = np.concatenate([
-        encode_drug(None, [dataset.graphs[d] for d in pack], params, cfg).data @ w_drug
-        for pack in _packs(dataset.drug_ids, batch_size)])
+    graphs = [dataset.graphs[d] for d in dataset.drug_ids]
+    packs = _packs(graphs, batch_size, [g.n_atoms for g in graphs],
+                   DRUG_PACK_BYTES // (8 * max(cfg.gcn_layer_dims)))
+    drug_part = np.concatenate([encode_drug(None, pack, params, cfg).data
+                                for pack in packs]) @ w_drug
     cell_part = np.concatenate([
         encode_cell(None, np.stack([dataset.cells.vectors[c] for c in pack]), params, cfg,
                     "eval").data @ w_cell

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdrpipe import autodiff as ad
 from cdrpipe import model as m
-from cdrpipe.molgraph import MolecularGraph, pad_graph
+from cdrpipe.molgraph import ATOM_FEATURE_DIM, MolecularGraph, pad_graph
 from cdrpipe.omics import ResponseDataset, ResponseRecord
 from cdrpipe.synthetic import make_benchmark, random_graph
 from oracles import finite_diff_params, random_padded_graph, reference_predict
@@ -271,6 +271,10 @@ def perturb(layers, rng):
 
 PROPERTY_BENCH = make_benchmark(n_cells=5, cell_dim=4, n_drugs=4, atom_range=(1, 6),
                                 n_records=10, seed=11)
+# no one-atom graph: a one-row product goes through BLAS's matrix-vector
+# routine, which may round differently from the same row in a matrix product
+PACK_BENCH = make_benchmark(n_cells=5, cell_dim=4, n_drugs=6, atom_range=(2, 6),
+                            n_records=10, seed=11)
 
 
 class TestPredictRecords:
@@ -350,6 +354,79 @@ class TestPredictRecords:
         monkeypatch.setattr(ad, "TapeNode", refuse)
         preds = m.predict_records(m.init_params(cfg, seed=0), cfg, dataset, batch_size=16)
         assert preds.shape == (len(dataset.records),)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_a_batch_size_below_one_is_named(self, batch_size):
+        dataset, cfg = self.dataset()
+        with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+            m.predict_records(m.init_params(cfg, seed=0), cfg, dataset, batch_size)
+
+    def test_an_empty_dataset_gives_an_empty_array(self):
+        dataset, cfg = self.dataset()
+        preds = m.predict_records(m.init_params(cfg, seed=0), cfg, dataset.subset([]))
+        assert preds.shape == (0,)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(),
+           gcn_layer_dims=st.lists(st.integers(4, 9), min_size=1, max_size=3),
+           max_rows=st.integers(1, 8),
+           seed=st.integers(0, 2**16))
+    def test_drug_packs_fit_the_byte_budget(self, data, gcn_layer_dims, max_rows, seed):
+        """With ``DRUG_PACK_BYTES`` patched down to ``max_rows`` atom rows of
+        the widest layer, plus a remainder short of one more row, the packs
+        cover each distinct drug once in first-appearance order, close only
+        at ``batch_size`` graphs or at the row budget, and put one graph over
+        the budget alone; the predictions equal, byte for byte, those from
+        one ``encode_drug`` call on every drug. Layer widths of 4 or more and
+        graphs of 2 or more atoms keep every product on BLAS's matrix-matrix
+        routine, whose rows round the same however many rows a pack holds."""
+        bench = PACK_BENCH
+        width = max(gcn_layer_dims)
+        rng = np.random.default_rng(seed)
+        n_big = data.draw(st.integers(max_rows + 1, max_rows + 6))
+        big = random_padded_graph(rng, n_big, n_big, ATOM_FEATURE_DIM)
+        graphs = {**bench.padded, "big": big}
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(sorted(bench.padded)),
+                                             st.sampled_from(sorted(bench.cells.vectors))),
+                                   min_size=1, max_size=20))
+        pairs.insert(data.draw(st.integers(0, len(pairs))),
+                     ("big", data.draw(st.sampled_from(sorted(bench.cells.vectors)))))
+        batch_size = data.draw(st.integers(1, len(pairs) + 2))
+        dataset = ResponseDataset([ResponseRecord(d, c, 0.0) for d, c in pairs], graphs,
+                                  bench.cells)
+        cfg = m.ModelConfig(gcn_layer_dims=tuple(gcn_layer_dims), cell_branch_dims=(5,),
+                            head_dims=(7, 1), n_max_atoms=bench.n_max_atoms, cell_input_dim=4)
+        params = m.init_params(cfg, seed)
+        perturb(params.gcn + params.cell + params.head, rng)
+        packs = []
+        original = m.encode_drug
+
+        def recording(tape, pack, *rest):
+            packs.append(list(pack))
+            return original(tape, pack, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(m, "DRUG_PACK_BYTES", 8 * width * max_rows
+                       + data.draw(st.integers(0, 8 * width - 1)))
+            mp.setattr(m, "encode_drug", recording)
+            preds = m.predict_records(params, cfg, dataset, batch_size)
+        first_seen = [graphs[d] for d in dict.fromkeys(d for d, _ in pairs)]
+        assert [id(g) for pack in packs for g in pack] == [id(g) for g in first_seen]
+        assert len(packs) >= 2
+        for pack, following in zip(packs, [*packs[1:], None]):
+            rows = sum(g.n_atoms for g in pack)
+            assert len(pack) <= batch_size
+            assert rows <= max_rows or len(pack) == 1
+            if following is not None:
+                assert len(pack) == batch_size or rows + following[0].n_atoms > max_rows
+
+        everything = original(None, first_seen, params, cfg).data
+        row = {id(g): i for i, g in enumerate(first_seen)}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(m, "encode_drug", lambda tape, pack, *rest:
+                       ad.Tensor(everything[[row[id(g)] for g in pack]]))
+            expected = m.predict_records(params, cfg, dataset, batch_size)
+        assert np.array_equal(preds, expected)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data(),
