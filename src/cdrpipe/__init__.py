@@ -7,8 +7,8 @@ evaluation harness around it.
 """
 
 from .autodiff import (AdamState, BatchNormState, Tape, Tensor, adam_init, adam_step,
-                       backward, batch_norm, concat_cols, dropout, finite_diff_check,
-                       gather_rows, graph_conv, loss, matmul, propagate, relu, segment_max,
+                       backward, batch_norm, dropout, finite_diff_check, gather_rows,
+                       graph_conv, loss, matmul, propagate, relu, row_slice, segment_max,
                        sum_all)
 from .evaluation import (EpochRecord, EvalReport, GainRow, GroupStat, PredictionRow,
                          StabilityReport, build_eval_report, grouped_pcc, pearson,

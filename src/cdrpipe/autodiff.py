@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over small dense tensors.
 
 Provides exactly the operations the drug-response regression model needs:
-matrix products, bias addition, relu, column concatenation, row gathering,
+matrix products, bias addition, relu, row slicing, row gathering,
 batch normalization, inverted dropout and the mean squared error, plus
 three for graphs packed as one disjoint union of row segments:
-``propagate`` (each graph's adjacency block times its own rows),
+``propagate`` (each graph's adjacency block times its own rows; the
+reference that ``graph_conv`` is tested against),
 ``graph_conv`` (a whole graph-convolution layer, product, propagation, bias
 and relu, as one node) and ``segment_max`` (column-wise max-pool per
 graph). An Adam optimizer and a
@@ -135,18 +136,18 @@ def relu(tape: Tape | None, x: Tensor) -> Tensor:
     return _result(tape, (x,), np.maximum(x.data, 0.0), backward_fn)
 
 
-def concat_cols(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two matrices with equal row counts along columns."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
-        raise ValueError(f"concat_cols shape mismatch: {a.data.shape} vs {b.data.shape}")
-    p = a.data.shape[1]
+def row_slice(tape: Tape | None, x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of a matrix, as a view of its data; the gradient
+    is zero on every other row."""
+    if x.data.ndim != 2 or not 0 <= start <= stop <= x.data.shape[0]:
+        raise ValueError(f"row_slice: rows {start}:{stop} of shape {x.data.shape}")
 
     def backward_fn(g):
-        ga = g[:, :p] if a.requires_grad else None
-        gb = g[:, p:] if b.requires_grad else None
-        return ga, gb
+        gx = np.zeros_like(x.data)
+        gx[start:stop] = g
+        return (gx,)
 
-    return _result(tape, (a, b), np.concatenate([a.data, b.data], axis=1), backward_fn)
+    return _result(tape, (x,), x.data[start:stop], backward_fn)
 
 
 def _block_bounds(blocks: Sequence[np.ndarray], rows: int, op: str) -> np.ndarray:

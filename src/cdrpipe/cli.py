@@ -336,7 +336,10 @@ def cmd_lodo(cfg: RunConfig) -> int:
     records = [r for r in datasets[cfg.lodo_baseline].records
                if all(r.cell_line_id in datasets[s].cells.vectors for s in sources)]
     dropped = {f"pairs_dropped.{s}": len(datasets[s]) - len(records) for s in sources}
-    folds = lodo_splits(records, cfg.lodo_n_drugs, derive_seed(cfg.seed, "lodo-drugs"))
+    try:
+        folds = lodo_splits(records, cfg.lodo_n_drugs, derive_seed(cfg.seed, "lodo-drugs"))
+    except SplitError as exc:  # the one count lodo_splits checks comes from the config
+        raise ConfigError(f"{cfg.config_path}: [lodo] n_drugs: {exc}") from None
     fold_drugs = [drug for drug, _, _ in folds]
 
     pccs: dict[str, dict[str, float]] = {s: {} for s in sources}

@@ -1,6 +1,6 @@
 """The predictive network: a graph-convolutional drug encoder with max-pool
 readout, a dense branch over precomputed cell-line vectors, and an MLP head
-over the concatenated embeddings.
+over both embeddings.
 
 The graph encoder packs a list of drugs into one disjoint union: their atoms
 stacked into one matrix, each graph's normalized adjacency applied to its
@@ -13,20 +13,20 @@ and the parameters. Batch normalization sits after each hidden linear layer
 of the cell branch and head, before the activation. The head's last layer
 emits the IC50 regression output directly, with no activation.
 
-Training runs the whole network per batch (``forward_batch``) on a tape.
-The eval-mode prediction pass (``predict_records``) records nothing and is
-factorized: in eval mode a cell line's embedding depends only on its
-vector, and the head's first layer is linear over ``[drug ; cell]``. So one
-pass encodes and projects through its half of that layer each distinct drug,
-another each distinct cell line, at most ``batch_size`` per call; a third
-runs, per chunk of records, the gathered sum and the rest of the head. A
-drug pack also closes before its atom rows times the widest GCN layer's
-8-byte activations would pass ``DRUG_PACK_BYTES``, one core's L2 cache, so
-each layer's bias add, relu, block product and readout work on an
+The head is written once, in :func:`predict`. Its first layer is linear
+over ``[drug ; cell]``, so with its weight split as ``W = [W_d ; W_c]`` a
+record's first pre-activation is ``d W_d + (c W_c + b)``. Both entry
+points encode and project each distinct drug once and gather a projected
+row per record. Training (``forward_batch``, on a tape) projects the cells
+per record, since batch norm takes its statistics over the batch; the
+eval-mode pass (``predict_records``) records nothing and projects each
+distinct cell line once. It also closes a drug pack before its atom rows
+times the widest GCN layer's 8-byte activations would pass
+``DRUG_PACK_BYTES``, one core's L2 cache, so each layer works on an
 activation held in L2 rather than streamed from L3. Each row's arithmetic
-is the same in any pack, so where BLAS runs every product as a matrix
-product (layers at least 4 wide, packs of at least 2 atom rows) the packing
-leaves every prediction's bytes unchanged; a one-row product takes BLAS's
+is the same in any pack and in both entry points, so where BLAS runs every
+product as a matrix product (layers at least 4 wide, packs of at least 2
+atom rows) the two give equal bytes; a one-row product takes BLAS's
 matrix-vector routine and may differ in the last bit.
 """
 
@@ -210,12 +210,29 @@ def encode_cell(tape: ad.Tape | None, features: ad.Tensor, params: ModelParams,
     return _dense_stack(tape, x, params.cell, cfg, mode, rng, activate_last=True)
 
 
-def predict(tape: ad.Tape, drug_emb: ad.Tensor, cell_emb: ad.Tensor,
+def _first_layer_halves(tape, params: ModelParams, cfg: ModelConfig):
+    """The head's first weight as two row views, ``W = [W_d ; W_c]``."""
+    w, width = params.head[0].weight, cfg.gcn_layer_dims[-1]
+    return ad.row_slice(tape, w, 0, width), ad.row_slice(tape, w, width, w.data.shape[0])
+
+
+def predict(tape: ad.Tape | None, drug_part: ad.Tensor, cell_part: ad.Tensor,
             params: ModelParams, cfg: ModelConfig, mode: str,
             rng: np.random.Generator | None = None) -> ad.Tensor:
-    """Head MLP over the concatenated embeddings: one regressed IC50 per row."""
-    h = ad.concat_cols(tape, drug_emb, cell_emb)
-    return _dense_stack(tape, h, params.head, cfg, mode, rng, activate_last=False)
+    """The head: one regressed IC50 per row, from each row's two halves of
+    the first layer's affine map, ``drug_part = d W_d`` and
+    ``cell_part = c W_c + b``. Their sum is the first pre-activation, and
+    the head's output where the head has one layer."""
+    first, rest = params.head[0], params.head[1:]
+    h = ad.add(tape, drug_part, cell_part)
+    # untaped and passed as temporaries (predict_records), the halves are
+    # freed here, so the rest of the head reuses their memory while it is
+    # in cache (BENCH_23.json)
+    del drug_part, cell_part
+    if not rest:
+        return h
+    h = _post_linear(tape, h, first, cfg, mode, rng)
+    return _dense_stack(tape, h, rest, cfg, mode, rng, activate_last=False)
 
 
 def forward_batch(tape: ad.Tape, graphs: Sequence[PaddedGraph], cell_matrix,
@@ -223,16 +240,20 @@ def forward_batch(tape: ad.Tape, graphs: Sequence[PaddedGraph], cell_matrix,
                   rng: np.random.Generator | None = None) -> ad.Tensor:
     """Predictions for a batch of (graph, cell vector) pairs.
 
-    The batch's distinct graph objects are encoded in one packed call; each
-    record gathers its drug's row, so a repeated graph's gradient sums over
-    its records.
+    The batch's distinct graph objects are encoded in one packed call and
+    projected through ``W_d``; each record gathers its drug's projected
+    row, so a repeated graph's gradient sums over its records. The cells
+    are encoded and projected per record, as train-mode batch norm needs.
     """
     distinct = list({id(g): g for g in graphs}.values())
     slot = {id(g): i for i, g in enumerate(distinct)}
-    drug_emb = ad.gather_rows(tape, encode_drug(tape, distinct, params, cfg),
-                              [slot[id(g)] for g in graphs])
+    w_drug, w_cell = _first_layer_halves(tape, params, cfg)
+    drug_part = ad.gather_rows(
+        tape, ad.matmul(tape, encode_drug(tape, distinct, params, cfg), w_drug),
+        [slot[id(g)] for g in graphs])
     cell_emb = encode_cell(tape, ad.Tensor(np.asarray(cell_matrix)), params, cfg, mode, rng)
-    return predict(tape, drug_emb, cell_emb, params, cfg, mode, rng)
+    cell_part = ad.add(tape, ad.matmul(tape, cell_emb, w_cell), params.head[0].bias)
+    return predict(tape, drug_part, cell_part, params, cfg, mode, rng)
 
 
 # An eval drug pack closes before its widest GCN activation (atom rows x the
@@ -265,10 +286,6 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
     """Eval-mode predictions for every record of a joined dataset, in
     record order.
 
-    In eval mode a drug's embedding depends only on its graph and a cell
-    line's only on its vector, and the head's first layer is linear over
-    ``[drug ; cell]``: with its weight split as ``W = [W_d ; W_c]``, a
-    record's first pre-activation is ``(D W_d)[drug] + (C W_c + b)[cell]``.
     Three passes run with the tape ``None``, so nothing is recorded. The
     dataset's ``drug_ids``, distinct and in order of first appearance, are
     encoded in consecutive packs, then projected through ``W_d`` in one
@@ -279,10 +296,9 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
     dataset's ``cell_ids`` are encoded at most ``batch_size`` rows per
     ``encode_cell`` call and projected through ``W_c`` plus ``b``.
     Then each chunk of ``batch_size`` records gathers its two rows through
-    the ``drug_index`` and ``cell_index`` columns, sums them, and runs the
-    first layer's batch norm and relu and the rest of the head. It reads
-    the columns only, never ``dataset.records``. A ``batch_size`` below 1
-    raises ``ValueError``.
+    the ``drug_index`` and ``cell_index`` columns and runs :func:`predict`
+    on them. It reads the columns only, never ``dataset.records``. A
+    ``batch_size`` below 1 raises ``ValueError``.
 
     On entry it pins the process's allocator (:func:`autodiff.pin_allocator`):
     a process-wide setting, made once, that overrides any
@@ -295,25 +311,21 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
     out = np.empty(len(dataset))
     if not out.size:
         return out
-    first, rest = params.head[0], params.head[1:]
-    w_drug, w_cell = np.split(first.weight.data, [cfg.gcn_layer_dims[-1]])
+    w_drug, w_cell = _first_layer_halves(None, params, cfg)
     graphs = [dataset.graphs[d] for d in dataset.drug_ids]
     packs = _packs(graphs, batch_size, [g.n_atoms for g in graphs],
                    DRUG_PACK_BYTES // (8 * max(cfg.gcn_layer_dims)))
     drug_part = np.concatenate([encode_drug(None, pack, params, cfg).data
-                                for pack in packs]) @ w_drug
+                                for pack in packs]) @ w_drug.data
     cell_part = np.concatenate([
         encode_cell(None, np.stack([dataset.cells.vectors[c] for c in pack]), params, cfg,
-                    "eval").data @ w_cell
-        for pack in _packs(dataset.cell_ids, batch_size)]) + first.bias.data
+                    "eval").data @ w_cell.data
+        for pack in _packs(dataset.cell_ids, batch_size)]) + params.head[0].bias.data
     for start in range(0, out.size, batch_size):
         chunk = slice(start, start + batch_size)
-        h = ad.Tensor(drug_part[dataset.drug_index[chunk]]
-                      + cell_part[dataset.cell_index[chunk]])
-        if rest:
-            h = _dense_stack(None, _post_linear(None, h, first, cfg, "eval", None), rest,
-                             cfg, "eval", None, activate_last=False)
-        out[chunk] = h.data[:, 0]
+        out[chunk] = predict(None, ad.Tensor(drug_part[dataset.drug_index[chunk]]),
+                             ad.Tensor(cell_part[dataset.cell_index[chunk]]),
+                             params, cfg, "eval").data[:, 0]
     return out
 
 

@@ -174,8 +174,8 @@ def load_drug_manifest(manifest_file) -> dict[str, MolecularGraph]:
     with read_table(manifest_file, GraphError, MANIFEST_COLUMNS) as (header, rows):
         for lineno, fields in rows:
             row = dict(zip(header, fields))
-            drug_id = row["drug_id"].strip()
-            if not drug_id:
+            drug_id = row["drug_id"]  # as written, as the response table's ids are
+            if not drug_id.strip():
                 raise GraphError(f"{manifest_file}: row {lineno}: empty drug_id")
             if drug_id in graphs:
                 raise GraphError(f"{manifest_file}: row {lineno}: duplicate drug_id "

@@ -80,37 +80,37 @@ class TestElementwise:
         assert ad.finite_diff_check(f, ad.Tensor(x)) < 1e-4
 
 
-class TestConcat:
-    def test_simple(self):
-        out = ad.concat_cols(None, ad.Tensor([[1.0, 2.0]]), ad.Tensor([[3.0]]))
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
+class TestRowSlice:
+    def test_rows_are_a_view(self):
+        x = ad.Tensor(np.arange(12.0).reshape(4, 3))
+        out = ad.row_slice(None, x, 1, 3)
+        np.testing.assert_array_equal(out.data, [[3.0, 4.0, 5.0], [6.0, 7.0, 8.0]])
+        assert np.shares_memory(out.data, x.data) and out.data.flags.c_contiguous
 
-    def test_empty_left(self):
-        out = ad.concat_cols(None, ad.Tensor(np.zeros((2, 0))), ad.Tensor([[5.0], [6.0]]))
-        np.testing.assert_array_equal(out.data, [[5.0], [6.0]])
-
-    def test_row_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match=r"\(2, 2\) vs \(1, 1\)"):
-            ad.concat_cols(None, ad.Tensor(np.ones((2, 2))), ad.Tensor([[1.0]]))
-
-    def test_gradient_routing(self):
-        """First p gradient columns go to the left operand, the rest to the right."""
-        rng = np.random.default_rng(1)
-        b = ad.Tensor(rng.normal(size=(2, 3)))
-        w = ad.Tensor(rng.normal(size=(5, 1)))
-
-        def f(tape, a):
-            return ad.sum_all(tape, ad.matmul(tape, ad.concat_cols(tape, a, b), w))
-
-        assert ad.finite_diff_check(f, ad.Tensor(rng.normal(size=(2, 2)))) < 1e-4
-
+    def test_gradient_is_zero_outside_the_rows(self):
         tape = ad.Tape()
-        a = ad.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        b2 = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        ga, gb = ad.backward(
-            tape, ad.sum_all(tape, ad.matmul(tape, ad.concat_cols(tape, a, b2), w)), [a, b2])
-        np.testing.assert_allclose(ga, np.tile(w.data[:2].T, (2, 1)))
-        np.testing.assert_allclose(gb, np.tile(w.data[2:].T, (2, 1)))
+        x = ad.Tensor(np.ones((4, 2)), requires_grad=True)
+        out = ad.row_slice(tape, x, 1, 3)
+        (gx,) = ad.backward(tape, ad.sum_all(tape, out), [x])
+        np.testing.assert_array_equal(gx, [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+
+    def test_two_slices_of_one_weight_sum_their_gradients(self):
+        """The head's split: [a ; b] W = a W_top + b W_bottom, so W's
+        gradient stacks the two halves' gradients."""
+        rng = np.random.default_rng(1)
+        a, b = ad.Tensor(rng.normal(size=(2, 2))), ad.Tensor(rng.normal(size=(2, 3)))
+        tape = ad.Tape()
+        w = ad.Tensor(rng.normal(size=(5, 1)), requires_grad=True)
+        out = ad.add(tape, ad.matmul(tape, a, ad.row_slice(tape, w, 0, 2)),
+                     ad.matmul(tape, b, ad.row_slice(tape, w, 2, 5)))
+        (gw,) = ad.backward(tape, ad.sum_all(tape, out), [w])
+        np.testing.assert_array_equal(gw, np.concatenate([a.data, b.data], axis=1)
+                                      .sum(axis=0)[:, None])
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (2, 1), (0, 5)])
+    def test_rows_outside_the_matrix_are_rejected(self, start, stop):
+        with pytest.raises(ValueError, match=rf"rows {start}:{stop} of shape \(4, 2\)"):
+            ad.row_slice(None, ad.Tensor(np.ones((4, 2))), start, stop)
 
 
 class TestGatherRows:
@@ -407,12 +407,12 @@ class TestBackward:
         assert ad.finite_diff_check(f, ad.Tensor(w0)) < 1e-4
 
     def test_shared_input_accumulates_both_paths(self):
-        # loss = sum(x @ a) + sum(x @ b): dx = column sums of a plus b
+        # loss = sum(x @ a + x @ b): dx = column sums of a plus b
         tape = ad.Tape()
         x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
         a = ad.Tensor([[1.0], [2.0]])
         b = ad.Tensor([[10.0], [20.0]])
-        total = ad.concat_cols(tape, ad.matmul(tape, x, a), ad.matmul(tape, x, b))
+        total = ad.add(tape, ad.matmul(tape, x, a), ad.matmul(tape, x, b))
         (gx,) = ad.backward(tape, ad.sum_all(tape, total), [x])
         np.testing.assert_allclose(gx, [[11.0, 22.0]])
 
@@ -455,7 +455,7 @@ class TestNoTape:
         "matmul": lambda tape, x: ad.matmul(tape, x, ad.Tensor(np.ones((3, 2)))),
         "add": lambda tape, x: ad.add(tape, x, x),
         "relu": ad.relu,
-        "concat_cols": lambda tape, x: ad.concat_cols(tape, x, x),
+        "row_slice": lambda tape, x: ad.row_slice(tape, x, 1, 3),
         "propagate": lambda tape, x: ad.propagate(tape, [np.eye(1), np.full((2, 2), 0.5)], x),
         "graph_conv": lambda tape, x: ad.graph_conv(tape, x, ad.Tensor(np.ones((3, 2))),
                                                     ad.Tensor(np.zeros((1, 2)))),

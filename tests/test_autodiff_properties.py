@@ -42,7 +42,7 @@ def _cases(rng, n, d):
         target = fixed(*shape)
         return lambda t, x: ad.loss(t, op(t, x), target)
 
-    b, a, right = fixed(d, 3), fixed(2, n), fixed(n, 2)
+    b, a = fixed(d, 3), fixed(2, n)
     same, bias_base = fixed(n, d), fixed(n, d)
     pool_x = rng.permutation(np.linspace(-2.0, 2.0, n * d)).reshape(n, d)  # distinct values
     blocks = [rng.normal(size=(1, 1)), rng.normal(size=(n - 1, n - 1))]
@@ -65,8 +65,7 @@ def _cases(rng, n, d):
         "add_bias": (to_scalar((n, d), lambda t, x: ad.add(t, bias_base, x)),
                      rng.normal(size=(1, d))),
         "relu": (to_scalar((n, d), ad.relu), _away_from_zero(rng, (n, d))),
-        "concat_cols_left": (to_scalar((n, d + 2), lambda t, x: ad.concat_cols(t, x, right)), x),
-        "concat_cols_right": (to_scalar((n, d + 2), lambda t, x: ad.concat_cols(t, right, x)), x),
+        "row_slice": (to_scalar((n - 2, d), lambda t, x: ad.row_slice(t, x, 1, n - 1)), x),
         "gather_rows": (to_scalar((n + 2, d), lambda t, x: ad.gather_rows(t, x, picks)), x),
         "propagate": (to_scalar((n, d), lambda t, x: ad.propagate(t, blocks, x)), x),
         "graph_conv": (conv(0, None, plain), plain[0]),
@@ -122,27 +121,26 @@ def test_segment_max_routes_each_column_like_argmax(sizes, d, seed):
 @given(**SHAPES)
 def test_backward_returns_the_gradient_of_each_requested_tensor(n, d, seed):
     """A small network with a shared input, a broadcast bias, batch norm, a
-    concatenation, a same-shape add (both operands get one gradient array,
-    and x's gradient starts as a view of it) and a dead branch: every
-    returned gradient matches central differences, a second sweep returns
-    the same bytes and changes no tensor's data, and the tensor only the
-    dead branch reads gets zeros."""
+    same-shape add of the input to a hidden layer (both operands get one
+    gradient array, so x's gradient starts as that array), a row slice of a
+    weight and a dead branch: every returned gradient matches central
+    differences, a second sweep returns the same bytes and changes no
+    tensor's data, and the tensor only the dead branch reads gets zeros."""
     rng = np.random.default_rng(seed)
-    k = 3
     x = ad.Tensor(rng.normal(size=(n, d)), requires_grad=True)
-    w = ad.Tensor(rng.normal(size=(d, k)), requires_grad=True)
-    b = ad.Tensor(rng.normal(size=(1, k)), requires_grad=True)
-    v = ad.Tensor(rng.normal(size=(k + d, 1)), requires_grad=True)
-    e = ad.Tensor(rng.normal(size=(n, k + d)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(d, d)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(1, d)), requires_grad=True)
+    v = ad.Tensor(rng.normal(size=(d + 2, 1)), requires_grad=True)
+    e = ad.Tensor(rng.normal(size=(n, d)), requires_grad=True)
     unreached = ad.Tensor(rng.normal(size=(d, 2)), requires_grad=True)
-    state = _bn_state(rng, k)
+    state = _bn_state(rng, d)
     target = ad.Tensor(rng.normal(size=(n, 1)))
 
     def forward(tape):
         ad.matmul(tape, x, unreached)  # recorded, but the loss never reads it
         h = ad.batch_norm(tape, ad.add(tape, ad.matmul(tape, x, w), b), state, "train")
-        y = ad.add(tape, ad.concat_cols(tape, h, x), e)
-        return ad.loss(tape, ad.matmul(tape, y, v), target)
+        y = ad.add(tape, ad.add(tape, h, x), e)
+        return ad.loss(tape, ad.matmul(tape, y, ad.row_slice(tape, v, 1, d + 1)), target)
 
     tape = ad.Tape()
     out = forward(tape)

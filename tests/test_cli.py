@@ -286,6 +286,21 @@ class TestIngest:
         assert capsys.readouterr().err == (
             f"error: {path}: {message.format(n=len(lines), drug=drug)}\n")
 
+    def test_a_drug_id_with_surrounding_spaces_joins_as_written(self, fixture_dir, tmp_path):
+        """The manifest's ids are taken as written, like the response table's,
+        so an id spelled the same way in both joins."""
+        _, files, config = copy_fixture(fixture_dir, tmp_path)
+        drug = next(iter(fixture_dir["bench"].graphs))
+        for key in ("drug_manifest", "responses"):
+            lines = files[key].read_text(encoding="utf-8").splitlines()
+            lines = [f"{drug} ,{line[len(drug) + 1:]}" if line.startswith(f"{drug},") else line
+                     for line in lines]
+            files[key].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        report = dict(line.split("=", 1)
+                      for line in (tmp_path / "o" / "ingest_report.txt").read_text().splitlines())
+        assert (report["join.matched"], report["join.missing_drug"]) == ("160", "0")
+
     def test_a_repeated_response_pair_exits_2_naming_both_rows(self, fixture_dir, tmp_path,
                                                                 capsys):
         """A pair held twice could fall on both sides of the split."""
@@ -712,7 +727,8 @@ class TestLodo:
         config.write_text(config.read_text().replace("n_drugs = 1", "n_drugs = 50"))
         assert cli.main(["lodo", "--config", str(config),
                          "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("error: asked for 50 held-out drugs")
+        assert capsys.readouterr().err == (
+            f"error: {config}: [lodo] n_drugs: asked for 50 held-out drugs, dataset has 5\n")
 
     def test_batch_norm_without_two_record_batches_exits_2_naming_the_fold(
             self, fixture_dir, tmp_path, capsys):

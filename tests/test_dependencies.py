@@ -271,3 +271,60 @@ def test_the_comma_guard_sees_every_form_of_split():
               "re.split(',', line)\n"
               "str.split(line, ',')\n")
     assert comma_splits(source) == [f"line {n}" for n in range(5, 13)]
+
+
+# autodiff's public functions that no other module calls, each kept as a
+# reference the tests check the program against
+AUTODIFF_TEST_REFERENCES = {
+    "propagate": "graph_conv's values and gradients equal it composed with the unfused ops",
+    "sum_all": "the scalar every gradient and finite-difference test reduces an op's output to",
+    "finite_diff_check": "the central-difference oracle behind criterion 1 and the op tests",
+}
+
+
+def public_functions(source: str) -> set[str]:
+    """Names of a module's top-level functions that do not start with ``_``."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def called_names(source: str) -> set[str]:
+    """The name each call calls: ``f`` in ``f(x)``, ``ad.f(x)`` and
+    ``cdrpipe.autodiff.f(x)``, wherever the call sits."""
+    return {getattr(node.func, "attr", getattr(node.func, "id", None))
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)}
+
+
+def test_every_public_autodiff_function_is_called_by_another_module():
+    """An operation nothing in the program calls is code to keep for no
+    behaviour; the named test references are the only exceptions."""
+    public = public_functions((PACKAGE / "autodiff.py").read_text(encoding="utf-8"))
+    called = set().union(*(called_names(path.read_text(encoding="utf-8"))
+                           for path in sorted(PACKAGE.rglob("*.py"))
+                           if path.name != "autodiff.py"))
+    assert public - called == set(AUTODIFF_TEST_REFERENCES)
+
+
+def test_the_call_guard_sees_every_form_of_call():
+    module = ("def matmul(a, b):\n"
+              "    def nested():\n"
+              "        pass\n"
+              "def _private():\n"
+              "    pass\n"
+              "class Tape:\n"
+              "    def method(self):\n"
+              "        pass\n"
+              "relu = matmul\n")
+    assert public_functions(module) == {"matmul"}
+    caller = ("ad.matmul(x, y)\n"
+              "add(x, y)\n"
+              "cdrpipe.autodiff.relu(x)\n"
+              "f(ad.loss(p, t))\n"
+              "g = lambda tape: ad.segment_max(tape, x, [1])\n"
+              "def h():\n"
+              "    return [ad.backward(t, l, w) for w in ws]\n"
+              "h2 = ad.dropout\n"
+              "ad.Tensor.shape\n")
+    # a bare reference such as ad.dropout is not a call
+    assert called_names(caller) == {"matmul", "add", "relu", "f", "loss", "segment_max",
+                                    "backward"}

@@ -279,7 +279,8 @@ PACK_BENCH = make_benchmark(n_cells=5, cell_dim=4, n_drugs=6, atom_range=(2, 6),
 
 class TestPredictRecords:
     def dataset(self):
-        bench = make_benchmark(n_cells=20, cell_dim=4, n_drugs=9, atom_range=(1, 8),
+        # graphs of 2 or more atoms and layers 4 or more wide: see PACK_BENCH
+        bench = make_benchmark(n_cells=20, cell_dim=4, n_drugs=9, atom_range=(2, 8),
                                n_records=150, seed=3)
         cfg = m.ModelConfig(gcn_layer_dims=(8, 6), cell_branch_dims=(5,), head_dims=(7, 1),
                             n_max_atoms=bench.n_max_atoms, cell_input_dim=4)
@@ -301,18 +302,26 @@ class TestPredictRecords:
         assert {id(g) for g in encoded} == {id(dataset.graphs[d]) for d in drugs}
 
     def test_equals_per_batch_forward(self):
+        """Training's forward in eval mode and the prediction pass reach the
+        head the same way, so where every product is a matrix product each
+        batch's predictions are equal bytes: 20 seeds of 10 batches, each
+        holding at least two drugs and two cell lines."""
         dataset, cfg = self.dataset()
-        params = m.init_params(cfg, seed=2)
         batch_size = 16
-        preds = m.predict_records(params, cfg, dataset, batch_size)
-        for start in range(0, len(dataset.records), batch_size):
-            batch = dataset.records[start : start + batch_size]
-            expected = m.forward_batch(
-                ad.Tape(), [dataset.graphs[r.drug_id] for r in batch],
-                np.stack([dataset.cells.vectors[r.cell_line_id] for r in batch]),
-                params, cfg, "eval")
-            np.testing.assert_allclose(preds[start : start + len(batch)], expected.data[:, 0],
-                                       rtol=0, atol=1e-12)
+        for seed in range(20):
+            params = m.init_params(cfg, seed)
+            perturb(params.gcn + params.cell + params.head, np.random.default_rng(seed))
+            preds = m.predict_records(params, cfg, dataset, batch_size)
+            for start in range(0, len(dataset.records), batch_size):
+                batch = dataset.records[start : start + batch_size]
+                assert len({r.drug_id for r in batch}) >= 2
+                assert len({r.cell_line_id for r in batch}) >= 2
+                expected = m.forward_batch(
+                    ad.Tape(), [dataset.graphs[r.drug_id] for r in batch],
+                    np.stack([dataset.cells.vectors[r.cell_line_id] for r in batch]),
+                    params, cfg, "eval")
+                assert np.array_equal(preds[start : start + len(batch)],
+                                      expected.data[:, 0]), (seed, start)
 
     def test_each_distinct_cell_line_is_encoded_once(self, monkeypatch):
         dataset, cfg = self.dataset()
