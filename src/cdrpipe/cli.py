@@ -192,9 +192,14 @@ def load_cells(cfg: RunConfig, source: str) -> tuple[CellFeatureSet, dict]:
     """Feature vectors for one source plus ingestion-report entries."""
     entries: dict[str, object] = {}
     if source == "raw_expression":
-        profiles = load_expression(_require_path(cfg, "expression"))
-        genes = load_gene_list(_require_path(cfg, "gene_list"))
+        expression = _require_path(cfg, "expression")
+        profiles = load_expression(expression)
+        gene_list = _require_path(cfg, "gene_list")
+        genes = load_gene_list(gene_list)
         padded, dropped = alignment_stats(profiles[0], genes)
+        if padded == len(genes):
+            raise IngestError(f"{expression}: no gene of its header is in the gene list "
+                              f"{gene_list}")
         entries["expression.rows"] = len(profiles)
         entries["genes.canonical"] = len(genes)
         entries["genes.padded"] = padded

@@ -4,8 +4,9 @@ These stay deliberately naive: exact-summation Pearson, an explicit
 central-difference sweep over parameter tensors, a hand-rolled graph
 builder that does not go through the library's normalization code path more
 than it must, a forward pass over zero-padded, masked graph matrices, an
-eval-mode prediction computed one record at a time, and a max-pool routed by
-one ``np.argmax`` per segment.
+eval-mode prediction computed one record at a time, a max-pool routed by
+one ``np.argmax`` per segment, and raw-expression features built by stacking,
+fancy-indexing and scaling whole matrices.
 """
 
 import math
@@ -153,6 +154,25 @@ def reference_predict(dataset, params):
         cell = dense_stack(dataset.cells.vectors[record.cell_line_id], params.cell, True)
         out.append(dense_stack(np.concatenate([h.max(axis=0), cell]), params.head, False)[0])
     return np.array(out)
+
+
+def reference_expression_features(profiles, canonical):
+    """Raw-expression features the way they were first built, as a
+    (cells x canonical genes) matrix in profile order.
+
+    The profiles (which share one gene list) are stacked into a table, the
+    table is aligned onto the canonical list with one fancy index into a
+    zeroed matrix, and the aligned matrix is scaled by the CPM-log1p formula
+    as written, ``log1p(values / total * 1e6)``, each step making new arrays.
+    """
+    genes = profiles[0].gene_ids
+    table = np.array([p.values for p in profiles]).reshape(len(profiles), len(genes))
+    index = {g: j for j, g in enumerate(genes)}
+    present = [i for i, gene in enumerate(canonical) if gene in index]
+    aligned = np.zeros((len(profiles), len(canonical)))
+    aligned[..., present] = table[..., [index[canonical[i]] for i in present]]
+    total = aligned.sum(axis=-1, keepdims=True)
+    return np.log1p(aligned / total * 1e6)
 
 
 def random_padded_graph(rng, n_atoms, n_max, feat_dim):

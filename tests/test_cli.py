@@ -148,6 +148,20 @@ class TestIngest:
         assert code == 2
         assert capsys.readouterr().err == f"error: {files['expression']}: no cell lines\n"
 
+    def test_expression_header_without_a_listed_gene_exits_2_naming_both_files(
+            self, fixture_dir, tmp_path, capsys):
+        _, files, config = copy_fixture(fixture_dir, tmp_path)
+        lines = files["expression"].read_text(encoding="utf-8").splitlines()
+        width = lines[0].count(",")
+        lines[0] = ",".join(["cell_line_id"] + [f"unlisted{i}" for i in range(width)])
+        files["expression"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.main(["ingest", "--config", str(config), "--feature-source", "raw",
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {files['expression']}: no gene of its header is in the gene list "
+            f"{files['gene_list']}\n")
+
     @pytest.mark.parametrize("token", ["nan", "-inf"])
     def test_non_finite_embedding_exits_2_naming_row_and_column(self, fixture_dir, tmp_path,
                                                                 capsys, token):

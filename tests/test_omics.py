@@ -4,6 +4,8 @@ import contextlib
 import csv
 import io
 import re
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from cdrpipe import omics, tables
 from cdrpipe.molgraph import pad_graph
 from cdrpipe.synthetic import random_graph
+from oracles import reference_expression_features
 
 
 def write_csv(path, text):
@@ -485,6 +488,64 @@ class TestJoin:
                     omics.ExpressionProfile("B", np.array([2.0, 1.0]), ["g2", "g1"])]
         with pytest.raises(omics.IngestError, match="cell line 'B': gene list differs"):
             omics.expression_feature_set(profiles, ["g1", "g2"])
+
+
+class TestExpressionFeatureMatrix:
+    """The raw-expression features are built in one matrix, with the bytes
+    of the stack-then-fancy-index-then-scale construction."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_cells=st.integers(1, 40), n_shared=st.integers(1, 30),
+           n_absent=st.integers(0, 10), n_extra=st.integers(0, 10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_stacked_construction_byte_for_byte(self, n_cells, n_shared,
+                                                            n_absent, n_extra, seed):
+        rng = np.random.default_rng(seed)
+        shared = [f"s{i}" for i in range(n_shared)]
+        genes = [str(g) for g in rng.permutation(shared + [f"x{i}" for i in range(n_extra)])]
+        canonical = [str(g) for g in rng.permutation(shared + [f"a{i}" for i in range(n_absent)])]
+        values = rng.lognormal(0.0, 3.0, size=(n_cells, len(genes)))
+        values[rng.random(values.shape) < 0.3] = 0.0
+        values[:, genes.index(shared[0])] += 1.0  # every cell has counts on a canonical gene
+        profiles = [omics.ExpressionProfile(f"C{i}", row, genes) for i, row in enumerate(values)]
+        cells = omics.expression_feature_set(profiles, canonical)
+        got = np.array([cells.vectors[p.cell_line_id] for p in profiles])
+        want = reference_expression_features(profiles, canonical)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_about_the_result(self):
+        rng = np.random.default_rng(12)
+        genes = [f"g{i}" for i in range(3000)]
+        canonical = genes[::-1]
+        values = rng.integers(1, 1000, size=(200, 3000)).astype(float)
+        profiles = [omics.ExpressionProfile(f"C{i}", row, genes) for i, row in enumerate(values)]
+        tracemalloc.start()
+        try:
+            omics.expression_feature_set(profiles, canonical)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * len(profiles) * len(canonical) * 8  # the result's bytes
+
+    def test_counts_past_float64_name_the_cell_line(self):
+        profiles = [omics.ExpressionProfile("A", np.array([1.0, 2.0, 3.0]), ["g1", "g2", "g3"]),
+                    omics.ExpressionProfile("B", np.array([1e308, 1e308, 5.0]),
+                                            ["g1", "g2", "g3"])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(omics.IngestError, match="cell line 'B': .*not sum to a finite"):
+                omics.expression_feature_set(profiles, ["g1", "g2", "g3"])
+            with pytest.raises(omics.IngestError, match="not sum to a finite"):
+                omics.cpm_log1p(profiles[1].values)
+
+    def test_the_helpers_leave_their_input_untouched(self):
+        values = np.array([[3.0, 0.0, 1.0], [2.0, 5.0, 1.0]])
+        before = values.copy()
+        aligned = omics.align_genes(["g1", "g2", "g3"], values, ["g3", "g1", "g4"])
+        np.testing.assert_array_equal(aligned, [[1.0, 3.0, 0.0], [1.0, 2.0, 0.0]])
+        scaled = omics.cpm_log1p(values)
+        assert not np.shares_memory(scaled, values)
+        np.testing.assert_array_equal(values, before)
 
 
 class TestColumns:
