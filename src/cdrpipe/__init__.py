@@ -8,8 +8,7 @@ evaluation harness around it.
 
 from .autodiff import (AdamState, BatchNormState, Tape, Tensor, adam_init, adam_step,
                        backward, batch_norm, dropout, finite_diff_check, gather_rows,
-                       graph_conv, loss, matmul, propagate, relu, row_slice, segment_max,
-                       sum_all)
+                       graph_conv, loss, matmul, relu, row_slice, segment_max)
 from .evaluation import (EpochRecord, EvalReport, GainRow, GroupStat, PredictionRow,
                          StabilityReport, build_eval_report, grouped_pcc, pearson,
                          ranked_gains, stability_report)
@@ -20,9 +19,8 @@ from .molgraph import (ATOM_FEATURE_DIM, GraphError, MolecularGraph, PaddedGraph
                        load_drug_manifest, load_graph, normalized_adjacency, pad_graph,
                        save_graph)
 from .omics import (CellFeatureSet, ExpressionProfile, IngestError, ResponseDataset,
-                    ResponseRecord, align_genes, cpm_log1p, expression_feature_set,
-                    join_dataset, load_embeddings, load_expression, load_gene_list,
-                    load_responses)
+                    ResponseRecord, expression_feature_set, join_dataset, load_embeddings,
+                    load_expression, load_gene_list, load_responses)
 from .seeding import derive_seed
 from .training import (DivergenceError, SplitError, SplitSpec, TrainConfig, lodo_splits,
                        split_dataset, train)

@@ -3,12 +3,10 @@
 Provides exactly the operations the drug-response regression model needs:
 matrix products, bias addition, relu, row slicing, row gathering,
 batch normalization, inverted dropout and the mean squared error, plus
-three for graphs packed as one disjoint union of row segments:
-``propagate`` (each graph's adjacency block times its own rows; the
-reference that ``graph_conv`` is tested against),
-``graph_conv`` (a whole graph-convolution layer, product, propagation, bias
-and relu, as one node) and ``segment_max`` (column-wise max-pool per
-graph). An Adam optimizer and a
+two for graphs packed as one disjoint union of row segments:
+``graph_conv`` (a whole graph-convolution layer, product, propagation over
+each graph's adjacency block, bias and relu, as one node) and
+``segment_max`` (column-wise max-pool per graph). An Adam optimizer and a
 central-finite-difference gradient checker complete it, and
 :func:`pin_allocator` keeps the memory a step frees for the next step.
 Everything is float64 and at most rank 2, recorded on an explicit
@@ -150,12 +148,12 @@ def row_slice(tape: Tape | None, x: Tensor, start: int, stop: int) -> Tensor:
     return _result(tape, (x,), x.data[start:stop], backward_fn)
 
 
-def _block_bounds(blocks: Sequence[np.ndarray], rows: int, op: str) -> np.ndarray:
+def _block_bounds(blocks: Sequence[np.ndarray], rows: int) -> np.ndarray:
     """Row offsets of each square block's segment, checking that the blocks
     tile ``rows`` rows."""
     sizes = [b.shape[0] for b in blocks]
     if any(b.shape != (n, n) for b, n in zip(blocks, sizes)) or sum(sizes) != rows:
-        raise ValueError(f"{op}: blocks of sizes {sizes} do not tile {rows} rows")
+        raise ValueError(f"graph_conv: blocks of sizes {sizes} do not tile {rows} rows")
     return np.cumsum([0] + sizes)
 
 
@@ -169,41 +167,29 @@ def _block_product(blocks: Sequence[np.ndarray], bounds: np.ndarray, m: np.ndarr
     return out
 
 
-def propagate(tape: Tape | None, blocks: Sequence[np.ndarray], x: Tensor) -> Tensor:
-    """Block-diagonal product: each square block multiplies its own segment
-    of x's rows, in order, so the blocks' sizes must add up to x's row count.
-
-    The block-diagonal matrix is never formed; the blocks are constants.
-    """
-    bounds = _block_bounds(blocks, x.data.shape[0], "propagate")
-
-    def backward_fn(g):
-        return (_block_product(blocks, bounds, g, True),)
-
-    return _result(tape, (x,), _block_product(blocks, bounds, x.data, False), backward_fn)
-
-
 def graph_conv(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor,
                blocks: Sequence[np.ndarray] | None = None) -> Tensor:
     """One graph-convolution layer as one node: ``relu(A (x w) + b)``, where
-    A is the block-diagonal matrix of ``blocks`` (as in :func:`propagate`),
-    or the identity when ``blocks`` is None, and b is one row broadcast
-    over the rows.
+    A is the block-diagonal matrix of ``blocks``, each square block
+    multiplying its own segment of the rows in order (the matrix is never
+    formed), or the identity when ``blocks`` is None, and b is one row
+    broadcast over the rows.
 
     The bias add and the relu work in place on the product, and the relu's
     mask is read back from the output (``out > 0`` exactly where the
     pre-activation is), so the node keeps one array. The values and
-    gradients are those of ``relu(add(propagate(matmul(x, w)), b))`` bit for
-    bit: the same ufuncs in the same order. The one exception is the sign
-    of a zero in the bias gradient of a one-row x, which ``add`` passes on
-    unsummed; Adam moves no parameter differently for it.
+    gradients are, bit for bit, those of ``matmul``, the per-block product,
+    ``add`` and ``relu`` recorded as four nodes: the same ufuncs in the same
+    order. The one exception is the sign of a zero in the bias gradient of
+    a one-row x, which ``add`` passes on unsummed; Adam moves no parameter
+    differently for it.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ValueError(f"graph_conv shape mismatch: {x.data.shape} @ {w.data.shape}")
     if b.data.shape != (1, w.data.shape[1]):
         raise ValueError(f"graph_conv bias of shape {b.data.shape}, expected "
                          f"(1, {w.data.shape[1]})")
-    bounds = None if blocks is None else _block_bounds(blocks, x.data.shape[0], "graph_conv")
+    bounds = None if blocks is None else _block_bounds(blocks, x.data.shape[0])
     z = x.data @ w.data
     if bounds is not None:
         z = _block_product(blocks, bounds, z, False)
@@ -335,15 +321,6 @@ def dropout(tape: Tape | None, x: Tensor, rate: float, mode: str,
         return (g * keep,)
 
     return _result(tape, (x,), x.data * keep, backward_fn)
-
-
-def sum_all(tape: Tape | None, x: Tensor) -> Tensor:
-    """Sum of all elements as a 1 x 1 tensor."""
-
-    def backward_fn(g):
-        return (np.full_like(x.data, g.reshape(-1)[0]),)
-
-    return _result(tape, (x,), np.array([[x.data.sum()]]), backward_fn)
 
 
 def loss(tape: Tape | None, pred: Tensor, target: Tensor) -> Tensor:

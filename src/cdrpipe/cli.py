@@ -387,8 +387,12 @@ def cmd_lodo(cfg: RunConfig) -> int:
 
 def cmd_report(run_dirs: list[Path], out: Path) -> int:
     histories = {}
+    seen = set()
     for run_dir in run_dirs:
-        path = Path(run_dir) / "history.csv"
+        if run_dir.resolve() in seen:  # its runs would count twice
+            raise ReportError(f"run directory {run_dir} is given more than once")
+        seen.add(run_dir.resolve())
+        path = run_dir / "history.csv"
         if not path.exists():
             raise ReportError(f"no history.csv in {run_dir}")
         for model_name, records in read_history_csv(path).items():

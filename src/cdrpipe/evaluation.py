@@ -309,14 +309,17 @@ def write_history_csv(path, model_name: str, history: Sequence[EpochRecord]) -> 
 def read_history_csv(path) -> dict[str, list[EpochRecord]]:
     """Inverse of write_history_csv; returns model -> EpochRecord rows.
 
-    A file that is not UTF-8 text is a ReportError naming the file; a row
-    the csv module cannot read, or one with the wrong field count, a
-    non-numeric value, a non-finite loss or a PCC outside [-1, 1], or one
-    that repeats an earlier row's model and epoch, is one naming the file
-    and line.
+    A file that cannot be read or is not UTF-8 text is a ReportError naming
+    the file; a row the csv module cannot read, or one with the wrong field
+    count, a non-numeric value, a non-finite loss or a PCC outside [-1, 1],
+    or one that repeats an earlier row's model and epoch, is one naming the
+    file and line.
     """
-    with text_input(path, ReportError) as fh:
-        lines = list(csv_rows(path, fh, ReportError))
+    try:
+        with text_input(path, ReportError) as fh:
+            lines = list(csv_rows(path, fh, ReportError))
+    except OSError as exc:
+        raise ReportError(f"{path}: cannot be read ({exc.strerror})") from None
     header = lines[0][1] if lines else []
     if header != HISTORY_COLUMNS:
         raise ReportError(f"{path}: not a history table (header {header})")

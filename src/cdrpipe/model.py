@@ -7,7 +7,7 @@ stacked into one matrix, each graph's normalized adjacency applied to its
 own row segment, and one max-pooled row per graph. Each layer,
 ``relu(Â(H W) + b)``, is one node on the tape. The first layer's
 propagation is a per-drug constant, ``ÂX``, built at ingest (see
-``PaddedGraph``), so only the deeper layers propagate. It carries no batch
+``PaddedGraph``), so only the deeper layers apply ``Â``. It carries no batch
 normalization or dropout, so a drug's embedding depends only on its graph
 and the parameters. Batch normalization sits after each hidden linear layer
 of the cell branch and head, before the activation. The head's last layer

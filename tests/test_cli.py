@@ -802,6 +802,22 @@ class TestReport:
                          "--out", str(tmp_path / "o")]) == 5
         assert "history.csv" in capsys.readouterr().err
 
+    def test_unreadable_history_exits_5(self, tmp_path, capsys):
+        history = tmp_path / "run" / "history.csv"
+        history.mkdir(parents=True)
+        assert cli.main(["report", str(tmp_path / "run"), "--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err.startswith(f"error: {history}: cannot be read (")
+        assert not (tmp_path / "o").exists()
+
+    def test_one_run_directory_given_twice_exits_5(self, tmp_path, capsys, monkeypatch):
+        """The same directory by another path would count its run twice."""
+        self.make_run(tmp_path / "out1", "scgpt", [0.5, 0.6])
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["report", "out1", str(tmp_path / "out1"), "--out", "o"]) == 5
+        assert capsys.readouterr().err == (
+            f"error: run directory {tmp_path / 'out1'} is given more than once\n")
+        assert not (tmp_path / "o").exists()
+
     def test_disjoint_epoch_ranges_exit_5(self, tmp_path, capsys):
         self.make_run(tmp_path / "a", "m1", [0.5, 0.6])
         run_b = tmp_path / "b"

@@ -23,6 +23,14 @@ def write_csv(path, text):
     return path
 
 
+class TestExpressionProfile:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_a_value_outside_the_domain_names_the_cell_line(self, bad):
+        with pytest.raises(omics.IngestError,
+                           match="cell line 'c1': expression value outside the non-negative"):
+            omics.ExpressionProfile("c1", [bad, 1.0], ["a", "b"])
+
+
 class TestLoadExpression:
     def test_small_matrix(self, tmp_path):
         p = write_csv(tmp_path / "e.csv", "cell_line_id,g1,g2,g3\nA,1,2,3\nB,4,5,6\n")
@@ -121,45 +129,54 @@ class TestTableProperties:
             omics.load_expression(path)
 
 
+def one_profile_features(values, genes, canonical):
+    """The raw-expression features of a set holding one profile, cell line A."""
+    profile = omics.ExpressionProfile("A", np.asarray(values, dtype=float), genes)
+    return omics.expression_feature_set([profile], canonical).vectors["A"]
+
+
+def cpm_formula(values):
+    """CPM-log1p as written."""
+    return np.log1p(values / values.sum() * 1e6)
+
+
 class TestAlignGenes:
     def test_pad_and_reorder(self):
-        p = omics.ExpressionProfile("A", np.array([4.0, 7.0]), ["g1", "g3"])
-        np.testing.assert_array_equal(omics.align_genes(p.gene_ids, p.values, ["g1", "g2", "g3"]),
-                                      [4.0, 0.0, 7.0])
+        got = one_profile_features([4.0, 7.0], ["g1", "g3"], ["g1", "g2", "g3"])
+        assert got.tobytes() == cpm_formula(np.array([4.0, 0.0, 7.0])).tobytes()
 
     def test_empty_profile(self):
-        p = omics.ExpressionProfile("A", np.zeros(0), [])
-        np.testing.assert_array_equal(omics.align_genes(p.gene_ids, p.values, ["g1", "g2"]),
-                                      [0.0, 0.0])
+        with pytest.raises(omics.IngestError, match="cell line 'A': no counts"):
+            one_profile_features([], [], ["g1", "g2"])
 
     def test_subset_reorders_and_counts_drops(self):
+        got = one_profile_features([1.0, 2.0, 3.0], ["g1", "g2", "g3"], ["g3", "g1"])
+        assert got.tobytes() == cpm_formula(np.array([3.0, 1.0])).tobytes()
         p = omics.ExpressionProfile("A", np.array([1.0, 2.0, 3.0]), ["g1", "g2", "g3"])
-        np.testing.assert_array_equal(omics.align_genes(p.gene_ids, p.values, ["g3", "g1"]),
-                                      [3.0, 1.0])
         assert omics.alignment_stats(p, ["g3", "g1"]) == (0, 1)
 
     def test_output_length_matches_canonical(self):
         rng = np.random.default_rng(3)
-        for n_prof, n_canon in [(0, 5), (3, 1), (10, 10)]:
+        for n_prof, n_canon in [(1, 5), (3, 1), (10, 10)]:
             genes = [f"g{i}" for i in range(n_prof)]
-            p = omics.ExpressionProfile("A", rng.uniform(size=n_prof), genes)
             canonical = [f"g{i}" for i in range(0, 2 * n_canon, 2)]
-            assert omics.align_genes(p.gene_ids, p.values, canonical).shape == (len(canonical),)
+            got = one_profile_features(rng.uniform(0.1, 1.0, size=n_prof), genes, canonical)
+            assert got.shape == (len(canonical),)
 
 
 class TestCpmLog1p:
     def test_direct_formula_values(self):
-        got = omics.cpm_log1p(np.array([1.0, 1.0, 2.0]))
+        got = one_profile_features([1.0, 1.0, 2.0], ["g1", "g2", "g3"], ["g1", "g2", "g3"])
         np.testing.assert_allclose(
             got, [12.429220196836383, 12.429220196836383, 13.122365377402328], rtol=1e-15)
 
     def test_zero_entry_maps_to_zero(self):
-        got = omics.cpm_log1p(np.array([0.0, 7.5]))
+        got = one_profile_features([0.0, 7.5], ["g1", "g2"], ["g1", "g2"])
         np.testing.assert_allclose(got, [0.0, 13.815511557963774])
 
     def test_all_zero_vector(self):
-        with pytest.raises(omics.IngestError, match="all-zero"):
-            omics.cpm_log1p(np.zeros(3))
+        with pytest.raises(omics.IngestError, match="cell line 'A': no counts .*all-zero"):
+            one_profile_features(np.zeros(3), ["g1", "g2", "g3"], ["g1", "g2", "g3"])
 
     @pytest.mark.parametrize("k", [2.0, 10.0, 1000.0])
     def test_scale_invariance_is_exact(self, k):
@@ -168,7 +185,9 @@ class TestCpmLog1p:
         rng = np.random.default_rng(8)
         v = rng.integers(0, 10_000, size=200).astype(float)
         v[0] = 1.0
-        assert np.array_equal(omics.cpm_log1p(k * v), omics.cpm_log1p(v))
+        genes = [f"g{i}" for i in range(200)]
+        assert np.array_equal(one_profile_features(k * v, genes, genes),
+                              one_profile_features(v, genes, genes))
 
 
 class TestLoadEmbeddings:
@@ -474,7 +493,7 @@ class TestJoin:
         profiles = [omics.ExpressionProfile(f"C{i}", row, genes) for i, row in enumerate(values)]
         cells = omics.expression_feature_set(profiles, canonical)
         for p in profiles:
-            alone = omics.cpm_log1p(omics.align_genes(genes, p.values, canonical))
+            alone = omics.expression_feature_set([p], canonical).vectors[p.cell_line_id]
             assert cells.vectors[p.cell_line_id].tobytes() == alone.tobytes()
 
     def test_a_row_without_canonical_counts_names_its_cell_line(self):
@@ -535,17 +554,24 @@ class TestExpressionFeatureMatrix:
             warnings.simplefilter("error")
             with pytest.raises(omics.IngestError, match="cell line 'B': .*not sum to a finite"):
                 omics.expression_feature_set(profiles, ["g1", "g2", "g3"])
-            with pytest.raises(omics.IngestError, match="not sum to a finite"):
-                omics.cpm_log1p(profiles[1].values)
+            with pytest.raises(omics.IngestError, match="cell line 'B': .*not sum to a finite"):
+                omics.expression_feature_set(profiles[1:], ["g1", "g2"])
 
     def test_the_helpers_leave_their_input_untouched(self):
+        """The features and their reference copy the profiles' values and
+        scale the copy; the profiles keep their values."""
         values = np.array([[3.0, 0.0, 1.0], [2.0, 5.0, 1.0]])
-        before = values.copy()
-        aligned = omics.align_genes(["g1", "g2", "g3"], values, ["g3", "g1", "g4"])
-        np.testing.assert_array_equal(aligned, [[1.0, 3.0, 0.0], [1.0, 2.0, 0.0]])
-        scaled = omics.cpm_log1p(values)
-        assert not np.shares_memory(scaled, values)
-        np.testing.assert_array_equal(values, before)
+        profiles = [omics.ExpressionProfile(f"C{i}", row.copy(), ["g1", "g2", "g3"])
+                    for i, row in enumerate(values)]
+        canonical = ["g3", "g1", "g4"]
+        cells = omics.expression_feature_set(profiles, canonical)
+        want = reference_expression_features(profiles, canonical)
+        for p, row, expected in zip(profiles, values, want):
+            got = cells.vectors[p.cell_line_id]
+            assert got.tobytes() == expected.tobytes()
+            assert got.tobytes() == cpm_formula(np.array([row[2], row[0], 0.0])).tobytes()
+            assert not np.shares_memory(got, p.values)
+            np.testing.assert_array_equal(p.values, row)
 
 
 class TestColumns:
