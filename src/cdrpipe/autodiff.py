@@ -213,23 +213,31 @@ def segment_max(tape: Tape | None, x: Tensor, sizes: Sequence[int]) -> Tensor:
     output row per segment, every segment at least one row long. A segment
     holding a NaN in a column has the maximum NaN there.
 
-    Only the backward pass finds the winning rows, so an unrecorded call
-    computes the maxima alone. Each column's gradient goes to the lowest
-    row of the segment that equals its maximum (to the first NaN row where
-    the maximum is NaN), which is the row ``np.argmax`` picks.
+    Each segment is reduced on its own, a contiguous block of rows, into
+    its output row: ``np.maximum.reduceat`` gives the same bytes but
+    reads the rows strided, and took about twice as long on eval packs
+    and training batches. Only the backward pass finds the winning rows,
+    so an unrecorded call computes the maxima alone. Each column's gradient
+    goes to the lowest row of the segment that equals its maximum (to the
+    first NaN row where the maximum is NaN), which is the row ``np.argmax``
+    picks.
     """
     if x.data.ndim != 2 or min(sizes, default=0) < 1 or sum(sizes) != x.data.shape[0]:
         raise ValueError(f"segment_max needs segments of at least one row tiling the input, "
                          f"got sizes {list(sizes)} for shape {x.data.shape}")
-    starts = np.cumsum([0] + list(sizes[:-1]))
-    out = np.maximum.reduceat(x.data, starts, axis=0)
+    bounds = np.cumsum([0, *sizes]).tolist()
+    out = np.empty((len(bounds) - 1, x.data.shape[1]))
+    for row, s, e in zip(out, bounds[:-1], bounds[1:]):
+        np.maximum.reduce(x.data[s:e], axis=0, out=row)
 
     def backward_fn(g):
         n, d = x.data.shape
+        # one pass over all segments; an argmax per segment was slower at
+        # training size (299 against 243 us at 358 rows of 128).
         # only NaN maxima have NaN rows in their segment, so the two tests never mix
         hit = (x.data == np.repeat(out, sizes, axis=0)) | np.isnan(x.data)
         rows = np.where(hit, np.arange(n)[:, None], n)
-        winners = np.minimum.reduceat(rows, starts, axis=0)
+        winners = np.minimum.reduceat(rows, bounds[:-1], axis=0)
         gx = np.zeros_like(x.data)
         gx[winners, np.arange(d)] = g
         return (gx,)
@@ -282,8 +290,12 @@ def batch_norm(tape: Tape | None, x: Tensor, state: BatchNormState, mode: str) -
         mean = state.running_mean
         var = state.running_var
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x.data - mean) * inv_std
-    out = state.gamma.data * xhat + state.beta.data
+    # the ufuncs of gamma * ((x - mean) * inv_std) + beta in the same order,
+    # so the same bytes, in two arrays rather than four
+    xhat = x.data - mean
+    xhat *= inv_std
+    out = state.gamma.data * xhat
+    out += state.beta.data
     gamma, beta = state.gamma, state.beta
 
     def backward_fn(g):

@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .omics import code_ids
 from .tables import atomic_write, csv_rows, text_input, write_rows
 
 _KEY_FIELDS = {"cell_line": "cell_line_id", "cancer_type": "cancer_type", "drug": "drug_id"}
@@ -119,7 +120,7 @@ class EpochRecord:
     val_pcc: float | None
 
 
-@dataclass
+@dataclass(slots=True)
 class PredictionRow:
     drug_id: str
     cell_line_id: str
@@ -138,18 +139,17 @@ def _grouped(rows: Sequence[PredictionRow], attr: str, x: np.ndarray,
              y: np.ndarray) -> dict[str, GroupStat]:
     """grouped_pcc over the rows' already extracted (predicted, observed)
     columns x and y; attr names the key's field."""
-    slot: dict = {}  # key -> code, in order of first appearance
-    codes = np.array([slot.setdefault(key, len(slot)) for key in map(attrgetter(attr), rows)],
-                     dtype=np.intp)
-    skipped = slot.pop(None, None)
-    if skipped is not None:
+    keys, codes = code_ids(map(attrgetter(attr), rows))
+    if None in keys:
+        skipped = keys.index(None)
+        del keys[skipped]
         kept = codes != skipped
         codes, x, y = codes[kept], x[kept], y[kept]
         codes[codes > skipped] -= 1
-    pccs = segment_pearson(x, y, codes, len(slot)).tolist()
-    sizes = np.bincount(codes, minlength=len(slot)).tolist()
+    pccs = segment_pearson(x, y, codes, len(keys)).tolist()
+    sizes = np.bincount(codes, minlength=len(keys)).tolist()
     return {key: GroupStat(pcc=None if math.isnan(r) else r, n=n)
-            for key, r, n in zip(slot, pccs, sizes)}
+            for key, r, n in zip(keys, pccs, sizes)}
 
 
 def _columns(rows: Sequence[PredictionRow]) -> tuple[np.ndarray, np.ndarray]:

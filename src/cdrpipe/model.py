@@ -265,13 +265,12 @@ def forward_batch(tape: ad.Tape, graphs: Sequence[PaddedGraph], cell_matrix,
 DRUG_PACK_BYTES = 2 * 1024 * 1024
 
 
-def _packs(items: list, size: int, rows: Sequence[int] | None = None,
-           max_rows: float = float("inf")) -> list[list]:
+def _packs(items: list, size: int, rows: Sequence[int], max_rows: int) -> list[list]:
     """Consecutive packs of ``items``, in order, each of at most ``size``
     items whose ``rows`` sum to at most ``max_rows``; an item with more rows
     than that is a pack of its own."""
     packs, total = [], 0
-    for item, n in zip(items, [0] * len(items) if rows is None else rows):
+    for item, n in zip(items, rows):
         if packs and len(packs[-1]) < size and total + n <= max_rows:
             packs[-1].append(item)
             total += n
@@ -294,11 +293,13 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
     of ``gcn_layer_dims`` x 8 bytes), so each layer's activation stays in one
     core's L2 cache; a graph over that budget is a pack of its own. The
     dataset's ``cell_ids`` are encoded at most ``batch_size`` rows per
-    ``encode_cell`` call and projected through ``W_c`` plus ``b``.
-    Then each chunk of ``batch_size`` records gathers its two rows through
-    the ``drug_index`` and ``cell_index`` columns and runs :func:`predict`
-    on them. It reads the columns only, never ``dataset.records``. A
-    ``batch_size`` below 1 raises ``ValueError``.
+    ``encode_cell`` call, each pack taken from ``dataset.cells.matrix`` in
+    one ``np.take`` through the ``cell_rows`` column, and projected through
+    ``W_c`` plus ``b``. Then each chunk of ``batch_size`` records gathers
+    its two rows through the ``drug_index`` and ``cell_index`` columns and
+    runs :func:`predict` on them. It reads the columns and the matrix only,
+    never ``dataset.records`` or a per-id lookup. A ``batch_size`` below 1
+    raises ``ValueError``.
 
     On entry it pins the process's allocator (:func:`autodiff.pin_allocator`):
     a process-wide setting, made once, that overrides any
@@ -317,10 +318,11 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
                    DRUG_PACK_BYTES // (8 * max(cfg.gcn_layer_dims)))
     drug_part = np.concatenate([encode_drug(None, pack, params, cfg).data
                                 for pack in packs]) @ w_drug.data
+    cells, rows = dataset.cells.matrix, dataset.cell_rows
     cell_part = np.concatenate([
-        encode_cell(None, np.stack([dataset.cells.vectors[c] for c in pack]), params, cfg,
+        encode_cell(None, np.take(cells, rows[s:s + batch_size], axis=0), params, cfg,
                     "eval").data @ w_cell.data
-        for pack in _packs(dataset.cell_ids, batch_size)]) + params.head[0].bias.data
+        for s in range(0, rows.size, batch_size)]) + params.head[0].bias.data
     for start in range(0, out.size, batch_size):
         chunk = slice(start, start + batch_size)
         out[chunk] = predict(None, ad.Tensor(drug_part[dataset.drug_index[chunk]]),

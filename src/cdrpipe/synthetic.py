@@ -77,8 +77,9 @@ def make_benchmark(n_cells: int = 500, cell_dim: int = 64, n_drugs: int = 30,
         padded[drug_id] = pad_graph(graphs[drug_id], n_max)
 
     cell_ids = [f"C{c:03d}" for c in range(n_cells)]
-    vectors = {cid: rng.normal(size=cell_dim) for cid in cell_ids}
-    cells = CellFeatureSet(source="raw_expression", dim=cell_dim, vectors=vectors)
+    # one draw of the whole matrix gives the bytes of a draw per cell line
+    cells = CellFeatureSet(source="raw_expression", dim=cell_dim, ids=cell_ids,
+                           matrix=rng.normal(size=(n_cells, cell_dim)))
     cancer_type = {cid: f"T{rng.integers(0, n_cancer_types)}" for cid in cell_ids}
 
     w = rng.normal(size=ATOM_FEATURE_DIM + cell_dim)
@@ -99,7 +100,7 @@ def make_benchmark(n_cells: int = 500, cell_dim: int = 64, n_drugs: int = 30,
         d = drug_ids[flat // n_cells]
         c = cell_ids[flat % n_cells]
         pairs.append((d, c))
-        raw[k] = w @ np.concatenate([pooled[d], vectors[c]]) + bias
+        raw[k] = w @ np.concatenate([pooled[d], cells.vectors[c]]) + bias
     raw = (raw - raw.mean()) / raw.std()
     labels = raw + rng.normal(0.0, noise_std, size=n_records)
 
@@ -123,11 +124,13 @@ def noisy_projection_set(cells: CellFeatureSet, out_dim: int = 256,
     # rescale to unit per-coordinate variance so the degradation is purely
     # informational, not a feature-scale change
     scale = 1.0 / np.sqrt(1.0 + noise_std**2)
-    vectors = {
-        cid: scale * (proj @ vec + rng.normal(0.0, noise_std, size=out_dim))
-        for cid, vec in cells.vectors.items()
-    }
-    return CellFeatureSet(source="raw_expression", dim=out_dim, vectors=vectors)
+    matrix = np.empty((len(cells.ids), out_dim))
+    # a matrix-vector product per row keeps the per-cell bytes; one matrix
+    # product may round differently
+    for row, vec in zip(matrix, cells.matrix):
+        row[:] = scale * (proj @ vec + rng.normal(0.0, noise_std, size=out_dim))
+    return CellFeatureSet(source="raw_expression", dim=out_dim, ids=list(cells.ids),
+                          matrix=matrix)
 
 
 # ---------------------------------------------------------------------------

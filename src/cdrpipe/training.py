@@ -175,10 +175,12 @@ def train(train_set: ResponseDataset, val_set: ResponseDataset,
     tensors = params.parameters()
     opt = ad.adam_init(tensors, lr=train_cfg.lr)
 
-    # one entry per distinct id: a batch's graphs and cell rows are gathered
-    # through the dataset's index columns, never looked up per record
+    # a batch's graphs and cell rows are gathered through the dataset's
+    # columns, never looked up per record: one graph per distinct drug, and
+    # each record's row of the cell matrix
     graphs = [train_set.graphs[d] for d in train_set.drug_ids]
-    cell_rows = [train_set.cells.vectors[c] for c in train_set.cell_ids]
+    cell_matrix = train_set.cells.matrix
+    cell_rows = train_set.cell_rows[train_set.cell_index]
     history: list[EpochRecord] = []
     best_params: ModelParams | None = None
     best_pcc = -np.inf
@@ -189,7 +191,7 @@ def train(train_set: ResponseDataset, val_set: ResponseDataset,
         total = 0.0
         for batch_no, idx in enumerate(_batches(n, train_cfg.batch_size, order)):
             batch_graphs = [graphs[k] for k in train_set.drug_index[idx].tolist()]
-            cells = np.stack([cell_rows[k] for k in train_set.cell_index[idx].tolist()])
+            cells = np.take(cell_matrix, cell_rows[idx], axis=0)
             target = ad.Tensor(train_set.labels()[idx][:, None])
 
             tape = ad.Tape()

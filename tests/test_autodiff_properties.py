@@ -119,6 +119,50 @@ def test_segment_max_routes_each_column_like_argmax(sizes, d, seed):
     np.testing.assert_array_equal(grad, routing)
 
 
+# values where a max-pool can go wrong: signed zeros, NaN and infinities
+POOL_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6), d=st.integers(1, 5),
+       data=st.data())
+def test_segment_max_forward_bytes_equal_reduceat(sizes, d, data):
+    """The maxima, reduced segment by segment, are byte for byte those of
+    one strided ``np.maximum.reduceat`` over every segment, one-row segments
+    included, and the gradient still routes each column like ``np.argmax``."""
+    n = sum(sizes)
+    x = np.array(data.draw(st.lists(POOL_VALUES, min_size=n * d, max_size=n * d))).reshape(n, d)
+    t = ad.Tensor(x, requires_grad=True)
+    tape = ad.Tape()
+    pooled = ad.segment_max(tape, t, sizes)
+    starts = np.cumsum([0, *sizes[:-1]])
+    assert pooled.data.tobytes() == np.maximum.reduceat(x, starts, axis=0).tobytes()
+    assert ad.segment_max(None, ad.Tensor(x), sizes).data.tobytes() == pooled.data.tobytes()
+    with np.errstate(invalid="ignore"):  # the sum of inf and -inf; its gradient is all ones
+        total = sum_all(tape, pooled)
+    (grad,) = ad.backward(tape, total, [t])
+    np.testing.assert_array_equal(grad, segment_argmax(x, sizes)[1])
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@PROPERTY
+@given(**SHAPES)
+def test_batch_norm_bytes_equal_the_formula(mode, n, d, seed):
+    """Built in two arrays, the normalized batch has the bytes of
+    ``gamma * ((x - mean) * inv_std) + beta`` with its four temporaries."""
+    rng = np.random.default_rng(seed)
+    state = _bn_state(rng, d)
+    x = rng.normal(3.0, 5.0, size=(n, d))
+    if mode == "train":
+        mean, var = x.mean(axis=0), x.var(axis=0)
+    else:
+        mean, var = state.running_mean.copy(), state.running_var.copy()
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    want = state.gamma.data * ((x - mean) * inv_std) + state.beta.data
+    got = ad.batch_norm(None, ad.Tensor(x), state, mode).data
+    assert got.tobytes() == want.tobytes()
+
+
 @PROPERTY
 @given(**SHAPES)
 def test_backward_returns_the_gradient_of_each_requested_tensor(n, d, seed):

@@ -561,9 +561,8 @@ class TestEval:
                           dropout_rate=0.1, n_max_atoms=bench.n_max_atoms,
                           cell_input_dim=512)
         params = init_params(cfg, seed=5)
-        wide = {cid: np.concatenate([v, np.zeros(500)])
-                for cid, v in bench.cells.vectors.items()}
-        oracle_cells = type(bench.cells)("raw_expression", 512, wide)
+        wide = np.hstack([bench.cells.matrix, np.zeros((len(bench.cells.ids), 500))])
+        oracle_cells = type(bench.cells)("raw_expression", 512, bench.cells.ids, wide)
         dataset = ResponseDataset(bench.records, bench.padded, oracle_cells)
         preds = predict_records(params, cfg, dataset)
         for record, value in zip(bench.records, preds):

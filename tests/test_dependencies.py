@@ -273,6 +273,34 @@ def test_the_comma_guard_sees_every_form_of_split():
     assert comma_splits(source) == [f"line {n}" for n in range(5, 13)]
 
 
+def vectors_reads(source: str) -> list[str]:
+    """Uses of an attribute named ``vectors``: ``cells.vectors[c]``,
+    ``cells.vectors.get(c)``, or the dict itself, however it is reached."""
+    return [f"line {n}" for n in sorted(node.lineno for node in ast.walk(ast.parse(source))
+                                       if isinstance(node, ast.Attribute)
+                                       and node.attr == "vectors")]
+
+
+def test_model_and_training_read_cells_from_the_matrix():
+    """The prediction pass and the training loop take cell rows from the
+    feature matrix through a dataset's ``cell_rows``, never per id from the
+    ``vectors`` dict, so the matrix stays the one read path."""
+    reads = {f"{name} {use}"
+             for name in ("model.py", "training.py")
+             for use in vectors_reads((PACKAGE / name).read_text(encoding="utf-8"))}
+    assert not reads
+
+
+def test_the_vectors_guard_sees_every_use_of_the_attribute():
+    source = ("vectors[c]\n"
+              "cells.matrix[rows]\n"
+              "dataset.cells.vectors[c]\n"
+              "cells.vectors.get(c)\n"
+              "np.stack([ds.cells.vectors[c] for c in ids])\n"
+              "lookup = train_set.cells.vectors\n")
+    assert vectors_reads(source) == [f"line {n}" for n in range(3, 7)]
+
+
 # public functions that nothing in the package calls, and why each stays
 UNCALLED_PUBLIC_FUNCTIONS = {
     "autodiff.finite_diff_check": "demo 01 checks a gradient with it",

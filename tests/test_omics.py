@@ -448,8 +448,7 @@ class TestJoin:
     def make_parts(self):
         rng = np.random.default_rng(0)
         graphs = {f"D{i}": pad_graph(random_graph(rng, f"D{i}", 4), 6) for i in range(2)}
-        cells = omics.CellFeatureSet(
-            "raw_expression", 3, {f"C{i}": rng.normal(size=3) for i in range(2)})
+        cells = omics.CellFeatureSet("raw_expression", 3, ["C0", "C1"], rng.normal(size=(2, 3)))
         return graphs, cells
 
     def test_counts(self):
@@ -574,6 +573,44 @@ class TestExpressionFeatureMatrix:
             np.testing.assert_array_equal(p.values, row)
 
 
+class TestCellFeatureSet:
+    """The vectors are the rows of one matrix, shared and read-only."""
+
+    def test_vectors_are_read_only_views_of_the_matrix_rows(self):
+        matrix = np.arange(6.0).reshape(3, 2)
+        cells = omics.CellFeatureSet("raw_expression", 2, ["B", "A", "C"], matrix)
+        assert cells.matrix is matrix
+        assert list(cells.vectors) == ["B", "A", "C"]
+        for i, vec in enumerate(cells.vectors.values()):
+            assert np.shares_memory(vec, matrix) and vec.tobytes() == matrix[i].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            cells.vectors["A"][0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            cells.matrix[0, 0] = 1.0
+        assert cells.rows(["C", "B", "C"]).tolist() == [2, 0, 2]
+
+    def test_loaders_keep_the_matrix_they_build(self, tmp_path):
+        path = write_csv(tmp_path / "e.csv", "cell_line_id,e0,e1\nX,1.0,2.0\nY,3.0,4.0\n")
+        cells = omics.load_embeddings(path, "raw_expression")
+        assert cells.ids == ["X", "Y"]
+        assert cells.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert all(np.shares_memory(v, cells.matrix) for v in cells.vectors.values())
+        profiles = [omics.ExpressionProfile(c, np.array([1.0, 3.0]), ["g1", "g2"])
+                    for c in ("P", "Q")]
+        features = omics.expression_feature_set(profiles, ["g2", "g1"])
+        assert features.ids == ["P", "Q"] and features.matrix.shape == (2, 2)
+        assert all(np.shares_memory(v, features.matrix) for v in features.vectors.values())
+
+    @pytest.mark.parametrize("ids, shape, message", [
+        (["A", "B"], (2, 3), "shape \\(2, 3\\) for 2 cell lines of 2-dim"),
+        (["A", "B"], (3, 2), "shape \\(3, 2\\) for 2 cell lines"),
+        (["A", "B", "A"], (3, 2), "cell line 'A' appears more than once"),
+    ])
+    def test_a_matrix_that_does_not_fit_the_ids_is_rejected(self, ids, shape, message):
+        with pytest.raises(omics.IngestError, match=message):
+            omics.CellFeatureSet("raw_expression", 2, ids, np.zeros(shape))
+
+
 class TestColumns:
     """The integer columns a dataset codes its records into when it is built."""
 
@@ -583,8 +620,8 @@ class TestColumns:
     @classmethod
     def cells(cls, dim, seed):
         rng = np.random.default_rng(seed)
-        return omics.CellFeatureSet("raw_expression", dim,
-                                    {c: rng.normal(size=dim) for c in cls.CELLS})
+        return omics.CellFeatureSet("raw_expression", dim, list(cls.CELLS),
+                                    rng.normal(size=(len(cls.CELLS), dim)))
 
     @staticmethod
     def columns(ds):
@@ -622,6 +659,32 @@ class TestColumns:
         borrowed = sibling.subset(outer)
         assert borrowed.cells is other and borrowed.graphs is graphs
         assert self.columns(borrowed) == self.columns(ds.subset(outer))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), pairs=st.lists(
+        st.tuples(st.sampled_from(DRUGS), st.sampled_from(CELLS)), max_size=25))
+    def test_cell_rows_index_each_cell_lines_row_on_subsets(self, data, pairs):
+        """Whatever order the records meet the cell lines in, ``cell_rows``
+        points each distinct cell line at its own row of the matrix, in a
+        dataset, its subsets, and a subset over another source's cells."""
+        graphs = {d: object() for d in self.DRUGS}
+        records = [omics.ResponseRecord(d, c, 0.0) for d, c in pairs]
+        ds = omics.ResponseDataset(records, graphs, self.cells(3, 0))
+        outer = [r for r in records if data.draw(st.booleans())]
+        inner = [r for r in outer if data.draw(st.booleans())]
+        sibling = omics.ResponseDataset(records, graphs, self.cells(2, 1))
+        for each in (ds, ds.subset(outer), ds.subset(outer).subset(inner),
+                     sibling.subset(outer)):
+            assert each.cell_rows.dtype == np.intp
+            assert each.cell_rows.shape == (len(each.cell_ids),)
+            taken = np.take(each.cells.matrix, each.cell_rows, axis=0)
+            want = np.array([each.cells.vectors[c] for c in each.cell_ids]).reshape(taken.shape)
+            assert taken.tobytes() == want.tobytes()
+
+    def test_a_record_without_a_cell_vector_is_named(self):
+        record = omics.ResponseRecord("D0", "GHOST", 1.0)
+        with pytest.raises(omics.IngestError, match="cell line 'GHOST' has no"):
+            omics.ResponseDataset([record], {}, self.cells(3, 0))
 
     def test_empty_subset(self):
         ds = omics.ResponseDataset([omics.ResponseRecord("D0", "C0", 1.0)], {}, self.cells(3, 0))
