@@ -212,21 +212,28 @@ def load_cells(cfg: RunConfig, source: str) -> tuple[CellFeatureSet, dict]:
     return cells, entries
 
 
-def assemble_dataset(cfg: RunConfig, source: str) -> tuple[ResponseDataset, dict]:
-    """Load graphs, cells, and responses for one source and join them."""
-    entries: dict[str, object] = {"feature_source": source}
+def assemble_datasets(cfg: RunConfig,
+                      sources: list[str]) -> dict[str, tuple[ResponseDataset, dict]]:
+    """Each source's joined dataset plus ingestion-report entries. The drug
+    graphs and the responses are read once and joined with every source's
+    cells."""
     graphs = load_drug_manifest(_require_path(cfg, "drug_manifest"))
     padded = {d: pad_graph(g, cfg.model.n_max_atoms) for d, g in graphs.items()}
-    entries["drugs.rows"] = len(padded)
-    cells, cell_entries = load_cells(cfg, source)
-    entries.update(cell_entries)
+    cells = {source: load_cells(cfg, source) for source in sources}
     responses = load_responses(_require_path(cfg, "responses"))
-    entries["responses.rows"] = len(responses)
-    dataset, stats = join_dataset(responses, padded, cells)
-    entries["join.matched"] = stats.matched
-    entries["join.missing_drug"] = stats.missing_drug
-    entries["join.missing_cell"] = stats.missing_cell
-    return dataset, entries
+    joined = {}
+    for source, (cell_set, cell_entries) in cells.items():
+        dataset, stats = join_dataset(responses, padded, cell_set)
+        joined[source] = dataset, {
+            "feature_source": source, "drugs.rows": len(padded), **cell_entries,
+            "responses.rows": len(responses), "join.matched": stats.matched,
+            "join.missing_drug": stats.missing_drug, "join.missing_cell": stats.missing_cell}
+    return joined
+
+
+def assemble_dataset(cfg: RunConfig, source: str) -> tuple[ResponseDataset, dict]:
+    """Load graphs, cells, and responses for one source and join them."""
+    return assemble_datasets(cfg, [source])[source]
 
 
 def model_config(cfg: RunConfig, cell_dim: int) -> ModelConfig:
@@ -334,7 +341,7 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path | None) -> int:
 def cmd_lodo(cfg: RunConfig) -> int:
     sources = [cfg.lodo_baseline, *cfg.lodo_variants]
 
-    datasets = {source: assemble_dataset(cfg, source)[0] for source in sources}
+    datasets = {source: joined[0] for source, joined in assemble_datasets(cfg, sources).items()}
 
     # every source joins the same responses and graphs, so the pairs all of
     # them cover are the baseline's records whose cell line every source has

@@ -11,6 +11,14 @@ normalized adjacency (with self loops) used by the graph encoder, and
 enforces the atom capacity. The encoder's input record holds the real atoms
 only, nothing padded to the capacity, and their features already propagated
 once over the normalized adjacency.
+
+The bond checks run on the whole bond array at once: range and self-loop
+masks, duplicates (in either orientation) found among the canonical
+``(min, max)`` pairs once sorted, and degrees counted by ``np.bincount``.
+Where several bonds are bad, the error names the first in file order, with
+the message a check of one bond at a time would give, and the canonical
+bond list keeps file order. The normalized adjacency is filled by fancy
+indexing on the same pairs.
 """
 
 from __future__ import annotations
@@ -32,12 +40,16 @@ class GraphError(ValueError):
 
 @dataclass
 class MolecularGraph:
-    """A validated drug graph: atom features, canonical bond list, degrees."""
+    """A validated drug graph: atom features, canonical bond list, degrees.
+
+    ``adjacency`` may be given as any sequence of index pairs, a list or an
+    ``m x 2`` integer array; it is held as a list of canonical pairs."""
 
     drug_id: str
     features: np.ndarray          # n_atoms x ATOM_FEATURE_DIM
     adjacency: list[tuple[int, int]]   # canonical (min, max) pairs, deduplicated
     degrees: np.ndarray           # int vector, length n_atoms
+    bonds: np.ndarray = field(init=False, repr=False)  # adjacency as an m x 2 int array
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -50,21 +62,30 @@ class MolecularGraph:
         if self.degrees.shape != (n,):
             raise GraphError(f"drug {self.drug_id!r}: degree list has "
                              f"{self.degrees.shape[0]} entries for {n} atoms")
-        seen: dict[tuple[int, int], None] = {}
-        counts = np.zeros(n, dtype=np.int64)
-        for i, j in self.adjacency:
-            if not (0 <= i < n and 0 <= j < n):
+        pairs = np.array(self.adjacency, dtype=np.int64).reshape(len(self.adjacency), 2)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        outside = (lo < 0) | (hi >= n)
+        # a bond repeats where an earlier one has its canonical pair; lexsort
+        # is stable, so the earliest of equal pairs sorts first
+        order = np.lexsort((hi, lo))
+        lo_sorted, hi_sorted = lo[order], hi[order]
+        repeat = np.zeros(len(pairs), dtype=bool)
+        repeat[order[1:]] = (lo_sorted[1:] == lo_sorted[:-1]) & (hi_sorted[1:] == hi_sorted[:-1])
+        bad = outside | (lo == hi) | repeat
+        if bad.any():  # the first bad bond in file order, checked as one at a time would
+            k = int(bad.argmax())
+            i, j = self.adjacency[k]
+            if outside[k]:
                 raise GraphError(f"drug {self.drug_id!r}: bond ({i}, {j}) references an "
                                  f"atom outside [0, {n})")
             if i == j:
                 raise GraphError(f"drug {self.drug_id!r}: self-loop on atom {i}")
-            pair = (min(i, j), max(i, j))
-            if pair in seen:
-                raise GraphError(f"drug {self.drug_id!r}: duplicate bond {pair}")
-            seen[pair] = None
-            counts[i] += 1
-            counts[j] += 1
-        self.adjacency = list(seen)
+            raise GraphError(f"drug {self.drug_id!r}: duplicate bond "
+                             f"{(int(lo[k]), int(hi[k]))}")
+        self.adjacency = list(zip(lo.tolist(), hi.tolist()))
+        self.bonds = np.stack((lo, hi), axis=1)
+        counts = np.bincount(pairs.ravel(), minlength=n)
         if not np.array_equal(counts, self.degrees):
             bad = int(np.nonzero(counts != self.degrees)[0][0])
             raise GraphError(
@@ -107,9 +128,9 @@ def normalized_adjacency(graph: MolecularGraph) -> np.ndarray:
     """
     n = graph.n_atoms
     a = np.eye(n)
-    for i, j in graph.adjacency:
-        a[i, j] = 1.0
-        a[j, i] = 1.0
+    i, j = graph.bonds.T
+    a[i, j] = 1.0
+    a[j, i] = 1.0
     inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     return inv_sqrt[:, None] * a * inv_sqrt[None, :]
 
@@ -149,7 +170,7 @@ def load_graph(feature_file, adjacency_file, degree_file, drug_id: str | None = 
     pairs = _read_graph_file(adjacency_file, "adjacency", 2, integer=True)
     degrees = _read_graph_file(degree_file, "degree", 1, integer=True)
     return MolecularGraph(drug_id if drug_id is not None else Path(feature_file).stem,
-                          features, pairs.astype(np.int64).tolist(), degrees[:, 0])
+                          features, pairs.astype(np.int64), degrees[:, 0])
 
 
 def save_graph(graph: MolecularGraph, feature_file, adjacency_file, degree_file) -> None:
@@ -166,7 +187,8 @@ def load_drug_manifest(manifest_file) -> dict[str, MolecularGraph]:
     """Load every drug listed in a manifest mapping drug_id to its three files.
 
     Relative paths are resolved against the manifest's directory. Returns
-    drugs in file order.
+    drugs in file order. A listed file that cannot be opened raises
+    :class:`GraphError` naming the manifest, the row, the drug and the file.
     """
     base = Path(manifest_file).parent
     graphs: dict[str, MolecularGraph] = {}
@@ -182,7 +204,11 @@ def load_drug_manifest(manifest_file) -> dict[str, MolecularGraph]:
                                  f"{drug_id!r} (first at row {first_row[drug_id]})")
             first_row[drug_id] = lineno
             paths = [base / row[c].strip() for c in MANIFEST_COLUMNS[1:]]
-            graphs[drug_id] = load_graph(*paths, drug_id=drug_id)
+            try:
+                graphs[drug_id] = load_graph(*paths, drug_id=drug_id)
+            except OSError as exc:  # a listed file is missing, a directory, unreadable
+                raise GraphError(f"{manifest_file}: row {lineno}: drug {drug_id!r}: cannot "
+                                 f"open {exc.filename}: {exc.strerror}") from None
     return graphs
 
 

@@ -8,7 +8,17 @@ blank lines follow one set of rules. A numeric table keyed by its first
 column is parsed by numpy's C reader where every data line is plain; any
 other table goes to the row reader, which takes every decision and raises
 every error. A headerless numeric table of a fixed width, such as a drug's
-graph files, is read by ``read_headerless`` under the same rules.
+graph files, is read by ``read_headerless`` under the same rules: one
+``np.loadtxt`` call where every line of the file is plain, else the row
+reader.
+
+A plain line is one that ``np.loadtxt`` reads exactly as the row reader
+does. It is not blank and not whitespace only, holds no ``"``, no carriage
+return and none of the ASCII controls that only ``loadtxt`` strips, and has
+no field over ``csv.field_size_limit()``. One function, ``_plain_lines``,
+states this rule for both readers. A value ``loadtxt`` rejects but ``float``
+reads (``1_0``, non-ASCII digits), or a row of another width, makes
+``loadtxt`` fail, and the table goes to the row reader as well.
 
 Every output is written to a temporary file beside its target and moved over
 it in one ``os.replace``, so it appears whole or not at all; CSV outputs are
@@ -102,7 +112,34 @@ def read_matrix(path, error: type[Exception], key: str):
 def read_headerless(path, error: type[Exception], width: int):
     """``(matrix, lines)`` of a headerless numeric table of ``width``
     columns: float64, a row per non-blank row, and the physical line each
-    starts on. A row error raises ``error`` naming the file and row."""
+    starts on. A row error raises ``error`` naming the file and row.
+
+    A non-empty UTF-8 file whose every line is plain is parsed by one
+    ``np.loadtxt`` call, its rows on lines ``1..n``. Any other file, or one
+    ``loadtxt`` rejects or reads to another shape, is read again by the row
+    reader, the only one that raises ``error``."""
+    plain = _plain_headerless(path, width)
+    return plain if plain is not None else _headerless_rows(path, error, width)
+
+
+def _plain_headerless(path, width: int):
+    """``read_headerless``'s result through ``np.loadtxt``, or None where
+    the file is not plain."""
+    try:
+        with text_input(path, _NotPlain) as fh:
+            lines = _plain_lines(fh.read(), csv.field_size_limit())
+        if lines is None:
+            return None
+        matrix = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except (_NotPlain, ValueError):
+        return None
+    if matrix.shape != (len(lines), width):
+        return None
+    return matrix, list(range(1, len(lines) + 1))
+
+
+def _headerless_rows(path, error: type[Exception], width: int):
+    """``read_headerless``'s result, one csv row at a time."""
     with text_input(path, error) as fh:
         rows = list(_checked_rows(path, error, width, csv_rows(path, fh, error)))
     lines = [line for line, _ in rows]
@@ -135,6 +172,26 @@ class _NotPlain(Exception):
 # ASCII controls that loadtxt strips around a number as whitespace and
 # float() rejects
 _LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+# characters no plain line holds: csv's quote, and a carriage return, where
+# csv ends a record
+_NOT_PLAIN = '"\r' + _LOADTXT_ONLY_SPACES
+
+
+def _plain_lines(text: str, limit: int) -> list[str] | None:
+    """The lines of ``text``, split at ``"\n"`` without the last one's end,
+    where there is one and every one is plain: not blank and not whitespace
+    only, holding no character of ``_NOT_PLAIN`` and no field over
+    ``limit``; None otherwise."""
+    lines = text.split("\n")
+    if lines[-1] == "":  # the last line's end
+        lines.pop()
+    if (not lines or not all(lines) or any(map(str.isspace, lines))
+            or any(c in text for c in _NOT_PLAIN)
+            or len(text) > limit and any(len(line) > limit
+                                         and max(map(len, line.split(","))) > limit
+                                         for line in lines)):
+        return None
+    return lines
 
 
 def _plain_values(fh, header_lines: int, ids: dict[str, None], lines: list[int]):
@@ -147,9 +204,7 @@ def _plain_values(fh, header_lines: int, ids: dict[str, None], lines: list[int])
         if not text:  # a blank line holds no row
             continue
         row_id, _, values = text.partition(",")
-        if (not values or '"' in text
-                or any(c in text for c in _LOADTXT_ONLY_SPACES)
-                or len(text) > limit and max(map(len, text.split(","))) > limit):
+        if not values or _plain_lines(text, limit) is None:
             raise _NotPlain
         ids[row_id] = None
         lines.append(line)

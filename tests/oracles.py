@@ -6,7 +6,8 @@ builder that does not go through the library's normalization code path more
 than it must, a forward pass over zero-padded, masked graph matrices, an
 eval-mode prediction computed one record at a time, a max-pool routed by
 one ``np.argmax`` per segment, raw-expression features built by stacking,
-fancy-indexing and scaling whole matrices, and two tape operations only
+fancy-indexing and scaling whole matrices, a drug graph's bond checks and
+normalized adjacency taken one bond at a time, and two tape operations only
 the tests use: the graph propagation on its own, which the fused
 ``graph_conv`` layer is checked against, and the sum every gradient test
 reduces an output to.
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from cdrpipe import autodiff as ad
-from cdrpipe.molgraph import PaddedGraph
+from cdrpipe.molgraph import GraphError, PaddedGraph
 
 
 def propagate(tape, blocks, x):
@@ -260,3 +261,41 @@ def segment_argmax(x, sizes):
         routing[rows, cols] = 1.0
         start += n
     return maxima, routing
+
+
+def reference_bonds(drug_id, n, adjacency, degrees):
+    """A graph's bonds checked one at a time, in file order: the canonical
+    ``(min, max)`` pairs in file order, or the GraphError of the first bond
+    out of range, on one atom or repeating an earlier one, else of the first
+    atom whose degree the bonds do not give."""
+    seen: dict[tuple[int, int], None] = {}
+    counts = np.zeros(n, dtype=np.int64)
+    for i, j in adjacency:
+        if not (0 <= i < n and 0 <= j < n):
+            raise GraphError(f"drug {drug_id!r}: bond ({i}, {j}) references an "
+                             f"atom outside [0, {n})")
+        if i == j:
+            raise GraphError(f"drug {drug_id!r}: self-loop on atom {i}")
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            raise GraphError(f"drug {drug_id!r}: duplicate bond {pair}")
+        seen[pair] = None
+        counts[i] += 1
+        counts[j] += 1
+    degrees = np.asarray(degrees, dtype=np.int64)
+    if not np.array_equal(counts, degrees):
+        bad = int(np.nonzero(counts != degrees)[0][0])
+        raise GraphError(
+            f"drug {drug_id!r}: degree list says {int(degrees[bad])} for atom "
+            f"{bad} but the adjacency implies {int(counts[bad])}")
+    return list(seen)
+
+
+def reference_normalized_adjacency(n, adjacency):
+    """D^{-1/2} (A + I) D^{-1/2} with A's entries set one bond at a time."""
+    a = np.eye(n)
+    for i, j in adjacency:
+        a[i, j] = 1.0
+        a[j, i] = 1.0
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    return inv_sqrt[:, None] * a * inv_sqrt[None, :]

@@ -300,6 +300,22 @@ class TestIngest:
         assert capsys.readouterr().err == (
             f"error: {path}: {message.format(n=len(lines), drug=drug)}\n")
 
+    @pytest.mark.parametrize("part, make, reason", [
+        ("adjacency", lambda path: path.unlink(), "No such file or directory"),
+        ("degrees", lambda path: (path.unlink(), path.mkdir()), "Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_a_graph_file_that_cannot_be_opened_names_its_manifest_row_and_drug(
+            self, fixture_dir, tmp_path, capsys, part, make, reason):
+        data, files, config = copy_fixture(fixture_dir, tmp_path)
+        drug = sorted(fixture_dir["bench"].graphs)[1]
+        path = data / "drugs" / f"{drug}.{part}.csv"
+        make(path)
+        code = cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {files['drug_manifest']}: row 3: drug {drug!r}: cannot open {path}: "
+            f"{reason}\n")
+
     def test_a_drug_id_with_surrounding_spaces_joins_as_written(self, fixture_dir, tmp_path):
         """The manifest's ids are taken as written, like the response table's,
         so an id spelled the same way in both joins."""
@@ -674,6 +690,35 @@ class TestLodo:
                        for line in (out / "lodo_summary.txt").read_text().splitlines())
         assert summary["baseline"] == "raw_expression"
         assert summary["folds"] == "1"
+
+    def test_two_sources_read_the_drugs_and_responses_once(self, fixture_dir, tmp_path,
+                                                            monkeypatch):
+        """Both sources join the same graphs and responses, so each table is
+        read once; the outputs are the bytes the run wrote when each source
+        read its own copy."""
+        calls = []
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def read(path):
+                calls.append(name)
+                return real(path)
+            return read
+
+        for name in ("load_drug_manifest", "load_responses"):
+            monkeypatch.setattr(cli, name, counted(name))
+        config = write_config(tmp_path / "lodo.ini", fixture_dir["files"],
+                              fixture_dir["bench"].n_max_atoms)
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["lodo", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(calls) == ["load_drug_manifest", "load_responses"]
+        assert (out / "lodo_gains.csv").read_bytes() == (
+            b"drug_id,rank,gain_scgpt\nD002,1,0.05778812497177038\n")
+        assert (out / "lodo_summary.txt").read_bytes() == (
+            b"baseline=raw_expression\nvariants=scgpt\nfolds=1\nfolds_scored=1\n"
+            b"folds_undefined=none\npairs_dropped.raw_expression=0\npairs_dropped.scgpt=0\n")
 
     def test_variants_train_and_score_on_the_pairs_every_source_covers(
             self, fixture_dir, tmp_path, monkeypatch):

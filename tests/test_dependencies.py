@@ -273,6 +273,52 @@ def test_the_comma_guard_sees_every_form_of_split():
     assert comma_splits(source) == [f"line {n}" for n in range(5, 13)]
 
 
+NUMPY_TEXT_READERS = {"loadtxt", "genfromtxt"}
+
+
+def numpy_text_reads(source: str) -> list[str]:
+    """Uses of numpy's text readers, ``loadtxt`` and ``genfromtxt``: a call
+    or reference through any module path, a bare name, or a name imported
+    from numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+        else:
+            names = {getattr(node, "attr", getattr(node, "id", None))}
+        if names & NUMPY_TEXT_READERS:
+            found.append(node.lineno)
+    return [f"line {n}" for n in sorted(found)]
+
+
+def test_only_tables_parses_text_with_numpy():
+    """np.loadtxt reads a table only where tables.py has found every line
+    plain, so that both of its readers give the same bytes and errors;
+    another module calling it would skip that rule."""
+    modules = [path for path in sorted(PACKAGE.rglob("*.py")) if path.name != "tables.py"]
+    reads = {f"{path.relative_to(PACKAGE)} {use}"
+             for path in modules
+             for use in numpy_text_reads(path.read_text(encoding="utf-8"))}
+    assert not reads
+    assert numpy_text_reads((PACKAGE / "tables.py").read_text(encoding="utf-8"))
+
+
+def test_the_numpy_text_guard_sees_every_form_of_use():
+    source = ("np.savetxt(p, a)\n"
+              "np.fromstring(s, sep=',')\n"
+              "read_loadtxt(p)\n"
+              "tables.read_headerless(p, E, 2)\n"
+              "np.loadtxt(p, delimiter=',')\n"
+              "numpy.genfromtxt(p)\n"
+              "np.lib.npyio.loadtxt(p)\n"
+              "from numpy import loadtxt\n"
+              "loadtxt(lines)\n"
+              "read = np.genfromtxt\n"
+              "def f():\n"
+              "    return [np.loadtxt(p) for p in paths]\n")
+    assert numpy_text_reads(source) == [f"line {n}" for n in (5, 6, 7, 8, 9, 10, 12)]
+
+
 def vectors_reads(source: str) -> list[str]:
     """Uses of an attribute named ``vectors``: ``cells.vectors[c]``,
     ``cells.vectors.get(c)``, or the dict itself, however it is reached."""

@@ -1,11 +1,14 @@
 """Molecular graph loading, normalization, and the atom capacity check."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdrpipe import molgraph as mg
+from cdrpipe import molgraph as mg, tables
 from cdrpipe.synthetic import random_graph
+from oracles import reference_bonds, reference_normalized_adjacency
 
 
 def write_graph_files(tmp_path, features, adjacency, degrees, stem="drug"):
@@ -26,10 +29,73 @@ def two_atom_graph(bond=True):
     return mg.MolecularGraph("toy", features, adjacency, np.array(degrees))
 
 
+DEFECTS = ["outside", "negative", "self_loop", "repeat", "reversed"]
+
+
+@st.composite
+def bond_lists(draw):
+    """``(n, bonds, degrees)``: distinct bonds in either orientation, with up
+    to three defects inserted anywhere (an index at or past ``n``, a
+    negative index, a self-loop, an earlier bond again as written or
+    reversed), and degrees the in-range bonds give, one of them maybe off
+    by one."""
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    bonds = [pair if draw(st.booleans()) else pair[::-1]
+             for pair in draw(st.lists(st.sampled_from(pairs), unique=True))] if pairs else []
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=3)):
+        atom = st.integers(0, n - 1)
+        if defect == "outside":
+            bond = (draw(atom), draw(st.integers(n, n + 2)))
+        elif defect == "negative":
+            bond = (draw(st.integers(-3, -1)), draw(st.integers(-3, n + 2)))
+        elif defect == "self_loop":
+            bond = (draw(atom),) * 2
+        elif bonds:
+            bond = draw(st.sampled_from(bonds))
+            bond = bond if defect == "repeat" else bond[::-1]
+        else:
+            continue
+        bonds.insert(draw(st.integers(0, len(bonds))), bond if draw(st.booleans()) else bond[::-1])
+    degrees = np.zeros(n, dtype=np.int64)
+    for i, j in bonds:
+        if 0 <= min(i, j) and max(i, j) < n:
+            degrees[[i, j]] += 1
+    if draw(st.booleans()):
+        degrees[draw(st.integers(0, n - 1))] += draw(st.sampled_from([-1, 1]))
+    return n, bonds, degrees
+
+
+def graph_or_message(build):
+    try:
+        return build()
+    except mg.GraphError as exc:
+        return str(exc)
+
+
 class TestMolecularGraph:
     def test_bonds_are_held_as_canonical_pairs_in_their_given_order(self):
         g = mg.MolecularGraph("x", np.zeros((3, 75)), [(2, 0), (1, 0)], np.array([2, 1, 1]))
         assert g.adjacency == [(0, 2), (0, 1)]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(drawn=bond_lists(), as_array=st.booleans())
+    def test_array_checks_match_the_one_bond_at_a_time_oracle(self, drawn, as_array):
+        """The same canonical bonds and normalized adjacency bytes, or the
+        same first error, whether the bonds come as a list or, as
+        ``load_graph`` gives them, as an integer array."""
+        n, bonds, degrees = drawn
+        given_bonds = np.array(bonds, dtype=np.int64).reshape(-1, 2) if as_array else bonds
+        got = graph_or_message(
+            lambda: mg.MolecularGraph("d", np.zeros((n, 75)), given_bonds, degrees))
+        expected = graph_or_message(lambda: reference_bonds("d", n, bonds, degrees))
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got.adjacency == expected
+            assert all(type(i) is int and type(j) is int for i, j in got.adjacency)
+            assert (mg.normalized_adjacency(got).tobytes()
+                    == reference_normalized_adjacency(n, expected).tobytes())
 
 
 class TestLoadGraph:
@@ -114,6 +180,75 @@ class TestLoadGraph:
         np.testing.assert_array_equal(back.degrees, g.degrees)
         np.testing.assert_array_equal(back.features, g.features)
 
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308]
+VARIANTS = ["blank_lines", "crlf", "quoted", "whitespace_line", "wrong_width", "non_numeric",
+            "underscore", "over_limit", "control_space"]
+
+
+@st.composite
+def headerless_texts(draw):
+    """``(width, text)``: a headerless table of ``repr``-written finite
+    floats and integers, maybe with a byte-order mark and a final line end,
+    and with some of VARIANTS applied."""
+    width, n = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      st.integers(-2**63, 2**63).map(str), st.sampled_from(EDGE_VALUES).map(repr))
+    rows = [draw(st.lists(value, min_size=width, max_size=width)) for _ in range(n)]
+    variants = {draw(st.sampled_from([None, *VARIANTS])) for _ in range(2)} - {None}
+    field = st.tuples(st.integers(0, n - 1), st.integers(0, width - 1)) if n else st.nothing()
+    if n and "quoted" in variants:
+        i, j = draw(field)
+        rows[i][j] = f'"{rows[i][j]}"'
+    if n and "non_numeric" in variants:
+        i, j = draw(field)
+        rows[i][j] = draw(st.sampled_from(["oops", "", "1.2.3", "0x1p3", "nan(1)", "1e"]))
+    if n and "control_space" in variants:  # loadtxt strips it, float() does not
+        i, j = draw(field)
+        space = draw(st.sampled_from(tables._LOADTXT_ONLY_SPACES))
+        rows[i][j] = draw(st.sampled_from([space + rows[i][j], rows[i][j] + space]))
+    if n and "underscore" in variants:
+        i, j = draw(field)
+        rows[i][j] = "1_0"
+    if n and "over_limit" in variants:
+        i, j = draw(field)
+        rows[i][j] += " " * csv.field_size_limit()
+    if n and "wrong_width" in variants:
+        row = rows[draw(st.integers(0, n - 1))]
+        row.append("1") if draw(st.booleans()) or width == 1 else row.pop()
+    lines = [",".join(row) for row in rows]
+    if "whitespace_line" in variants:
+        lines.insert(draw(st.integers(0, n)), draw(st.sampled_from([" ", "\t", "\u3000", "\x0c"])))
+    if "blank_lines" in variants:
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    end = "\r\n" if "crlf" in variants else "\n"
+    text = end.join(lines) + (end if lines and draw(st.booleans()) else "")
+    return width, ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def headerless(read, path, width):
+    """A headerless reader's matrix bytes and lines, or its error message."""
+    try:
+        matrix, lines = read(path, mg.GraphError, width)
+    except mg.GraphError as exc:
+        return str(exc)
+    return matrix.dtype, matrix.shape, matrix.tobytes(), lines
+
+
+class TestReadHeaderless:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(drawn=headerless_texts())
+    @pytest.mark.filterwarnings("error::UserWarning")  # loadtxt's warning on an empty table
+    def test_loadtxt_gives_the_row_readers_table_or_error(self, tmp_path_factory, drawn):
+        width, text = drawn
+        path = tmp_path_factory.mktemp("h") / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        read = headerless(tables.read_headerless, path, width)
+        assert read == headerless(tables._headerless_rows, path, width)
+        plain = tables._plain_headerless(path, width)
+        if plain is not None:
+            assert plain[1] == list(range(1, len(plain[1]) + 1))
 
 class TestNormalizedAdjacency:
     def test_two_atoms_one_bond_with_self_loops(self):
