@@ -1,12 +1,12 @@
 """Reverse-mode automatic differentiation over small dense tensors.
 
 Provides exactly the operations the drug-response regression model needs:
-matrix products, bias addition, relu, row slicing, row gathering,
-batch normalization, inverted dropout and the mean squared error, plus
-two for graphs packed as one disjoint union of row segments:
-``graph_conv`` (a whole graph-convolution layer, product, propagation over
-each graph's adjacency block, bias and relu, as one node) and
-``segment_max`` (column-wise max-pool per graph). An Adam optimizer and a
+matrix products, bias addition, per-element and per-column products, relu,
+row slicing, row gathering, batch normalization, inverted dropout and the
+mean squared error, plus two for graphs packed as one disjoint union of
+row segments: ``graph_conv`` (a whole graph-convolution layer, product,
+propagation over each graph's adjacency block, bias and relu, as one node)
+and ``segment_max`` (column-wise max-pool per graph). An Adam optimizer and a
 central-finite-difference gradient checker complete it, and
 :func:`pin_allocator` keeps the memory a step frees for the next step.
 Everything is float64 and at most rank 2, recorded on an explicit
@@ -105,15 +105,20 @@ def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     return _result(tape, (a, b), a.data @ b.data, backward_fn)
 
 
+def _row_broadcast(op: str, symbol: str, a: Tensor, b: Tensor) -> bool:
+    """Whether b is one row broadcast over a's rows (False where a and b
+    have the same shape); any other pair of shapes is a ValueError."""
+    if a.data.shape == b.data.shape:
+        return False
+    row = b.data.reshape(1, -1) if b.data.ndim == 1 else b.data
+    if a.data.ndim == 2 and row.shape == (1, a.data.shape[1]):
+        return True
+    raise ValueError(f"{op} shape mismatch: {a.data.shape} {symbol} {b.data.shape}")
+
+
 def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     """a + b; b may be a single row broadcast over a's rows (bias add)."""
-    broadcast = False
-    if a.data.shape != b.data.shape:
-        row = b.data.reshape(1, -1) if b.data.ndim == 1 else b.data
-        if a.data.ndim == 2 and row.shape == (1, a.data.shape[1]):
-            broadcast = True
-        else:
-            raise ValueError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
+    broadcast = _row_broadcast("add", "+", a, b)
 
     def backward_fn(g):
         ga = g if a.requires_grad else None
@@ -123,6 +128,23 @@ def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _result(tape, (a, b), a.data + b.data, backward_fn)
+
+
+def mul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
+    """a * b per element; b may be a single row broadcast over a's rows
+    (a per-column scale)."""
+    broadcast = _row_broadcast("mul", "*", a, b)
+
+    def backward_fn(g):
+        ga = g * b.data if a.requires_grad else None
+        gb = None
+        if b.requires_grad:
+            gb = g * a.data
+            if broadcast:
+                gb = gb.sum(axis=0).reshape(b.data.shape)
+        return ga, gb
+
+    return _result(tape, (a, b), a.data * b.data, backward_fn)
 
 
 def relu(tape: Tape | None, x: Tensor) -> Tensor:

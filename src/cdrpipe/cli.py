@@ -172,11 +172,16 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
 
 
 def _require_path(cfg: RunConfig, key: str) -> Path:
+    """The configured input file ``paths.<key>``; a ConfigError naming the
+    config file, the key and the path where it is unset, missing, or not a
+    regular file (a directory, say)."""
     p = cfg.paths.get(key)
     if p is None:
         raise ConfigError(f"config {cfg.config_path} does not set paths.{key}")
     if not p.exists():
-        raise ConfigError(f"paths.{key} does not exist: {p}")
+        raise ConfigError(f"{cfg.config_path}: paths.{key} does not exist: {p}")
+    if not p.is_file():
+        raise ConfigError(f"{cfg.config_path}: paths.{key} is not a readable file: {p}")
     return p
 
 
@@ -265,7 +270,7 @@ def write_run_manifest(path: Path, cfg: RunConfig, extra: dict) -> None:
         "env.allocator": pin_allocator(),
     }
     for key in sorted(cfg.paths):
-        if cfg.paths[key].exists():
+        if cfg.paths[key].is_file():
             entries[f"data.{key}.sha256"] = _sha256(cfg.paths[key])
     entries.update(extra)
     write_summary(path, entries)

@@ -63,14 +63,19 @@ def segment_pearson(x: np.ndarray, y: np.ndarray, codes: np.ndarray,
 
     A stable argsort of the codes lays each group out as one segment in its
     rows' order, and every per-group figure is one ``reduceat`` over the
-    segments. Groups that cannot be scored drop out after the min and max,
-    before any other arithmetic. Each remaining vector is scaled by a power
+    segments. The codes are sorted as the smallest unsigned type that holds
+    ``n_groups - 1``: a stable sort of equal keys gives the same
+    permutation, and for 8- and 16-bit keys numpy's stable sort is a radix
+    sort (0.05 against 0.75 ms for ``np.intp`` keys, 14,000 codes in 200
+    groups on a 2-core x86-64 host). Groups that cannot be scored drop out
+    after the min and max, before any other arithmetic. Each remaining vector is scaled by a power
     of two, centred and divided by its largest deviation (see
     ``_scaled_deviations``), so the sums of products neither overflow nor
     underflow with the values' scale, and scaling a vector exactly by a
     power of two changes no bit of the result.
     """
-    order = np.argsort(codes, kind="stable")
+    keys = codes.astype(np.min_scalar_type(max(n_groups - 1, 0)))
+    order = np.argsort(keys, kind="stable")
     codes, x, y = codes[order], x[order], y[order]
     out = np.full(n_groups, np.nan)
     if not codes.size:

@@ -20,14 +20,21 @@ points encode and project each distinct drug once and gather a projected
 row per record. Training (``forward_batch``, on a tape) projects the cells
 per record, since batch norm takes its statistics over the batch; the
 eval-mode pass (``predict_records``) records nothing and projects each
-distinct cell line once. It also closes a drug pack before its atom rows
-times the widest GCN layer's 8-byte activations would pass
-``DRUG_PACK_BYTES``, one core's L2 cache, so each layer works on an
-activation held in L2 rather than streamed from L3. Each row's arithmetic
-is the same in any pack and in both entry points, so where BLAS runs every
-product as a matrix product (layers at least 4 wide, packs of at least 2
-atom rows) the two give equal bytes; a one-row product takes BLAS's
-matrix-vector routine and may differ in the last bit.
+distinct cell line once. In eval mode the head's first batch norm lives
+in the weights: there it is a fixed per-column affine map, so
+:func:`_first_layer` folds it into ``W_d``, ``W_c`` and ``b`` for both
+entry points, and a record's own work is a gather-add, relu and the rest
+of the head (the width-1 product at the default widths). The cell
+branch's batch norm is not folded: in eval mode it already runs once per
+distinct cell line, not once per record, so a fold would save little. The
+eval pass also closes a drug pack before its atom rows times the widest
+GCN layer's 8-byte activations would pass ``DRUG_PACK_BYTES``, one core's
+L2 cache, so each layer works on an activation held in L2 rather than
+streamed from L3. Each row's arithmetic is the same in any pack and in
+both entry points, so where BLAS runs every product as a matrix product
+(layers at least 4 wide, packs of at least 2 atom rows) the two give equal
+bytes; a one-row product takes BLAS's matrix-vector routine and may
+differ in the last bit.
 """
 
 from __future__ import annotations
@@ -181,11 +188,11 @@ def encode_drug(tape: ad.Tape | None, graphs: Sequence[PaddedGraph], params: Mod
     return ad.segment_max(tape, h, [b.shape[0] for b in blocks])
 
 
-def _post_linear(tape, x, layer: Layer, cfg, mode, rng):
-    """A hidden layer's step after its affine map: batch norm (if the layer
-    has one), relu, dropout."""
-    if layer.norm is not None:
-        x = ad.batch_norm(tape, x, layer.norm, mode)
+def _post_linear(tape, x, norm: ad.BatchNormState | None, cfg, mode, rng):
+    """A hidden layer's step after its affine map: batch norm (if ``norm``
+    is set), relu, dropout."""
+    if norm is not None:
+        x = ad.batch_norm(tape, x, norm, mode)
     x = ad.relu(tape, x)
     return ad.dropout(tape, x, cfg.dropout_rate, mode, rng)
 
@@ -195,7 +202,7 @@ def _dense_stack(tape, x, layers: Sequence[Layer], cfg, mode, rng,
     for i, layer in enumerate(layers):
         x = ad.add(tape, ad.matmul(tape, x, layer.weight), layer.bias)
         if activate_last or i < len(layers) - 1:
-            x = _post_linear(tape, x, layer, cfg, mode, rng)
+            x = _post_linear(tape, x, layer.norm, cfg, mode, rng)
     return x
 
 
@@ -210,10 +217,30 @@ def encode_cell(tape: ad.Tape | None, features: ad.Tensor, params: ModelParams,
     return _dense_stack(tape, x, params.cell, cfg, mode, rng, activate_last=True)
 
 
-def _first_layer_halves(tape, params: ModelParams, cfg: ModelConfig):
-    """The head's first weight as two row views, ``W = [W_d ; W_c]``."""
-    w, width = params.head[0].weight, cfg.gcn_layer_dims[-1]
-    return ad.row_slice(tape, w, 0, width), ad.row_slice(tape, w, width, w.data.shape[0])
+def _first_layer(tape, params: ModelParams, cfg: ModelConfig, mode: str):
+    """The head's first affine map as ``(W_d, W_c, b)``: its weight's two
+    row halves, ``W = [W_d ; W_c]``, and its bias.
+
+    In eval mode the layer's batch norm is a fixed per-column affine map,
+    so it is folded in (Jacob et al. 2018, section 3.2): with
+    ``s = gamma / sqrt(running_var + eps)`` the halves become ``W_d s`` and
+    ``W_c s`` and the bias ``(b - running_mean) s + beta``, and
+    :func:`predict` applies no norm to the layer. The fold is built from
+    taped ops, so gradients reach ``W``, ``b``, ``gamma`` and ``beta``. In
+    train mode, or where the layer has no norm, the halves are row views of
+    ``W`` and the bias is ``b`` itself.
+    """
+    first, width = params.head[0], cfg.gcn_layer_dims[-1]
+    w, norm = first.weight, first.norm
+    w_drug = ad.row_slice(tape, w, 0, width)
+    w_cell = ad.row_slice(tape, w, width, w.data.shape[0])
+    if mode != "eval" or norm is None:
+        return w_drug, w_cell, first.bias
+    inv_std = ad.Tensor((1.0 / np.sqrt(norm.running_var + norm.eps)).reshape(1, -1))
+    scale = ad.mul(tape, norm.gamma, inv_std)
+    centred = ad.add(tape, first.bias, ad.Tensor(-norm.running_mean))
+    bias = ad.add(tape, ad.mul(tape, centred, scale), norm.beta)
+    return ad.mul(tape, w_drug, scale), ad.mul(tape, w_cell, scale), bias
 
 
 def predict(tape: ad.Tape | None, drug_part: ad.Tensor, cell_part: ad.Tensor,
@@ -221,8 +248,12 @@ def predict(tape: ad.Tape | None, drug_part: ad.Tensor, cell_part: ad.Tensor,
             rng: np.random.Generator | None = None) -> ad.Tensor:
     """The head: one regressed IC50 per row, from each row's two halves of
     the first layer's affine map, ``drug_part = d W_d`` and
-    ``cell_part = c W_c + b``. Their sum is the first pre-activation, and
-    the head's output where the head has one layer."""
+    ``cell_part = c W_c + b``, with ``(W_d, W_c, b)`` from
+    :func:`_first_layer` in the same mode. Their sum is the first
+    pre-activation, and the head's output where the head has one layer.
+    In eval mode that layer's batch norm is already folded into the
+    halves, so only relu and dropout follow the sum; in train mode batch
+    norm runs on it, over the batch's statistics."""
     first, rest = params.head[0], params.head[1:]
     h = ad.add(tape, drug_part, cell_part)
     # untaped and passed as temporaries (predict_records), the halves are
@@ -231,7 +262,7 @@ def predict(tape: ad.Tape | None, drug_part: ad.Tensor, cell_part: ad.Tensor,
     del drug_part, cell_part
     if not rest:
         return h
-    h = _post_linear(tape, h, first, cfg, mode, rng)
+    h = _post_linear(tape, h, None if mode == "eval" else first.norm, cfg, mode, rng)
     return _dense_stack(tape, h, rest, cfg, mode, rng, activate_last=False)
 
 
@@ -244,15 +275,18 @@ def forward_batch(tape: ad.Tape, graphs: Sequence[PaddedGraph], cell_matrix,
     projected through ``W_d``; each record gathers its drug's projected
     row, so a repeated graph's gradient sums over its records. The cells
     are encoded and projected per record, as train-mode batch norm needs.
+    In eval mode the head's first batch norm is folded into ``W_d``,
+    ``W_c`` and ``b`` (:func:`_first_layer`), as in
+    :func:`predict_records`, and the fold's ops are on the tape.
     """
     distinct = list({id(g): g for g in graphs}.values())
     slot = {id(g): i for i, g in enumerate(distinct)}
-    w_drug, w_cell = _first_layer_halves(tape, params, cfg)
+    w_drug, w_cell, bias = _first_layer(tape, params, cfg, mode)
     drug_part = ad.gather_rows(
         tape, ad.matmul(tape, encode_drug(tape, distinct, params, cfg), w_drug),
         [slot[id(g)] for g in graphs])
     cell_emb = encode_cell(tape, ad.Tensor(np.asarray(cell_matrix)), params, cfg, mode, rng)
-    cell_part = ad.add(tape, ad.matmul(tape, cell_emb, w_cell), params.head[0].bias)
+    cell_part = ad.add(tape, ad.matmul(tape, cell_emb, w_cell), bias)
     return predict(tape, drug_part, cell_part, params, cfg, mode, rng)
 
 
@@ -295,9 +329,14 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
     dataset's ``cell_ids`` are encoded at most ``batch_size`` rows per
     ``encode_cell`` call, each pack taken from ``dataset.cells.matrix`` in
     one ``np.take`` through the ``cell_rows`` column, and projected through
-    ``W_c`` plus ``b``. Then each chunk of ``batch_size`` records gathers
-    its two rows through the ``drug_index`` and ``cell_index`` columns and
-    runs :func:`predict` on them. It reads the columns and the matrix only,
+    ``W_c`` plus ``b``. The head's first batch norm is folded into ``W_d``,
+    ``W_c`` and ``b`` (:func:`_first_layer`), so it runs once per column
+    of those, not once per record; the cell branch's own batch norm
+    already runs once per distinct cell line. Then each chunk of
+    ``batch_size`` records gathers its two rows through the ``drug_index``
+    and ``cell_index`` columns and runs :func:`predict` on them: a
+    gather-add, relu and the rest of the head. It reads the columns and
+    the matrix only,
     never ``dataset.records`` or a per-id lookup. A ``batch_size`` below 1
     raises ``ValueError``.
 
@@ -312,7 +351,7 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
     out = np.empty(len(dataset))
     if not out.size:
         return out
-    w_drug, w_cell = _first_layer_halves(None, params, cfg)
+    w_drug, w_cell, bias = _first_layer(None, params, cfg, "eval")
     graphs = [dataset.graphs[d] for d in dataset.drug_ids]
     packs = _packs(graphs, batch_size, [g.n_atoms for g in graphs],
                    DRUG_PACK_BYTES // (8 * max(cfg.gcn_layer_dims)))
@@ -322,7 +361,7 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
     cell_part = np.concatenate([
         encode_cell(None, np.take(cells, rows[s:s + batch_size], axis=0), params, cfg,
                     "eval").data @ w_cell.data
-        for s in range(0, rows.size, batch_size)]) + params.head[0].bias.data
+        for s in range(0, rows.size, batch_size)]) + bias.data
     for start in range(0, out.size, batch_size):
         chunk = slice(start, start + batch_size)
         out[chunk] = predict(None, ad.Tensor(drug_part[dataset.drug_index[chunk]]),

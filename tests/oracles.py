@@ -5,7 +5,8 @@ central-difference sweep over parameter tensors, a hand-rolled graph
 builder that does not go through the library's normalization code path more
 than it must, a forward pass over zero-padded, masked graph matrices, an
 eval-mode prediction computed one record at a time, a max-pool routed by
-one ``np.argmax`` per segment, raw-expression features built by stacking,
+one ``np.argmax`` per segment, the segment-Pearson arithmetic run one
+group at a time, raw-expression features built by stacking,
 fancy-indexing and scaling whole matrices, a drug graph's bond checks and
 normalized adjacency taken one bond at a time, and two tape operations only
 the tests use: the graph propagation on its own, which the fused
@@ -18,6 +19,7 @@ import math
 import numpy as np
 
 from cdrpipe import autodiff as ad
+from cdrpipe import evaluation
 from cdrpipe.molgraph import GraphError, PaddedGraph
 
 
@@ -244,6 +246,27 @@ def graph_conv_point(rng, n, d, k, blocks, margin=0.05):
         pre = a @ (x @ w) + b
         if np.abs(pre).min() > margin and (pre > 0).any():
             return x, w, b
+
+
+def segment_pearson_per_group(x, y, codes, n_groups):
+    """One PCC per group, NaN where undefined, each group scored on its own
+    with ``evaluation.segment_pearson``'s arithmetic: its rows in input
+    order (the order a stable sort of the codes as ``np.intp`` gives),
+    ``_scaled_deviations`` over one segment, and the three sums of
+    products. No sort is involved."""
+    out = np.full(n_groups, np.nan)
+    one = np.zeros(1, dtype=np.intp)
+    for g in np.unique(codes):
+        group = [x[codes == g], y[codes == g]]
+        extremes = [(v.min(keepdims=True), v.max(keepdims=True)) for v in group]
+        if not all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi) for lo, hi in extremes):
+            continue
+        xc, yc = (evaluation._scaled_deviations(v, lo, hi, one, np.array([v.size]),
+                                                np.zeros(v.size, dtype=np.intp))
+                  for v, (lo, hi) in zip(group, extremes))
+        sxy, sxx, syy = (np.add.reduceat(a * b, one) for a, b in ((xc, yc), (xc, xc), (yc, yc)))
+        out[g] = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)[0]
+    return out
 
 
 def segment_argmax(x, sizes):

@@ -81,6 +81,34 @@ class TestElementwise:
         assert ad.finite_diff_check(f, ad.Tensor(x)) < 1e-4
 
 
+class TestMul:
+    def test_hand_products(self):
+        a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(ad.mul(None, a, a).data, [[1.0, 4.0], [9.0, 16.0]])
+        np.testing.assert_array_equal(ad.mul(None, a, ad.Tensor([[2.0, -1.0]])).data,
+                                      [[2.0, -2.0], [6.0, -4.0]])
+
+    def test_a_row_scale_gradient_sums_over_the_rows(self):
+        a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        s = ad.Tensor([[2.0, -1.0]], requires_grad=True)
+        tape = ad.Tape()
+        ga, gs = ad.backward(tape, sum_all(tape, ad.mul(tape, a, s)), [a, s])
+        np.testing.assert_array_equal(ga, [[2.0, -1.0], [2.0, -1.0]])
+        np.testing.assert_array_equal(gs, [[4.0, 6.0]])
+
+    @pytest.mark.parametrize("op", [ad.add, ad.mul])
+    @pytest.mark.parametrize("shapes", [((2, 3), (3, 2)), ((2, 3), (2, 1)), ((2, 3), (1, 2)),
+                                        ((1, 3), (2, 3))])
+    def test_a_shape_mismatch_names_both_shapes(self, op, shapes):
+        """Only equal shapes, or one row of a's width as b, are accepted."""
+        a, b = (ad.Tensor(np.ones(shape)) for shape in shapes)
+        symbol = {"add": "+", "mul": "*"}[op.__name__]
+        with pytest.raises(ValueError) as raised:
+            op(None, a, b)
+        assert str(raised.value) == (f"{op.__name__} shape mismatch: {shapes[0]} {symbol} "
+                                     f"{shapes[1]}")
+
+
 class TestRowSlice:
     def test_rows_are_a_view(self):
         x = ad.Tensor(np.arange(12.0).reshape(4, 3))
@@ -460,6 +488,7 @@ class TestNoTape:
     OPS = {
         "matmul": lambda tape, x: ad.matmul(tape, x, ad.Tensor(np.ones((3, 2)))),
         "add": lambda tape, x: ad.add(tape, x, x),
+        "mul": lambda tape, x: ad.mul(tape, x, x),
         "relu": ad.relu,
         "row_slice": lambda tape, x: ad.row_slice(tape, x, 1, 3),
         "graph_conv": lambda tape, x: ad.graph_conv(tape, x, ad.Tensor(np.ones((3, 2))),

@@ -54,6 +54,7 @@ def _cases(rng, n, d):
     x = rng.normal(size=(n, d))
     plain = graph_conv_point(rng, n, d, 3, None)
     conv_x, conv_w, conv_b = graph_conv_point(rng, n, d, 3, blocks)
+    row = ad.Tensor(same.data[:1])
 
     def conv(i, blk, point):
         """The layer as a function of its i-th input (x, W, b), the others fixed."""
@@ -84,6 +85,10 @@ def _cases(rng, n, d):
             t, x, 0.4, "train", np.random.default_rng(drop_seed))), x),
         "sum_all": (to_scalar((1, 1), sum_all), x),
         "loss": (lambda t, x: ad.loss(t, x, same), x),
+        "mul": (to_scalar((n, d), lambda t, x: ad.mul(t, x, same)), x),
+        "mul_row": (to_scalar((n, d), lambda t, x: ad.mul(t, bias_base, x)),
+                    rng.normal(size=(1, d))),
+        "mul_by_row": (to_scalar((n, d), lambda t, x: ad.mul(t, x, row)), x),
     }
 
 

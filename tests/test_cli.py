@@ -443,10 +443,43 @@ class TestConfigErrors:
         code = cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: paths.drug_manifest does not exist: {tmp_path / '50%off/m.csv'}\n")
+            f"error: {config}: paths.drug_manifest does not exist: "
+            f"{tmp_path / '50%off/m.csv'}\n")
+
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    @pytest.mark.parametrize("key, entry, source", [
+        ("drug_manifest", "drug_manifest", "scgpt"),
+        ("responses", "responses", "scgpt"),
+        ("embeddings_scgpt", "embeddings", "scgpt"),
+        ("expression", "expression", "raw"),
+        ("gene_list", "gene_list", "raw"),
+    ])
+    def test_an_input_that_is_not_a_file_exits_2_naming_config_and_key(
+            self, fixture_dir, tmp_path, capsys, key, entry, source, kind):
+        target = tmp_path / "input"
+        if kind == "directory":
+            target.mkdir()
+        files = dict(fixture_dir["files"], **{entry: target})
+        config = write_config(tmp_path / "run.ini", files, fixture_dir["bench"].n_max_atoms)
+        code = cli.main(["ingest", "--config", str(config), "--feature-source", source,
+                         "--out", str(tmp_path / "o")])
+        reason = "is not a readable file" if kind == "directory" else "does not exist"
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {config}: paths.{key} {reason}: {target}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestTrain:
+    def test_an_unused_input_that_is_a_directory_is_left_out_of_the_manifest(
+            self, fixture_dir, tmp_path):
+        files = dict(fixture_dir["files"], expression=tmp_path / "expression")
+        files["expression"].mkdir()
+        config = write_config(tmp_path / "run.ini", files, fixture_dir["bench"].n_max_atoms)
+        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        manifest = (tmp_path / "o" / "run_manifest.txt").read_text(encoding="utf-8")
+        assert "data.responses.sha256" in manifest
+        assert "data.expression" not in manifest
+
     def test_fixed_seed_gives_identical_checkpoints(self, fixture_dir):
         outs = []
         for name in ("t1", "t2"):
@@ -715,7 +748,7 @@ class TestLodo:
             assert cli.main(["lodo", "--config", str(config), "--out", str(out)]) == 0
         assert sorted(calls) == ["load_drug_manifest", "load_responses"]
         assert (out / "lodo_gains.csv").read_bytes() == (
-            b"drug_id,rank,gain_scgpt\nD002,1,0.05778812497177038\n")
+            b"drug_id,rank,gain_scgpt\nD002,1,0.05778812497177138\n")
         assert (out / "lodo_summary.txt").read_bytes() == (
             b"baseline=raw_expression\nvariants=scgpt\nfolds=1\nfolds_scored=1\n"
             b"folds_undefined=none\npairs_dropped.raw_expression=0\npairs_dropped.scgpt=0\n")

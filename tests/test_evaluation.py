@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cdrpipe import evaluation as ev
 from cdrpipe.training import EpochRecord
-from oracles import pearson_bruteforce
+from oracles import pearson_bruteforce, segment_pearson_per_group
 
 
 class TestPearson:
@@ -197,6 +197,24 @@ class TestGroupedPccProperties:
                     assert abs(got[key].pcc - scipy.stats.pearsonr(pred, obs).statistic) <= 1e-12
                 else:
                     assert got[key].pcc is None
+
+    @PROPERTY
+    @given(n_groups=st.sampled_from([1, 2, 255, 256, 257, 65_536, 65_537, 2**20]),
+           data=st.data())
+    def test_the_narrow_key_sort_scores_each_group_in_input_order(self, n_groups, data):
+        """The codes are sorted as the smallest unsigned type that holds
+        ``n_groups - 1`` (8, 16 or 32 bits here); the groups' PCCs are
+        the bytes of the same arithmetic run one group at a time on its
+        rows in input order, the order a stable ``np.intp`` sort gives. A
+        few distinct codes per draw keep the groups populated, and
+        seeded normal values make a group's sums depend on its row order."""
+        present = data.draw(st.lists(st.integers(0, n_groups - 1), min_size=1, max_size=6))
+        codes = np.array(data.draw(st.lists(st.sampled_from(present), min_size=0,
+                                            max_size=60)), dtype=np.intp)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x, y = rng.normal(size=(2, codes.size)) * 10.0 ** rng.integers(-3, 4, size=(2, 1))
+        got = ev.segment_pearson(x, y, codes, n_groups)
+        assert got.tobytes() == segment_pearson_per_group(x, y, codes, n_groups).tobytes()
 
     def test_an_unknown_grouping_is_an_error_without_rows(self):
         with pytest.raises(ValueError, match="group_by must be one of"):

@@ -1,6 +1,7 @@
 """Model construction, forward passes, invariances, and checkpointing."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,6 +258,34 @@ class TestPredict:
         assert small_err < 1e-9
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_eval_mode_gradients_match_finite_differences(self, seed):
+        """End-to-end mse gradient wrt every parameter on a 3-sample batch in
+        eval mode, where the head's first batch norm is folded into its
+        weight and bias on the tape: ``head[0].weight``, its bias, ``gamma``
+        and ``beta`` included, with running statistics that make the norm
+        far from the identity."""
+        rng = np.random.default_rng(seed)
+        params = m.init_params(TINY, seed=seed)
+        perturb(params.cell + params.head, rng)
+        graphs, cells = self.batch(TINY, seed=seed)
+        target = ad.Tensor(rng.normal(size=(3, 1)))
+
+        def loss_value():
+            pred = m.forward_batch(None, graphs, cells, params, TINY, "eval")
+            return float(ad.loss(None, pred, target).data[0, 0])
+
+        tape = ad.Tape()
+        pred = m.forward_batch(tape, graphs, cells, params, TINY, "eval")
+        grads = ad.backward(tape, ad.loss(tape, pred, target), params.parameters())
+        norm = params.head[0].norm
+        reached = {id(t) for t, g in zip(params.parameters(), grads) if g.any()}
+        assert {id(params.head[0].weight), id(norm.gamma), id(norm.beta)} <= reached
+        rel_err, small_err = finite_diff_params(loss_value, params.parameters(), grads)
+        assert rel_err < 1e-4
+        assert small_err < 1e-9
+
+
 def perturb(layers, rng):
     """Random biases and, where a layer has batch norm, a running mean,
     variance, gamma and beta that do not make eval batch norm the identity."""
@@ -337,6 +366,51 @@ class TestPredictRecords:
         cells = {r.cell_line_id for r in dataset.records}
         assert len(cells) == 20 < len(dataset.records)
         assert sum(encoded) == len(cells)
+
+    def test_batch_norm_runs_only_in_the_cell_branch(self, monkeypatch):
+        """The head's first batch norm is folded into its weights, so one
+        pass runs ``autodiff.batch_norm`` once per cell pack and cell layer,
+        over the distinct cell lines, and never once per record chunk."""
+        dataset, cfg = self.dataset()
+        params = m.init_params(cfg, seed=0)
+        calls = []
+        original = ad.batch_norm
+
+        def counting(tape, x, state, mode):
+            calls.append((id(state), len(x.data)))
+            return original(tape, x, state, mode)
+
+        monkeypatch.setattr(ad, "batch_norm", counting)
+        m.predict_records(params, cfg, dataset, batch_size=16)
+        cells = len({r.cell_line_id for r in dataset.records})
+        assert cells == 20 and len(dataset.records) == 150
+        assert {state for state, _ in calls} == {id(layer.norm) for layer in params.cell}
+        assert [rows for _, rows in calls] == [16, 4]
+
+    @pytest.mark.parametrize("head_dims, use_batch_norm", [((1,), True), ((7, 1), False)])
+    def test_a_head_without_a_first_norm_is_not_folded(self, head_dims, use_batch_norm):
+        """With no batch norm on the head's first layer, the halves are row
+        views of its weight and the bias is the layer's own, and the
+        predictions are the bytes of the unfolded head written out."""
+        dataset, cfg = self.dataset()
+        cfg = replace(cfg, head_dims=head_dims, use_batch_norm=use_batch_norm)
+        params = m.init_params(cfg, seed=5)
+        perturb(params.cell + params.head, np.random.default_rng(5))
+        first, width = params.head[0], cfg.gcn_layer_dims[-1]
+        assert first.norm is None
+        w_drug, w_cell, bias = m._first_layer(None, params, cfg, "eval")
+        assert bias is first.bias
+        assert np.shares_memory(w_drug.data, first.weight.data)
+        assert np.shares_memory(w_cell.data, first.weight.data)
+
+        drugs = m.encode_drug(None, [dataset.graphs[d] for d in dataset.drug_ids], params,
+                              cfg).data @ first.weight.data[:width]
+        cells = m.encode_cell(None, dataset.cells.matrix[dataset.cell_rows], params, cfg,
+                              "eval").data @ first.weight.data[width:] + first.bias.data
+        h = drugs[dataset.drug_index] + cells[dataset.cell_index]
+        for layer in params.head[1:]:
+            h = np.maximum(h, 0.0) @ layer.weight.data + layer.bias.data
+        assert m.predict_records(params, cfg, dataset).tobytes() == h[:, 0].tobytes()
 
     def test_reads_the_columns_not_the_records(self):
         dataset, cfg = self.dataset()
