@@ -254,8 +254,11 @@ def segment_max(tape: Tape | None, x: Tensor, sizes: Sequence[int]) -> Tensor:
 
     def backward_fn(g):
         n, d = x.data.shape
-        # one pass over all segments; an argmax per segment was slower at
-        # training size (299 against 243 us at 358 rows of 128).
+        # one pass over all segments. An argmax per segment picks the same
+        # rows, ties and NaNs included, but neither form wins on every shape
+        # (one Xeon thread, numpy 2.4): 20 segments of 5-30 rows by 128 took
+        # 354 us here against 213 us by argmax, 16 segments of 4-12 rows
+        # took 79 against 117 us. Time both shapes before switching.
         # only NaN maxima have NaN rows in their segment, so the two tests never mix
         hit = (x.data == np.repeat(out, sizes, axis=0)) | np.isnan(x.data)
         rows = np.where(hit, np.arange(n)[:, None], n)
@@ -303,18 +306,21 @@ def batch_norm(tape: Tape | None, x: Tensor, state: BatchNormState, mode: str) -
     if mode == "train":
         if n < 2:
             raise ValueError(f"batch_norm in train mode needs a batch of >= 2 rows, got {n}")
-        mean = x.data.mean(axis=0)
-        var = x.data.var(axis=0)  # biased, matching the normalization below
+        # the ufuncs np.mean and np.var run, so their bytes, with the
+        # centred batch computed once: var is biased, matching xhat below
+        mean = np.add.reduce(x.data, axis=0) / n
+        xhat = x.data - mean
+        var = np.add.reduce(np.square(xhat), axis=0) / n
         m = state.momentum
         state.running_mean = m * state.running_mean + (1.0 - m) * mean
         state.running_var = m * state.running_var + (1.0 - m) * var
     else:
         mean = state.running_mean
         var = state.running_var
+        xhat = x.data - mean
     inv_std = 1.0 / np.sqrt(var + state.eps)
     # the ufuncs of gamma * ((x - mean) * inv_std) + beta in the same order,
     # so the same bytes, in two arrays rather than four
-    xhat = x.data - mean
     xhat *= inv_std
     out = state.gamma.data * xhat
     out += state.beta.data

@@ -5,6 +5,21 @@ file names every input; a single master seed expands into per-purpose
 sub-seeds (split, training, fold sampling) so runs are bit-reproducible and
 enabling one feature never perturbs another's random stream.
 
+The run protocol is five steps; ``train``, ``eval`` and ``lodo`` are config,
+file I/O and printing around them:
+
+- ``split_sets``: the seeded train/test split, seed purpose ``"split"``.
+- ``fit``: one source's model config and training run; the caller names
+  the seed purpose (``"train"``, or ``"lodo:<source>:<drug>"`` per fold).
+- ``score``: finite predictions on a dataset as prediction rows and a
+  grouped-PCC report; non-finite ones raise DivergenceError naming ``where``.
+- ``lodo_folds``: the folds over the pairs every LODO source covers, drugs
+  sampled with seed purpose ``"lodo-drugs"``, and each source's dropped-pair
+  count; an impossible drug count is a ConfigError naming ``[lodo] n_drugs``.
+- ``lodo_fold``: one fold's held-out PCC per source, baseline first; a
+  DivergenceError or SplitError keeps its kind and gains the fold's drug
+  and variant.
+
 Exit codes are stable contracts: 0 ok, 2 ingest or configuration problem,
 3 training problem, 4 evaluation problem, 5 report problem.
 """
@@ -23,12 +38,13 @@ import numpy as np
 
 from . import __version__
 from .autodiff import pin_allocator
-from .evaluation import (PredictionRow, ReportError, build_eval_report, pearson,
-                         ranked_gains, read_history_csv, stability_report,
-                         summary_entries, write_grouped_csv, write_history_csv,
+from .evaluation import (EpochRecord, EvalReport, PredictionRow, ReportError,
+                         build_eval_report, pearson, ranked_gains, read_history_csv,
+                         stability_report, summary_entries, write_grouped_csv, write_history_csv,
                          write_lodo_gains_csv, write_predictions_csv,
                          write_stability_csv, write_summary)
-from .model import CheckpointError, ModelConfig, load_checkpoint, save_checkpoint
+from .model import (CheckpointError, ModelConfig, ModelParams, load_checkpoint,
+                    save_checkpoint)
 from .molgraph import GraphError, load_drug_manifest, pad_graph
 from .omics import (FEATURE_SOURCES, CellFeatureSet, IngestError, ResponseDataset,
                     alignment_stats, expression_feature_set, join_dataset,
@@ -107,6 +123,11 @@ class RunConfig:
             raise ValueError("[lodo] variants must name at least one non-baseline source")
         if self.lodo_n_drugs < 1:
             raise ValueError(f"[lodo] n_drugs must be at least 1, got {self.lodo_n_drugs}")
+
+    @property
+    def lodo_sources(self) -> list[str]:
+        """The baseline, then the variants: the order LODO fits and reports them in."""
+        return [self.lodo_baseline, *self.lodo_variants]
 
 
 def _list(raw: str) -> list[str]:
@@ -245,18 +266,65 @@ def model_config(cfg: RunConfig, cell_dim: int) -> ModelConfig:
     return replace(cfg.model, cell_input_dim=cell_dim)
 
 
-def _split_sets(cfg: RunConfig, dataset: ResponseDataset):
+def split_sets(cfg: RunConfig,
+               dataset: ResponseDataset) -> tuple[ResponseDataset, ResponseDataset]:
+    """The seeded train and test sets of one dataset."""
     spec = replace(cfg.split, seed=derive_seed(cfg.seed, "split"))
     train_records, test_records = split_dataset(dataset.records, spec)
     return dataset.subset(train_records), dataset.subset(test_records)
 
 
-def _prediction_rows(dataset: ResponseDataset, preds: np.ndarray) -> list[PredictionRow]:
-    return [
-        PredictionRow(drug_id=r.drug_id, cell_line_id=r.cell_line_id,
-                      predicted=float(p), observed=r.ic50, cancer_type=r.cancer_type)
-        for r, p in zip(dataset.records, preds)
-    ]
+def fit(cfg: RunConfig, train_set: ResponseDataset, val_set: ResponseDataset,
+        purpose: str) -> tuple[ModelParams, list[EpochRecord], ModelConfig]:
+    """Train one model on ``train_set``, seeded for ``purpose``."""
+    mcfg = model_config(cfg, train_set.cells.dim)
+    tcfg = replace(cfg.train_cfg, seed=derive_seed(cfg.seed, purpose))
+    params, history = train(train_set, val_set, mcfg, tcfg)
+    return params, history, mcfg
+
+
+def score(params: ModelParams, mcfg: ModelConfig, dataset: ResponseDataset,
+          where: str) -> tuple[list[PredictionRow], EvalReport]:
+    """Predictions on ``dataset`` as rows, and their grouped-PCC report."""
+    preds = finite_predictions(params, mcfg, dataset, where)
+    rows = [PredictionRow(drug_id=r.drug_id, cell_line_id=r.cell_line_id,
+                          predicted=float(p), observed=r.ic50, cancer_type=r.cancer_type)
+            for r, p in zip(dataset.records, preds)]
+    return rows, build_eval_report(rows)
+
+
+def lodo_folds(cfg: RunConfig, datasets: dict[str, ResponseDataset]
+               ) -> tuple[list[tuple[str, list, list]], dict[str, int]]:
+    """The LODO folds, and ``pairs_dropped.<source>`` counts: the pairs a
+    source joined that some other source has no cells for."""
+    sources = cfg.lodo_sources
+    # every source joins the same responses and graphs, so the pairs all of
+    # them cover are the baseline's records whose cell line every source has
+    records = [r for r in datasets[cfg.lodo_baseline].records
+               if all(r.cell_line_id in datasets[s].cells.vectors for s in sources)]
+    dropped = {f"pairs_dropped.{s}": len(datasets[s]) - len(records) for s in sources}
+    try:
+        folds = lodo_splits(records, cfg.lodo_n_drugs, derive_seed(cfg.seed, "lodo-drugs"))
+    except SplitError as exc:  # the one count lodo_splits checks comes from the config
+        raise ConfigError(f"{cfg.config_path}: [lodo] n_drugs: {exc}") from None
+    return folds, dropped
+
+
+def lodo_fold(cfg: RunConfig, datasets: dict[str, ResponseDataset], drug: str,
+              train_records: list, test_records: list) -> dict[str, float | None]:
+    """Each LODO source's PCC on the held-out drug ``drug``, None where it is
+    undefined."""
+    pccs = {}
+    for source in cfg.lodo_sources:
+        ds = datasets[source]
+        train_set, test_set = ds.subset(train_records), ds.subset(test_records)
+        try:
+            params, _, mcfg = fit(cfg, train_set, test_set, f"lodo:{source}:{drug}")
+            preds = finite_predictions(params, mcfg, test_set, "test predictions")
+        except (DivergenceError, SplitError) as exc:  # keep the kind: it picks the exit code
+            raise type(exc)(f"fold {drug!r} variant {source!r}: {exc}") from exc
+        pccs[source] = pearson(preds, test_set.labels())
+    return pccs
 
 
 def write_run_manifest(path: Path, cfg: RunConfig, extra: dict) -> None:
@@ -292,10 +360,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     dataset, entries = assemble_dataset(cfg, cfg.feature_source)
-    train_set, test_set = _split_sets(cfg, dataset)
-    mcfg = model_config(cfg, dataset.cells.dim)
-    tcfg = replace(cfg.train_cfg, seed=derive_seed(cfg.seed, "train"))
-    params, history = train(train_set, test_set, mcfg, tcfg)
+    train_set, test_set = split_sets(cfg, dataset)
+    params, history, mcfg = fit(cfg, train_set, test_set, "train")
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(cfg.output_dir / "checkpoint.ckpt", mcfg, params)
@@ -324,14 +390,12 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path | None) -> int:
         raise CheckpointError(
             f"checkpoint {ckpt_path} was trained with a different configuration "
             f"than the one this config and feature source imply")
-    _, test_set = _split_sets(cfg, dataset)
+    _, test_set = split_sets(cfg, dataset)
     # finite weights can still overflow; the checkpoint is then at fault
     try:
-        preds = finite_predictions(params, saved_cfg, test_set, f"checkpoint {ckpt_path}")
+        rows, report = score(params, saved_cfg, test_set, f"checkpoint {ckpt_path}")
     except DivergenceError as exc:
         raise CheckpointError(str(exc)) from None
-    rows = _prediction_rows(test_set, preds)
-    report = build_eval_report(rows)
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     write_predictions_csv(cfg.output_dir / "predictions.csv", rows)
@@ -344,35 +408,15 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path | None) -> int:
 
 
 def cmd_lodo(cfg: RunConfig) -> int:
-    sources = [cfg.lodo_baseline, *cfg.lodo_variants]
-
+    sources = cfg.lodo_sources
     datasets = {source: joined[0] for source, joined in assemble_datasets(cfg, sources).items()}
-
-    # every source joins the same responses and graphs, so the pairs all of
-    # them cover are the baseline's records whose cell line every source has
-    records = [r for r in datasets[cfg.lodo_baseline].records
-               if all(r.cell_line_id in datasets[s].cells.vectors for s in sources)]
-    dropped = {f"pairs_dropped.{s}": len(datasets[s]) - len(records) for s in sources}
-    try:
-        folds = lodo_splits(records, cfg.lodo_n_drugs, derive_seed(cfg.seed, "lodo-drugs"))
-    except SplitError as exc:  # the one count lodo_splits checks comes from the config
-        raise ConfigError(f"{cfg.config_path}: [lodo] n_drugs: {exc}") from None
+    folds, dropped = lodo_folds(cfg, datasets)
     fold_drugs = [drug for drug, _, _ in folds]
 
     pccs: dict[str, dict[str, float]] = {s: {} for s in sources}
     undefined: list[str] = []
     for drug, train_records, test_records in folds:
-        for source in sources:
-            ds = datasets[source]
-            train_set, test_set = ds.subset(train_records), ds.subset(test_records)
-            mcfg = model_config(cfg, ds.cells.dim)
-            tcfg = replace(cfg.train_cfg, seed=derive_seed(cfg.seed, f"lodo:{source}:{drug}"))
-            try:
-                params, _ = train(train_set, test_set, mcfg, tcfg)
-                preds = finite_predictions(params, mcfg, test_set, "test predictions")
-            except (DivergenceError, SplitError) as exc:  # keep the kind: it picks the exit code
-                raise type(exc)(f"fold {drug!r} variant {source!r}: {exc}") from exc
-            pcc = pearson(preds, test_set.labels())
+        for source, pcc in lodo_fold(cfg, datasets, drug, train_records, test_records).items():
             if pcc is None:
                 undefined.append(f"{source}:{drug}")
             else:

@@ -8,10 +8,11 @@ eval-mode prediction computed one record at a time, a max-pool routed by
 one ``np.argmax`` per segment, the segment-Pearson arithmetic run one
 group at a time, raw-expression features built by stacking,
 fancy-indexing and scaling whole matrices, a drug graph's bond checks and
-normalized adjacency taken one bond at a time, and two tape operations only
-the tests use: the graph propagation on its own, which the fused
-``graph_conv`` layer is checked against, and the sum every gradient test
-reduces an output to.
+normalized adjacency taken one bond at a time, a train-mode batch norm
+whose statistics come from ``x.mean`` and ``x.var``, and two tape
+operations only the tests use: the graph propagation on its own, which the
+fused ``graph_conv`` layer is checked against, and the sum every gradient
+test reduces an output to.
 """
 
 import math
@@ -50,6 +51,26 @@ def sum_all(tape, x):
     """Sum of all elements as a 1 x 1 tensor, recorded as one node."""
     return ad._result(tape, (x,), np.array([[x.data.sum()]]),
                       lambda g: (np.full_like(x.data, g.reshape(-1)[0]),))
+
+
+def batch_norm_train(tape, x, state):
+    """Train-mode batch norm with its batch statistics from ``x.mean`` and
+    ``x.var``, each of which centres the batch itself; it updates the
+    running statistics of ``state`` and records one node."""
+    mean, var = x.data.mean(axis=0), x.data.var(axis=0)
+    m = state.momentum
+    state.running_mean = m * state.running_mean + (1.0 - m) * mean
+    state.running_var = m * state.running_var + (1.0 - m) * var
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    xhat = (x.data - mean) * inv_std
+    gamma, beta, n = state.gamma, state.beta, x.data.shape[0]
+
+    def backward_fn(g):
+        gh = g * gamma.data
+        gx = inv_std / n * (n * gh - gh.sum(axis=0) - xhat * (gh * xhat).sum(axis=0))
+        return gx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+
+    return ad._result(tape, (x, gamma, beta), gamma.data * xhat + beta.data, backward_fn)
 
 
 def pearson_bruteforce(x, y):

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdrpipe import autodiff as ad
-from oracles import (finite_diff_params, graph_conv_point, propagate, segment_argmax,
-                     sum_all)
+from oracles import (batch_norm_train, finite_diff_params, graph_conv_point, propagate,
+                     segment_argmax, sum_all)
 
 # derandomized so that every run of the suite draws the same examples
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -166,6 +166,28 @@ def test_batch_norm_bytes_equal_the_formula(mode, n, d, seed):
     want = state.gamma.data * ((x - mean) * inv_std) + state.beta.data
     got = ad.batch_norm(None, ad.Tensor(x), state, mode).data
     assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(n=st.integers(2, 40), d=st.integers(1, 9), loc=st.floats(-1e3, 1e3),
+       scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_train_batch_norm_bytes_equal_mean_and_var(n, d, loc, scale, seed):
+    """Batch statistics from one centred batch give the bytes of ``x.mean``
+    and ``x.var``: the output, both running statistics, and the gradients
+    of x, gamma and beta."""
+    rng = np.random.default_rng(seed)
+    x = loc + scale * rng.normal(size=(n, d))
+    target = ad.Tensor(rng.normal(size=(n, d)))
+    states = [_bn_state(np.random.default_rng(seed), d) for _ in range(2)]
+    got = []
+    for norm, state in zip((lambda t, x, s: ad.batch_norm(t, x, s, "train"), batch_norm_train),
+                           states):
+        t, tape = ad.Tensor(x, requires_grad=True), ad.Tape()
+        out = norm(tape, t, state)
+        grads = ad.backward(tape, ad.loss(tape, out, target), [t, state.gamma, state.beta])
+        got.append([a.tobytes() for a in (out.data, state.running_mean, state.running_var,
+                                          *grads)])
+    assert got[0] == got[1]
 
 
 @PROPERTY

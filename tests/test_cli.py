@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdrpipe import cli
-from cdrpipe.evaluation import read_history_csv, write_history_csv
+from cdrpipe.evaluation import (ranked_gains, read_history_csv, summary_entries,
+                                write_grouped_csv, write_history_csv, write_lodo_gains_csv,
+                                write_predictions_csv, write_summary)
 from cdrpipe.model import ModelConfig, init_params, load_checkpoint, predict_records, save_checkpoint
 from cdrpipe.omics import ResponseDataset
 from cdrpipe.synthetic import make_benchmark, write_benchmark_files, write_response_csv
@@ -832,6 +834,83 @@ class TestLodo:
         assert re.match(r"error: fold 'D\d{3}' variant 'raw_expression': "
                         r"batch norm needs batches of >= 2 records", err), err
         assert not (tmp_path / "o").exists()
+
+
+class TestProtocolSteps:
+    """The steps the commands are built from, called directly, give the
+    bytes the commands write."""
+
+    SEED = 3
+
+    def run(self, command, config, out):
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            assert cli.main([command, "--config", str(config), "--seed", str(self.SEED),
+                             "--out", str(out)]) == 0
+        return printed.getvalue()
+
+    def test_fit_on_the_split_sets_gives_the_train_command_checkpoint(self, fixture_dir,
+                                                                      tmp_path):
+        self.run("train", fixture_dir["config"], tmp_path / "out")
+        cfg = cli.load_run_config(fixture_dir["config"], seed=self.SEED)
+        dataset, _ = cli.assemble_dataset(cfg, cfg.feature_source)
+        params, history, mcfg = cli.fit(cfg, *cli.split_sets(cfg, dataset), "train")
+        save_checkpoint(tmp_path / "fit.ckpt", mcfg, params)
+        write_history_csv(tmp_path / "history.csv", cfg.feature_source, history)
+        for name, mine in (("checkpoint.ckpt", "fit.ckpt"), ("history.csv", "history.csv")):
+            assert (tmp_path / mine).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+    def test_score_on_the_test_set_gives_the_eval_command_outputs(self, fixture_dir, tmp_path):
+        out = tmp_path / "out"
+        self.run("train", fixture_dir["config"], out)
+        self.run("eval", fixture_dir["config"], out)
+        cfg = cli.load_run_config(fixture_dir["config"], seed=self.SEED)
+        mcfg, params = load_checkpoint(out / "checkpoint.ckpt")
+        dataset, _ = cli.assemble_dataset(cfg, cfg.feature_source)
+        rows, report = cli.score(params, mcfg, cli.split_sets(cfg, dataset)[1], "test set")
+        mine = tmp_path / "mine"
+        mine.mkdir()
+        write_predictions_csv(mine / "predictions.csv", rows)
+        for kind, stats in report.grouped.items():
+            write_grouped_csv(mine / f"grouped_pcc_{kind}.csv", stats)
+        write_summary(mine / "summary.txt", summary_entries(report))
+        assert len(list(mine.iterdir())) == 5
+        for path in mine.iterdir():
+            assert path.read_bytes() == (out / path.name).read_bytes(), path.name
+
+    def test_lodo_folds_and_lodo_fold_give_the_lodo_command_outputs(self, fixture_dir,
+                                                                     tmp_path):
+        """Two folds over the pairs both sources cover: C000 has no
+        expression row, so scGPT drops its pairs."""
+        _, files, config = copy_fixture(fixture_dir, tmp_path)
+        lines = files["expression"].read_text(encoding="utf-8").splitlines()
+        files["expression"].write_text(
+            "\n".join(ln for ln in lines if not ln.startswith("C000,")) + "\n", encoding="utf-8")
+        config.write_text(config.read_text().replace("n_drugs = 1", "n_drugs = 2"))
+        printed = self.run("lodo", config, tmp_path / "out")
+
+        cfg = cli.load_run_config(config, seed=self.SEED)
+        datasets = {source: joined[0] for source, joined
+                    in cli.assemble_datasets(cfg, cfg.lodo_sources).items()}
+        folds, dropped = cli.lodo_folds(cfg, datasets)
+        pccs = {drug: cli.lodo_fold(cfg, datasets, drug, train_records, test_records)
+                for drug, train_records, test_records in folds}
+        assert list(pccs) == re.findall(r"^fold (\w+):", printed, re.M)
+        for drug, fold in pccs.items():
+            assert list(fold) == ["raw_expression", "scgpt"]
+            assert f"fold {drug}: raw_expression={fold['raw_expression']:.3f}, " \
+                   f"scgpt={fold['scgpt']:.3f}\n" in printed
+        summary = dict(line.split("=", 1) for line in
+                       (tmp_path / "out" / "lodo_summary.txt").read_text().splitlines())
+        assert {key: str(count) for key, count in dropped.items()} == {
+            key: value for key, value in summary.items() if key.startswith("pairs_dropped.")}
+        assert dropped["pairs_dropped.scgpt"] > 0
+
+        gains = ranked_gains({"scgpt": {d: fold["scgpt"] for d, fold in pccs.items()}},
+                             {d: fold["raw_expression"] for d, fold in pccs.items()})
+        write_lodo_gains_csv(tmp_path / "gains.csv", ["scgpt"], gains)
+        assert len(gains) == 2
+        assert (tmp_path / "gains.csv").read_bytes() == (
+            tmp_path / "out" / "lodo_gains.csv").read_bytes()
 
 
 class TestReport:

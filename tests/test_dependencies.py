@@ -404,3 +404,44 @@ def test_the_call_guard_sees_every_form_of_call():
     # a bare reference such as ad.dropout is not a call
     assert called_names(caller) == {"matmul", "add", "relu", "f", "loss", "segment_max",
                                     "backward"}
+
+
+# what only the protocol steps in cli.py may call, and the commands that
+# must reach it through them
+PROTOCOL_CALLS = {"train", "derive_seed", "finite_predictions", "pearson", "lodo_splits",
+                  "split_dataset", "build_eval_report"}
+COMMANDS = ("cmd_train", "cmd_eval", "cmd_lodo")
+
+
+def protocol_calls_in(source: str, functions) -> list[str]:
+    """Calls in the named top-level functions of ``source`` to a name in
+    ``PROTOCOL_CALLS``, however the callee is reached."""
+    return sorted(f"{node.name}: {name}" for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef) and node.name in functions
+                  for name in called_names(ast.unparse(node)) & PROTOCOL_CALLS)
+
+
+def test_the_commands_hold_no_protocol():
+    """train, eval and lodo are config, file I/O and printing around the
+    protocol steps, so the split, seeding, fitting and scoring of a run
+    have one home, which every caller of the steps shares."""
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert set(COMMANDS) <= defined
+    assert not protocol_calls_in(source, COMMANDS)
+
+
+def test_the_protocol_guard_sees_a_planted_call():
+    source = ("def cmd_train(cfg):\n"
+              "    train_set, test_set = split_sets(cfg, ds)\n"
+              "    params, _ = training.train(train_set, test_set, m, t)\n"
+              "def cmd_eval(cfg):\n"
+              "    return [pearson(p, y) for p, y in pairs]\n"
+              "def cmd_lodo(cfg):\n"
+              "    def inner():\n"
+              "        return derive_seed(cfg.seed, 'x')\n"
+              "    seed = cdrpipe.seeding.derive_seed\n"
+              "def fit(cfg):\n"
+              "    return train(a, b, c, d)\n")
+    assert protocol_calls_in(source, COMMANDS) == [
+        "cmd_eval: pearson", "cmd_lodo: derive_seed", "cmd_train: train"]
