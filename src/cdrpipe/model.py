@@ -30,11 +30,13 @@ distinct cell line, not once per record, so a fold would save little. The
 eval pass also closes a drug pack before its atom rows times the widest
 GCN layer's 8-byte activations would pass ``DRUG_PACK_BYTES``, one core's
 L2 cache, so each layer works on an activation held in L2 rather than
-streamed from L3. Each row's arithmetic is the same in any pack and in
-both entry points, so where BLAS runs every product as a matrix product
-(layers at least 4 wide, packs of at least 2 atom rows) the two give equal
-bytes; a one-row product takes BLAS's matrix-vector routine and may
-differ in the last bit.
+streamed from L3. A row's arithmetic is the same in any pack and in
+both entry points, but BLAS may round it differently with the number of
+rows in its product. With one OpenBLAS 0.3.31 thread, 400
+``make_benchmark`` records (512-wide cells) at the default widths differed
+from the default chunking in 365-374 predictions at ``batch_size`` 1-15,
+in 3 at 16 and 32 and in none at 64 (by at most 3e-15); predicted alone,
+in 372. ROADMAP item 4 owns the mend, with CHANGES.md's ``FOUND`` line 57.
 """
 
 from __future__ import annotations
@@ -221,26 +223,26 @@ def _first_layer(tape, params: ModelParams, cfg: ModelConfig, mode: str):
     """The head's first affine map as ``(W_d, W_c, b)``: its weight's two
     row halves, ``W = [W_d ; W_c]``, and its bias.
 
-    In eval mode the layer's batch norm is a fixed per-column affine map,
-    so it is folded in (Jacob et al. 2018, section 3.2): with
-    ``s = gamma / sqrt(running_var + eps)`` the halves become ``W_d s`` and
-    ``W_c s`` and the bias ``(b - running_mean) s + beta``, and
-    :func:`predict` applies no norm to the layer. The fold is built from
-    taped ops, so gradients reach ``W``, ``b``, ``gamma`` and ``beta``. In
-    train mode, or where the layer has no norm, the halves are row views of
-    ``W`` and the bias is ``b`` itself.
+    In train mode, or where the layer has no norm, these are row views of
+    ``W`` and ``b`` itself, taped or not. In eval mode the norm is a fixed
+    per-column affine map, folded in (Jacob et al. 2018, section 3.2): with
+    ``s = gamma / sqrt(running_var + eps)`` they are the constants ``W_d s``,
+    ``W_c s`` and ``(b - running_mean) s + beta``, and :func:`predict`
+    applies no norm to the layer. Nothing differentiates an eval pass, so
+    the fold takes no tape: given one, it raises ``ValueError``.
     """
     first, width = params.head[0], cfg.gcn_layer_dims[-1]
     w, norm = first.weight, first.norm
-    w_drug = ad.row_slice(tape, w, 0, width)
-    w_cell = ad.row_slice(tape, w, width, w.data.shape[0])
     if mode != "eval" or norm is None:
-        return w_drug, w_cell, first.bias
-    inv_std = ad.Tensor((1.0 / np.sqrt(norm.running_var + norm.eps)).reshape(1, -1))
-    scale = ad.mul(tape, norm.gamma, inv_std)
-    centred = ad.add(tape, first.bias, ad.Tensor(-norm.running_mean))
-    bias = ad.add(tape, ad.mul(tape, centred, scale), norm.beta)
-    return ad.mul(tape, w_drug, scale), ad.mul(tape, w_cell, scale), bias
+        return (ad.row_slice(tape, w, 0, width), ad.row_slice(tape, w, width, w.data.shape[0]),
+                first.bias)
+    if tape is not None:
+        raise ValueError("an eval-mode head with a first batch norm folds it into "
+                         "constants, so it takes the tape None")
+    scale = norm.gamma.data * (1.0 / np.sqrt(norm.running_var + norm.eps))
+    bias = (first.bias.data + -norm.running_mean) * scale + norm.beta.data
+    return (ad.Tensor(w.data[:width] * scale), ad.Tensor(w.data[width:] * scale),
+            ad.Tensor(bias))
 
 
 def predict(tape: ad.Tape | None, drug_part: ad.Tensor, cell_part: ad.Tensor,
@@ -266,7 +268,7 @@ def predict(tape: ad.Tape | None, drug_part: ad.Tensor, cell_part: ad.Tensor,
     return _dense_stack(tape, h, rest, cfg, mode, rng, activate_last=False)
 
 
-def forward_batch(tape: ad.Tape, graphs: Sequence[PaddedGraph], cell_matrix,
+def forward_batch(tape: ad.Tape | None, graphs: Sequence[PaddedGraph], cell_matrix,
                   params: ModelParams, cfg: ModelConfig, mode: str,
                   rng: np.random.Generator | None = None) -> ad.Tensor:
     """Predictions for a batch of (graph, cell vector) pairs.
@@ -277,7 +279,9 @@ def forward_batch(tape: ad.Tape, graphs: Sequence[PaddedGraph], cell_matrix,
     are encoded and projected per record, as train-mode batch norm needs.
     In eval mode the head's first batch norm is folded into ``W_d``,
     ``W_c`` and ``b`` (:func:`_first_layer`), as in
-    :func:`predict_records`, and the fold's ops are on the tape.
+    :func:`predict_records`. That fold records nothing, so where the head's
+    first layer has a norm an eval pass takes the tape ``None``; given a
+    tape, it raises ``ValueError``.
     """
     distinct = list({id(g): g for g in graphs}.values())
     slot = {id(g): i for i, g in enumerate(distinct)}
@@ -336,9 +340,8 @@ def predict_records(params: ModelParams, cfg: ModelConfig, dataset,
     ``batch_size`` records gathers its two rows through the ``drug_index``
     and ``cell_index`` columns and runs :func:`predict` on them: a
     gather-add, relu and the rest of the head. It reads the columns and
-    the matrix only,
-    never ``dataset.records`` or a per-id lookup. A ``batch_size`` below 1
-    raises ``ValueError``.
+    the matrix only, never ``dataset.records`` or a per-id lookup. A
+    ``batch_size`` below 1 raises ``ValueError``.
 
     On entry it pins the process's allocator (:func:`autodiff.pin_allocator`):
     a process-wide setting, made once, that overrides any

@@ -1,11 +1,12 @@
 """Dataset splitting and the mini-batch training loop.
 
 Splits follow the evaluation protocol: a seeded shuffle with a 95/5
-train/test partition, an optional cap on training records (slice mode keeps
-the first cap records, reproducing the biased subset; random mode draws a
-seeded sample to quantify that bias), and leave-one-drug-out folds. The
-training loop records validation PCC after every epoch and returns the
-parameters from the best-validation epoch.
+train/test partition, an optional cap on training records, and
+leave-one-drug-out folds. The cap applies after the shuffle, so both of its
+modes keep a uniform seeded sample of the training side and differ only in
+which sample (see :func:`split_dataset`). The training loop records
+validation PCC after every epoch and returns the parameters from the
+best-validation epoch.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ def split_dataset(records: Sequence[T], spec: SplitSpec) -> tuple[list[T], list[
     """Seeded shuffle, then the first ceil((1-f)*N) records train, rest test.
 
     The pre-cap split partitions the input exactly; a train_cap then keeps
-    the first cap records (slice mode) or a seeded subset in current order
-    (random mode), intentionally dropping the remainder.
+    cap records of the shuffled training side and drops the rest: its first
+    cap (slice mode) or a second seeded draw, kept in shuffled order (random
+    mode). Both are uniform seeded samples; the modes differ only in which.
     """
     n = len(records)
     if n < 2:
