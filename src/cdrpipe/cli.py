@@ -451,7 +451,10 @@ def cmd_report(run_dirs: list[Path], out: Path) -> int:
         path = run_dir / "history.csv"
         if not path.exists():
             raise ReportError(f"no history.csv in {run_dir}")
-        for model_name, records in read_history_csv(path).items():
+        runs = read_history_csv(path)
+        if not runs:  # a header alone, as train writes for epochs = 0
+            raise ReportError(f"{path}: history holds no epochs")
+        for model_name, records in runs.items():
             key = model_name if model_name not in histories else f"{Path(run_dir).name}:{model_name}"
             if key in histories:
                 raise ReportError(f"{run_dir}: history key {key!r} repeats an earlier run's")

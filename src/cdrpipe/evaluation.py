@@ -134,7 +134,7 @@ class PredictionRow:
     cancer_type: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupStat:
     pcc: float | None   # None marks an undefined correlation
     n: int

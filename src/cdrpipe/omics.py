@@ -317,10 +317,13 @@ def load_responses(path) -> list[ResponseRecord]:
     A (drug, cell line) pair may appear once: a repeat could fall on both
     sides of a split. Referential checks against available drugs/cells
     happen at join time, where unmatched rows are counted rather than
-    silently dropped.
+    silently dropped. The records share one str per distinct drug, cell
+    line and cancer type id: a screen repeats each id across its rows, and
+    a str per row would be most of the loaded table.
     """
     records = []
     lines = []
+    ids: dict[str | None, str | None] = {}
     with read_table(path, IngestError, ("drug_id", "cell_line_id", "ic50")) as (header, rows):
         for lineno, fields in rows:
             row = dict(zip(header, fields))
@@ -331,11 +334,13 @@ def load_responses(path) -> list[ResponseRecord]:
                 raise IngestError(f"{path}: row {lineno} ic50 is not numeric: "
                                   f"{row['ic50']!r}") from None
             try:
+                drug, cell = row["drug_id"], row["cell_line_id"]
+                cancer = row.get("cancer_type") or None
                 records.append(ResponseRecord(
-                    drug_id=row["drug_id"],
-                    cell_line_id=row["cell_line_id"],
+                    drug_id=ids.setdefault(drug, drug),
+                    cell_line_id=ids.setdefault(cell, cell),
                     ic50=ic50,
-                    cancer_type=(row.get("cancer_type") or None),
+                    cancer_type=ids.setdefault(cancer, cancer),
                 ))
             except IngestError as exc:
                 raise IngestError(f"{path}: row {lineno}: {exc}") from None

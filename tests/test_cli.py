@@ -958,6 +958,20 @@ class TestReport:
                          "--out", str(tmp_path / "o")]) == 5
         assert "history.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside_a_run"])
+    def test_a_history_without_epochs_exits_5_naming_it(self, tmp_path, capsys, beside):
+        """`train` with epochs = 0 writes the header alone; beside a run
+        with epochs it was dropped silently and the report exited 0."""
+        self.make_run(tmp_path / "zero", "scgpt", [])
+        runs = [tmp_path / "zero"]
+        if beside:
+            self.make_run(tmp_path / "full", "raw", [0.5, 0.6])
+            runs.insert(0, tmp_path / "full")
+        assert cli.main(["report", *map(str, runs), "--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'zero' / 'history.csv'}: history holds no epochs\n")
+        assert not (tmp_path / "o").exists()
+
     def test_unreadable_history_exits_5(self, tmp_path, capsys):
         history = tmp_path / "run" / "history.csv"
         history.mkdir(parents=True)

@@ -161,6 +161,7 @@ class TestGroupedPcc:
         assert entries["groups.drug.total"] == 2
         assert entries["groups.drug.undefined"] == 1
         assert entries["groups.cell_line.undefined"] == 3
+        assert not hasattr(report.grouped["drug"]["D0"], "__dict__")  # slotted: one per group
 
 
 # predictions and observations are multiples of 0.1 from a handful of values, so

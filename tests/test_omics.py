@@ -433,6 +433,17 @@ class TestLoadResponses:
                 f"{p}: row 4: duplicate (drug_id, cell_line_id) ('D0', 'C0') (first at row 2)")):
             omics.load_responses(p)
 
+    def test_records_share_one_str_per_distinct_id(self, tmp_path):
+        """The csv reader gives each row fresh strs, and a screen repeats each
+        drug id once per cell line: a str per row would be most of the
+        loaded table."""
+        body = "drug_id,cell_line_id,ic50,cancer_type\n" + "".join(
+            f"D{d},C{c},1.0,{'lung' if c % 2 else 'skin'}\n" for d in range(4) for c in range(6))
+        records = omics.load_responses(write_csv(tmp_path / "r.csv", body))
+        for column in ("drug_id", "cell_line_id", "cancer_type"):
+            values = [getattr(r, column) for r in records]
+            assert len({id(v) for v in values}) == len(set(values)), column
+
     def test_cancer_type_optional(self, tmp_path):
         p = write_csv(tmp_path / "r.csv", "drug_id,cell_line_id,ic50\nD0,C0,1.0\n")
         assert omics.load_responses(p)[0].cancer_type is None
