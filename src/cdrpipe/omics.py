@@ -4,8 +4,12 @@ files, response tables, and the join that assembles a training dataset.
 All inputs are comma-separated UTF-8 tables read through :mod:`tables`.
 Each expression or embedding table is read into a single matrix by
 :func:`tables.read_matrix`, so the profiles of one expression table share
-one gene list. A plain table is parsed by one ``np.loadtxt`` call; any other
-goes to the row reader, which gives the same values and error messages.
+one gene list. A plain table is parsed by ``np.loadtxt``; any other goes to
+the row reader, which gives the same values and error messages. A count
+matrix, whose first row's values hold only ASCII digits, ``+``, spaces and
+commas, is read as int64 and widened to float64 in place, skipping strtod;
+a ``-`` in any value sends it back to the float64 read, since int64 would
+read ``-0`` as ``+0.0`` where strtod gives ``-0.0``.
 Every error names the line its row starts on. Gene alignment zero-pads genes
 missing from a table and drops genes outside the canonical list;
 dropped/padded counts are surfaced so dataset shrinkage stays visible.
@@ -234,13 +238,16 @@ def load_expression(matrix_file) -> list[ExpressionProfile]:
 
 def load_gene_list(path) -> list[str]:
     """One gene id per line; order defines the canonical feature layout."""
+    first_line: dict[str, int] = {}
     with text_input(path, IngestError) as fh:
-        genes = [ln.strip() for ln in fh if ln.strip()]
-    if not genes:
+        for line, text in enumerate(fh, 1):
+            gene = text.strip()
+            if gene and first_line.setdefault(gene, line) != line:
+                raise IngestError(f"{path}: gene list has duplicate entries: {gene!r} "
+                                  f"on lines {first_line[gene]} and {line}")
+    if not first_line:
         raise IngestError(f"{path}: empty gene list")
-    if len(set(genes)) != len(genes):
-        raise IngestError(f"{path}: gene list has duplicate entries")
-    return genes
+    return list(first_line)
 
 
 def alignment_stats(profile: ExpressionProfile, canonical: Sequence[str]) -> tuple[int, int]:

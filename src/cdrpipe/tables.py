@@ -20,6 +20,16 @@ states this rule for both readers. A value ``loadtxt`` rejects but ``float``
 reads (``1_0``, non-ASCII digits), or a row of another width, makes
 ``loadtxt`` fail, and the table goes to the row reader as well.
 
+Integer tables, such as count matrices and a drug's bond and degree files,
+skip strtod: where the first data line's values hold only ASCII digits,
+``+``, spaces and commas, ``_parse`` reads the table as int64 and widens it
+to float64 in place, row block by row block, in the same buffer, so no
+second matrix-sized array exists. int64 and strtod give every int64 value
+the same float64, with one exception: ``-0`` reads as ``+0.0`` through
+int64 and as ``-0.0`` through strtod. So a ``-`` in any value, or a value
+int64 rejects (``1.5``, ``1e3``, 2**63 or more), sends the table back to
+the float64 read, which gives every value, error and message as before.
+
 Every output is written to a temporary file beside its target and moved over
 it in one ``os.replace``, so it appears whole or not at all; CSV outputs are
 quoted so that every row parses back to the values written.
@@ -79,13 +89,18 @@ def read_table(path, error: type[Exception], required: Sequence[str] = ()):
     non-blank row after the header, ``line`` being the physical line the
     row starts on. A missing ``required`` column, or a row that is
     unreadable or narrower or wider than the header, raises ``error``
-    naming the file and row."""
+    naming the file and row. A table given ``required`` columns is read by
+    column name, so a column its header repeats raises ``error`` naming
+    the file and the column."""
     with text_input(path, error) as fh:
         rows = csv_rows(path, fh, error)
         _, header = next(rows, (1, []))
         missing = [c for c in required if c not in header]
         if missing:
             raise error(f"{path}: header is missing columns {missing}")
+        if required and len(set(header)) != len(header):
+            repeated = next(c for i, c in enumerate(header) if c in header[:i])
+            raise error(f"{path}: header repeats column {repeated!r}")
         yield header, _checked_rows(path, error, len(header), rows)
 
 
@@ -96,7 +111,8 @@ def read_matrix(path, error: type[Exception], key: str):
     line each row starts on.
 
     The header is read through csv. When every data line is plain, the
-    data are parsed by one ``np.loadtxt`` call, numpy's C reader. Any other
+    data are parsed by ``np.loadtxt``, numpy's C reader, as int64 or
+    float64 under the integer rule (see the module docstring). Any other
     table is read again from the start by the row reader: one with a line
     holding ``"``, a field over ``csv.field_size_limit()``, a repeated id, a
     row of another width, a value ``loadtxt`` rejects (``1_0`` or non-ASCII
@@ -114,10 +130,10 @@ def read_headerless(path, error: type[Exception], width: int):
     columns: float64, a row per non-blank row, and the physical line each
     starts on. A row error raises ``error`` naming the file and row.
 
-    A non-empty UTF-8 file whose every line is plain is parsed by one
-    ``np.loadtxt`` call, its rows on lines ``1..n``. Any other file, or one
-    ``loadtxt`` rejects or reads to another shape, is read again by the row
-    reader, the only one that raises ``error``."""
+    A non-empty UTF-8 file whose every line is plain is parsed by
+    ``np.loadtxt`` under the integer rule, its rows on lines ``1..n``. Any
+    other file, or one ``loadtxt`` rejects or reads to another shape, is
+    read again by the row reader, the only one that raises ``error``."""
     plain = _plain_headerless(path, width)
     return plain if plain is not None else _headerless_rows(path, error, width)
 
@@ -130,7 +146,10 @@ def _plain_headerless(path, width: int):
             lines = _plain_lines(fh.read(), csv.field_size_limit())
         if lines is None:
             return None
-        matrix = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        try:
+            matrix = _parse(lines, _INTEGER_CHARS.issuperset(lines[0]))
+        except _NotInteger:
+            matrix = _parse(lines, False)
     except (_NotPlain, ValueError):
         return None
     if matrix.shape != (len(lines), width):
@@ -167,6 +186,45 @@ def _floats(path, error: type[Exception], rows, lines, first_column: int):
 class _NotPlain(Exception):
     """A table left to the row reader: a data line that is not plain, or
     text that is not UTF-8."""
+
+
+class _NotInteger(Exception):
+    """A table left to the float64 read: a value holding ``-`` or one that
+    int64 rejects."""
+
+
+# a table whose first data line's values hold only these is read as int64
+_INTEGER_CHARS = frozenset("0123456789+ ,")
+# values widened from int64 to float64 at a time
+_WIDEN_BLOCK = 1 << 16
+
+
+def _unsigned(lines):
+    """``lines``, raising :class:`_NotInteger` at one holding ``-``."""
+    for line in lines:
+        if "-" in line:
+            raise _NotInteger
+        yield line
+
+
+def _parse(lines, integer: bool) -> np.ndarray:
+    """Plain ``lines`` of values parsed by one ``np.loadtxt`` call into a
+    float64 matrix. With ``integer`` they are read as int64 and widened in
+    place, ``_WIDEN_BLOCK`` values at a time through a float64 view of the
+    same buffer; a ``-`` or a value int64 rejects raises
+    :class:`_NotInteger`."""
+    if not integer:
+        return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    try:
+        counts = np.loadtxt(_unsigned(lines), delimiter=",", comments=None,
+                            dtype=np.int64, ndmin=2)
+    except ValueError:
+        raise _NotInteger from None
+    matrix = counts.view(np.float64)
+    step = max(1, _WIDEN_BLOCK // max(1, counts.shape[1]))
+    for start in range(0, len(counts), step):
+        matrix[start:start + step] = counts[start:start + step]
+    return matrix
 
 
 # ASCII controls that loadtxt strips around a number as whitespace and
@@ -211,9 +269,10 @@ def _plain_values(fh, header_lines: int, ids: dict[str, None], lines: list[int])
         yield values
 
 
-def _read_plain(path, key: str):
+def _read_plain(path, key: str, integer: bool = True):
     """``read_matrix``'s result through ``np.loadtxt``, or None where the
-    table is not plain."""
+    table is not plain; without ``integer`` it is read as float64 whatever
+    its first data line holds."""
     ids: dict[str, None] = {}
     lines: list[int] = []
     try:
@@ -226,8 +285,10 @@ def _read_plain(path, key: str):
             first = next(values, None)
             if first is None:  # loadtxt warns on a table with no rows
                 return None
-            matrix = np.loadtxt(itertools.chain([first], values), delimiter=",",
-                                comments=None, dtype=np.float64, ndmin=2)
+            matrix = _parse(itertools.chain([first], values),
+                            integer and _INTEGER_CHARS.issuperset(first))
+    except _NotInteger:
+        return _read_plain(path, key, integer=False)
     except (_NotPlain, ValueError, csv.Error):
         return None
     if matrix.shape != (len(ids), len(header) - 1):  # a repeated id or another width

@@ -9,13 +9,15 @@ one ``np.argmax`` per segment, the segment-Pearson arithmetic run one
 group at a time, raw-expression features built by stacking,
 fancy-indexing and scaling whole matrices, a drug graph's bond checks and
 normalized adjacency taken one bond at a time, a train-mode batch norm
-whose statistics come from ``x.mean`` and ``x.var``, and two tape
+whose statistics come from ``x.mean`` and ``x.var``, a numeric table read
+one ``float`` per value, and two tape
 operations only the tests use: the graph propagation on its own, which the
 fused ``graph_conv`` layer is checked against, and the sum every gradient
 test reduces an output to.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -343,3 +345,30 @@ def reference_normalized_adjacency(n, adjacency):
         a[j, i] = 1.0
     inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     return inv_sqrt[:, None] * a * inv_sqrt[None, :]
+
+
+def float64_table(path, keyed: bool):
+    """A numeric CSV table without quotes read one ``float`` per value, as
+    the readers read every table before integer tables went through int64.
+
+    Each non-blank line, split at ``"\n"`` or ``"\r\n"`` and then at its
+    commas, is a row. A ``keyed`` table has a header, whose first column
+    names the row ids, and gives ``(ids, columns, matrix, lines)``; a
+    headerless one gives ``(matrix, lines)``. A value ``float`` rejects
+    gives the readers' message naming its line and column instead."""
+    text = Path(path).read_text(encoding="utf-8-sig").replace("\r\n", "\n")
+    numbered = [(line, row.split(",")) for line, row in enumerate(text.split("\n"), 1) if row]
+    if keyed:
+        (_, header), numbered = numbered[0], numbered[1:]
+    values = []
+    for line, fields in numbered:
+        for col, raw in enumerate(fields[1:] if keyed else fields, 2 if keyed else 1):
+            try:
+                values.append(float(raw))
+            except ValueError:
+                return f"{path}: row {line} column {col} is not numeric: {raw!r}"
+    lines = [line for line, _ in numbered]
+    matrix = np.array(values, dtype=np.float64).reshape(len(lines), -1)
+    if keyed:
+        return [fields[0] for _, fields in numbered], header[1:], matrix, lines
+    return matrix, lines

@@ -302,6 +302,24 @@ class TestIngest:
         assert capsys.readouterr().err == (
             f"error: {path}: {message.format(n=len(lines), drug=drug)}\n")
 
+    @pytest.mark.parametrize("target, column", [
+        ("responses", "ic50"), ("drug_manifest", "drug_id")])
+    def test_a_repeated_column_exits_2_naming_it(self, fixture_dir, tmp_path, capsys,
+                                                 target, column):
+        """A table read by column name would take a repeated column's last
+        copy; each row's second copy here holds the next row's value."""
+        _, files, config = copy_fixture(fixture_dir, tmp_path)
+        path = files[target]
+        header, *rows = [line.split(",") for line in
+                         path.read_text(encoding="utf-8").splitlines()]
+        k = header.index(column)
+        lines = [header + [column]] + [row + [rows[(i + 1) % len(rows)][k]]
+                                       for i, row in enumerate(rows)]
+        path.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
+        code = cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: header repeats column {column!r}\n"
+
     @pytest.mark.parametrize("part, make, reason", [
         ("adjacency", lambda path: path.unlink(), "No such file or directory"),
         ("degrees", lambda path: (path.unlink(), path.mkdir()), "Is a directory"),

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdrpipe import omics, tables
-from cdrpipe.molgraph import pad_graph
+from cdrpipe.molgraph import GraphError, pad_graph
 from cdrpipe.synthetic import random_graph
-from oracles import reference_expression_features
+from oracles import float64_table, reference_expression_features
 
 
 def write_csv(path, text):
@@ -361,6 +361,124 @@ class TestReadMatrix:
             omics.load_embeddings(p, "raw_expression")
 
 
+
+INTEGER_EDGES = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**62 + 1, 2**63 - 2, 2**63 - 1]
+# tokens that send an integer table back to the float64 read: a -0 int64
+# would read as +0.0, a float, an int64 overflow, a negative count, a value
+# only float() reads, and one no reader takes
+LATE_TOKENS = ["-0", "-00", "1.5", "1e3", str(2**63), str(2**64 + 1), "-7", "1_0", "oops"]
+
+
+@st.composite
+def integer_tokens(draw):
+    """An integer from 0 to 2**63 - 1, maybe zero-padded or ``+``-signed,
+    with spaces or a tab around it."""
+    text = str(draw(st.one_of(st.integers(0, 2**63 - 1), st.sampled_from(INTEGER_EDGES))))
+    text = "0" * draw(st.integers(0, 2)) + text
+    text = draw(st.sampled_from(["", "+"])) + text
+    pad = st.sampled_from(["", "", "", " ", "  ", "\t"])
+    return draw(pad) + text + draw(pad)
+
+
+@st.composite
+def integer_tables(draw, keyed):
+    """The text of an integer table, keyed by cell_line_id or headerless,
+    with blank lines, LF or CRLF line ends and maybe a byte-order mark; one
+    row after the first may hold one of LATE_TOKENS."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rows = [[draw(integer_tokens()) for _ in range(m)] for _ in range(n)]
+    late = draw(st.none() | st.sampled_from(LATE_TOKENS))
+    if late is not None:
+        rows[draw(st.integers(min(1, n - 1), n - 1))][draw(st.integers(0, m - 1))] = late
+    lines = [",".join(row) for row in rows]
+    if keyed:
+        ids = st.sampled_from(["C", "ACH-", "x y"])
+        lines = (["cell_line_id," + ",".join(f"g{j}" for j in range(m))]
+                 + [f"{draw(ids)}{i}," + line for i, line in enumerate(lines)])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(1 if keyed else 0, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return m, ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def headerless_read(path, width):
+    """tables.read_headerless' matrix and lines, or its error message."""
+    try:
+        return tables.read_headerless(path, GraphError, width)
+    except GraphError as exc:
+        return str(exc)
+
+
+def same_read(got, want):
+    """Whether two reads, ``(..., matrix, lines)`` or messages, are equal
+    in every field and in the matrix's dtype, shape and bytes."""
+    if isinstance(got, str) or isinstance(want, str):
+        return got == want
+    return (got[:-2] == want[:-2] and got[-1] == want[-1]
+            and (got[-2].dtype, got[-2].shape, got[-2].tobytes())
+            == (want[-2].dtype, want[-2].shape, want[-2].tobytes()))
+
+
+class TestIntegerTables:
+    """Integer tables are read as int64 and widened to float64 in place,
+    with the bytes, ids, lines and messages of the float64 read."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), keyed=st.booleans())
+    @pytest.mark.filterwarnings("error::UserWarning")  # loadtxt's warning on an empty table
+    def test_both_readers_give_the_float64_read(self, tmp_path_factory, data, keyed):
+        width, text = data.draw(integer_tables(keyed))
+        path = tmp_path_factory.mktemp("i") / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if keyed:
+            try:
+                got = omics._read_cells(path)
+            except omics.IngestError as exc:
+                got = str(exc)
+        else:
+            got = headerless_read(path, width)
+        assert same_read(got, float64_table(path, keyed))
+
+    def test_a_count_table_is_parsed_as_int64(self, tmp_path):
+        """Ids may hold ``-``; only the values decide."""
+        p = write_csv(tmp_path / "e.csv", "cell_line_id,g1,g2\nACH-1,+1, 2\nACH-2,3,04\n")
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            ids, _, matrix, _ = omics._read_cells(p)
+        assert [call.kwargs["dtype"] for call in loadtxt.call_args_list] == [np.int64]
+        assert ids == ["ACH-1", "ACH-2"]
+        assert matrix.dtype == np.float64 and matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["read_matrix", "read_headerless"])
+    def test_the_widening_stays_in_place(self, tmp_path, keyed):
+        """An integer table's read peaks within one widening block of the
+        same table's float64 read: no second matrix-sized array exists."""
+        rng = np.random.default_rng(34)
+        counts = rng.integers(0, 10**6, size=(300, 1000))
+        rows = [",".join(map(str, row)) for row in counts]
+        if keyed:
+            rows = ["cell_line_id," + ",".join(f"g{j}" for j in range(1000))] + [
+                f"C{i},{row}" for i, row in enumerate(rows)]
+        p = write_csv(tmp_path / "t.csv", "\n".join(rows) + "\n")
+
+        def peak_of_read():
+            tracemalloc.start()
+            try:
+                if keyed:
+                    matrix = tables.read_matrix(p, omics.IngestError, "cell_line_id")[2]
+                else:
+                    matrix = tables.read_headerless(p, GraphError, 1000)[0]
+                return matrix, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        matrix, peak = peak_of_read()
+        with mock.patch.object(tables, "_INTEGER_CHARS", frozenset()):
+            floats, float_peak = peak_of_read()
+        assert matrix.tobytes() == floats.tobytes() == counts.astype(np.float64).tobytes()
+        assert peak <= float_peak + tables._WIDEN_BLOCK * 8 + 64 * 1024
+
+
 class TestLoadResponses:
     def test_valid_rows(self, tmp_path):
         body = "drug_id,cell_line_id,ic50,cancer_type\n" + "".join(
@@ -484,6 +602,12 @@ class TestJoin:
         bad = write_csv(tmp_path / "dup.txt", "g1\ng1\n")
         with pytest.raises(omics.IngestError, match="duplicate"):
             omics.load_gene_list(bad)
+
+    def test_a_repeated_gene_is_named_with_the_lines_of_both_copies(self, tmp_path):
+        p = write_csv(tmp_path / "genes.txt", "g1\ng2\n\n g3\ng2\ng1\n")
+        with pytest.raises(omics.IngestError, match=re.escape(
+                f"{p}: gene list has duplicate entries: 'g2' on lines 2 and 5")):
+            omics.load_gene_list(p)
 
     def test_expression_feature_set_applies_cpm(self, tmp_path):
         profiles = [omics.ExpressionProfile("A", np.array([1.0, 1.0, 2.0]), ["g1", "g2", "g3"])]
