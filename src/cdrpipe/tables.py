@@ -20,15 +20,18 @@ states this rule for both readers. A value ``loadtxt`` rejects but ``float``
 reads (``1_0``, non-ASCII digits), or a row of another width, makes
 ``loadtxt`` fail, and the table goes to the row reader as well.
 
-Integer tables, such as count matrices and a drug's bond and degree files,
-skip strtod: where the first data line's values hold only ASCII digits,
-``+``, spaces and commas, ``_parse`` reads the table as int64 and widens it
-to float64 in place, row block by row block, in the same buffer, so no
-second matrix-sized array exists. int64 and strtod give every int64 value
-the same float64, with one exception: ``-0`` reads as ``+0.0`` through
-int64 and as ``-0.0`` through strtod. So a ``-`` in any value, or a value
-int64 rejects (``1.5``, ``1e3``, 2**63 or more), sends the table back to
-the float64 read, which gives every value, error and message as before.
+An integer table keyed by its first column, such as a count matrix, skips
+strtod: where the first data line's values hold only ASCII digits, ``+``,
+spaces and commas, ``_parse`` reads the table as int64 and widens it to
+float64 in place, row block by row block, in the same buffer, so no second
+matrix-sized array exists. int64 and strtod give every int64 value the same
+float64, with one exception: ``-0`` reads as ``+0.0`` through int64 and as
+``-0.0`` through strtod. So a ``-`` in any value, or a value int64 rejects
+(``1.5``, ``1e3``, 2**63 or more), sends the table back to the float64
+read, which gives every value, error and message as before. numpy releases
+that read such a value through a float, with only a DeprecationWarning, are
+held to the same rule: the warning is raised as an error there. Headerless
+tables, a drug's small graph files, are always read as float64.
 
 Every output is written to a temporary file beside its target and moved over
 it in one ``os.replace``, so it appears whole or not at all; CSV outputs are
@@ -41,6 +44,7 @@ import csv
 import itertools
 import os
 import uuid
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -130,10 +134,10 @@ def read_headerless(path, error: type[Exception], width: int):
     columns: float64, a row per non-blank row, and the physical line each
     starts on. A row error raises ``error`` naming the file and row.
 
-    A non-empty UTF-8 file whose every line is plain is parsed by
-    ``np.loadtxt`` under the integer rule, its rows on lines ``1..n``. Any
-    other file, or one ``loadtxt`` rejects or reads to another shape, is
-    read again by the row reader, the only one that raises ``error``."""
+    A non-empty UTF-8 file whose every line is plain is parsed by one
+    ``np.loadtxt`` call, its rows on lines ``1..n``. Any other file, or one
+    ``loadtxt`` rejects or reads to another shape, is read again by the row
+    reader, the only one that raises ``error``."""
     plain = _plain_headerless(path, width)
     return plain if plain is not None else _headerless_rows(path, error, width)
 
@@ -146,10 +150,7 @@ def _plain_headerless(path, width: int):
             lines = _plain_lines(fh.read(), csv.field_size_limit())
         if lines is None:
             return None
-        try:
-            matrix = _parse(lines, _INTEGER_CHARS.issuperset(lines[0]))
-        except _NotInteger:
-            matrix = _parse(lines, False)
+        matrix = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
     except (_NotPlain, ValueError):
         return None
     if matrix.shape != (len(lines), width):
@@ -215,13 +216,16 @@ def _parse(lines, integer: bool) -> np.ndarray:
     :class:`_NotInteger`."""
     if not integer:
         return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    try:
-        counts = np.loadtxt(_unsigned(lines), delimiter=",", comments=None,
-                            dtype=np.int64, ndmin=2)
-    except ValueError:
-        raise _NotInteger from None
+    with warnings.catch_warnings():
+        # where numpy reads a value int64 rejects through a float and warns
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            counts = np.loadtxt(_unsigned(lines), delimiter=",", comments=None,
+                                dtype=np.int64, ndmin=2)
+        except (ValueError, DeprecationWarning):
+            raise _NotInteger from None
     matrix = counts.view(np.float64)
-    step = max(1, _WIDEN_BLOCK // max(1, counts.shape[1]))
+    step = max(1, _WIDEN_BLOCK // counts.shape[1])
     for start in range(0, len(counts), step):
         matrix[start:start + step] = counts[start:start + step]
     return matrix
