@@ -36,7 +36,7 @@ with tempfile.TemporaryDirectory() as tmp:
     save_graph(graph, *paths)
     back = load_graph(*paths, drug_id="demo")
     print("round trip exact:", np.array_equal(back.features, graph.features)
-          and back.adjacency == graph.adjacency)
+          and np.array_equal(back.adjacency, graph.adjacency))
 
 # ---------------------------------------------------------------------------
 # 2. The encoder record checks the graph against a capacity and keeps only
@@ -60,11 +60,8 @@ base = encode_drug(None, [pad_graph(g, 6)], params, cfg)
 
 perm = rng.permutation(g.n_atoms)
 inverse = np.argsort(perm)
-relabeled = MolecularGraph(
-    g.drug_id, g.features[perm],
-    sorted((min(inverse[a], inverse[b]), max(inverse[a], inverse[b]))
-           for a, b in g.adjacency),
-    g.degrees[perm])
+# the bonds are an m x 2 index array, so relabeling them is one lookup
+relabeled = MolecularGraph(g.drug_id, g.features[perm], inverse[g.adjacency], g.degrees[perm])
 permuted = encode_drug(None, [pad_graph(relabeled, 6)], params, cfg)
 print("permutation gap:", float(np.max(np.abs(base.data - permuted.data))))
 

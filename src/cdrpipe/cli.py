@@ -148,6 +148,8 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config file is not a readable file: {path}")
     cp = configparser.ConfigParser(interpolation=None, converters={
         "list": _list, "ints": lambda raw: [int(item) for item in _list(raw)],
         "optint": _optional_int})
@@ -156,6 +158,8 @@ def load_run_config(path, seed=None, out=None, feature_source=None) -> RunConfig
             cp.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if cp.defaults():  # configparser would merge its keys into every section
+        raise ConfigError(f"{path}: [DEFAULT] is not supported; set each key in its section")
     for section in cp.sections():
         if section == "paths":
             continue
@@ -206,8 +210,24 @@ def _require_path(cfg: RunConfig, key: str) -> Path:
     return p
 
 
+def _check_output_dir(path: Path, where: str) -> None:
+    """Before any work, so a run cannot fail at its end for want of a place to
+    write: a ConfigError unless ``path``, or its nearest existing ancestor, is
+    a directory."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{where} {path}: {existing} is not a directory")
+
+
+_HASH_BLOCK = 1 << 20  # bytes hashed per read, so no input is held whole
+
+
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(_HASH_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +253,7 @@ def load_cells(cfg: RunConfig, source: str) -> tuple[CellFeatureSet, dict]:
         cells = expression_feature_set(profiles, genes)
     else:
         cells = load_embeddings(_require_path(cfg, f"embeddings_{source}"), source)
-    entries["cells.rows"] = len(cells.vectors)
+    entries["cells.rows"] = len(cells.ids)
     entries["cells.dim"] = cells.dim
     return cells, entries
 
@@ -301,7 +321,7 @@ def lodo_folds(cfg: RunConfig, datasets: dict[str, ResponseDataset]
     # every source joins the same responses and graphs, so the pairs all of
     # them cover are the baseline's records whose cell line every source has
     records = [r for r in datasets[cfg.lodo_baseline].records
-               if all(r.cell_line_id in datasets[s].cells.vectors for s in sources)]
+               if all(r.cell_line_id in datasets[s].cells for s in sources)]
     dropped = {f"pairs_dropped.{s}": len(datasets[s]) - len(records) for s in sources}
     try:
         folds = lodo_splits(records, cfg.lodo_n_drugs, derive_seed(cfg.seed, "lodo-drugs"))
@@ -507,9 +527,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
+            _check_output_dir(Path(args.out), "--out")
             return cmd_report([Path(d) for d in args.run_dirs], Path(args.out))
         cfg = load_run_config(args.config, seed=args.seed, out=args.out,
                               feature_source=args.feature_source)
+        _check_output_dir(cfg.output_dir, "--out" if args.out else
+                          f"{cfg.config_path}: paths.output_dir")
         if args.command == "ingest":
             return cmd_ingest(cfg)
         if args.command == "train":

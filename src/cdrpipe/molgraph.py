@@ -1,7 +1,7 @@
 """Drug molecular graphs in their three-file tabular form.
 
 Each drug is described by a per-atom feature matrix (75 columns), an
-undirected adjacency list of 0-based atom index pairs, and a degree list,
+undirected bond list of 0-based atom index pairs, and a degree list,
 each a headerless CSV file read by :func:`tables.read_headerless` under the
 tables rules (so a line of whitespace is an error naming its line, not a
 blank line); a drug manifest table, read through :func:`tables.read_table`,
@@ -16,9 +16,10 @@ The bond checks run on the whole bond array at once: range and self-loop
 masks, duplicates (in either orientation) found among the canonical
 ``(min, max)`` pairs once sorted, and degrees counted by ``np.bincount``.
 Where several bonds are bad, the error names the first in file order, with
-the message a check of one bond at a time would give, and the canonical
-bond list keeps file order. The normalized adjacency is filled by fancy
-indexing on the same pairs.
+the message a check of one bond at a time would give. A graph holds its
+bonds once, as one ``m x 2`` int64 array of canonical pairs in file order;
+the normalized adjacency is filled by fancy indexing on it, and
+:func:`save_graph` writes it back.
 """
 
 from __future__ import annotations
@@ -40,16 +41,16 @@ class GraphError(ValueError):
 
 @dataclass
 class MolecularGraph:
-    """A validated drug graph: atom features, canonical bond list, degrees.
+    """A validated drug graph: atom features, canonical bonds, degrees.
 
     ``adjacency`` may be given as any sequence of index pairs, a list or an
-    ``m x 2`` integer array; it is held as a list of canonical pairs."""
+    ``m x 2`` integer array; it is held as the graph's one copy of its bonds,
+    an ``m x 2`` int64 array of canonical pairs in the given order."""
 
     drug_id: str
     features: np.ndarray          # n_atoms x ATOM_FEATURE_DIM
-    adjacency: list[tuple[int, int]]   # canonical (min, max) pairs, deduplicated
+    adjacency: np.ndarray         # m x 2 int64, canonical (min, max) pairs, deduplicated
     degrees: np.ndarray           # int vector, length n_atoms
-    bonds: np.ndarray = field(init=False, repr=False)  # adjacency as an m x 2 int array
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -62,9 +63,9 @@ class MolecularGraph:
         if self.degrees.shape != (n,):
             raise GraphError(f"drug {self.drug_id!r}: degree list has "
                              f"{self.degrees.shape[0]} entries for {n} atoms")
-        pairs = np.array(self.adjacency, dtype=np.int64).reshape(len(self.adjacency), 2)
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        pairs = np.asarray(self.adjacency, dtype=np.int64).reshape(len(self.adjacency), 2)
+        canonical = np.sort(pairs, axis=1)
+        lo, hi = canonical.T
         outside = (lo < 0) | (hi >= n)
         # a bond repeats where an earlier one has its canonical pair; lexsort
         # is stable, so the earliest of equal pairs sorts first
@@ -75,7 +76,7 @@ class MolecularGraph:
         bad = outside | (lo == hi) | repeat
         if bad.any():  # the first bad bond in file order, checked as one at a time would
             k = int(bad.argmax())
-            i, j = self.adjacency[k]
+            i, j = pairs[k]
             if outside[k]:
                 raise GraphError(f"drug {self.drug_id!r}: bond ({i}, {j}) references an "
                                  f"atom outside [0, {n})")
@@ -83,8 +84,7 @@ class MolecularGraph:
                 raise GraphError(f"drug {self.drug_id!r}: self-loop on atom {i}")
             raise GraphError(f"drug {self.drug_id!r}: duplicate bond "
                              f"{(int(lo[k]), int(hi[k]))}")
-        self.adjacency = list(zip(lo.tolist(), hi.tolist()))
-        self.bonds = np.stack((lo, hi), axis=1)
+        self.adjacency = canonical
         counts = np.bincount(pairs.ravel(), minlength=n)
         if not np.array_equal(counts, self.degrees):
             bad = int(np.nonzero(counts != self.degrees)[0][0])
@@ -128,7 +128,7 @@ def normalized_adjacency(graph: MolecularGraph) -> np.ndarray:
     """
     n = graph.n_atoms
     a = np.eye(n)
-    i, j = graph.bonds.T
+    i, j = graph.adjacency.T
     a[i, j] = 1.0
     a[j, i] = 1.0
     inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
@@ -170,13 +170,13 @@ def load_graph(feature_file, adjacency_file, degree_file, drug_id: str | None = 
     pairs = _read_graph_file(adjacency_file, "adjacency", 2, integer=True)
     degrees = _read_graph_file(degree_file, "degree", 1, integer=True)
     return MolecularGraph(drug_id if drug_id is not None else Path(feature_file).stem,
-                          features, pairs.astype(np.int64), degrees[:, 0])
+                          features, pairs, degrees[:, 0])
 
 
 def save_graph(graph: MolecularGraph, feature_file, adjacency_file, degree_file) -> None:
     """Write a graph back out in the canonical three-file form."""
     write_rows(feature_file, ([repr(float(v)) for v in row] for row in graph.features))
-    write_rows(adjacency_file, graph.adjacency)
+    write_rows(adjacency_file, graph.adjacency)  # csv writes each int64 as its digits
     write_rows(degree_file, ([int(d)] for d in graph.degrees))
 
 

@@ -24,13 +24,12 @@ temporary, the zeroed aligned matrix and three scaling temporaries); for a
 
 A :class:`CellFeatureSet` keeps its vectors as the rows of one matrix,
 the one that :func:`load_embeddings` reads or :func:`expression_feature_set`
-builds; its ``vectors`` dict maps each id to a read-only view of its row.
-A joined :class:`ResponseDataset` codes its records once, when it is built:
+builds, and finds an id's row through one id -> row index. A joined
+:class:`ResponseDataset` codes its records once, when it is built:
 integer columns give each record's drug and cell line as a position in the
 dataset's distinct ids, a float column its IC50, and ``cell_rows`` each
 distinct cell line's row of the feature matrix. Training batches and the
-prediction pass read those columns and take cell rows from the matrix, not
-the records or the dict.
+prediction pass read those columns and take cell rows from the matrix.
 """
 
 from __future__ import annotations
@@ -81,11 +80,10 @@ class CellFeatureSet:
     """Per-cell-line feature vectors from one named source: row ``i`` of the
     (cell lines x ``dim``) float64 ``matrix`` is the vector of ``ids[i]``.
 
-    A float64 matrix is kept as it is, not copied, and made read-only.
-    ``vectors`` maps each id to a view of its row, in row order, for
-    readers that go by id; a dataset finds its cell lines' rows through
-    :meth:`rows`, and the model takes them from the matrix. Ids must be
-    distinct.
+    A float64 matrix is kept as it is, not copied, and made read-only. Ids
+    must be distinct. The package goes by id only through the id -> row
+    index (``id in cells``, :meth:`rows`); ``vectors``, each id's row view,
+    stays for the benchmark's tracer and input writer and the tests.
     """
 
     source: str
@@ -112,6 +110,9 @@ class CellFeatureSet:
             raise IngestError(f"cell line {repeated!r} appears more than once")
         self.matrix.flags.writeable = False
         self.vectors = dict(zip(self.ids, self.matrix))
+
+    def __contains__(self, cell_line_id: str) -> bool:
+        return cell_line_id in self._row
 
     def rows(self, ids: Iterable[str]) -> np.ndarray:
         """The matrix row of each id, as ``np.intp``; an id without a vector
@@ -372,12 +373,13 @@ def join_dataset(responses: Sequence[ResponseRecord],
     """
     stats = JoinStats(total=len(responses))
     kept = []
+    row_of = cells._row
     for rec in responses:
         ok = True
         if rec.drug_id not in graphs:
             stats.missing_drug += 1
             ok = False
-        if rec.cell_line_id not in cells.vectors:
+        if rec.cell_line_id not in row_of:
             stats.missing_cell += 1
             ok = False
         if ok:

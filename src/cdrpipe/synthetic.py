@@ -32,13 +32,9 @@ def random_graph(rng: np.random.Generator, drug_id: str, n_atoms: int,
         for j in range(i + 1, n_atoms):
             if (i, j) not in pairs and rng.random() < extra_edge_prob:
                 pairs.add((i, j))
-    ordered = sorted(pairs)
-    degrees = np.zeros(n_atoms, dtype=np.int64)
-    for i, j in ordered:
-        degrees[i] += 1
-        degrees[j] += 1
-    return MolecularGraph(drug_id=drug_id, features=features,
-                          adjacency=ordered, degrees=degrees)
+    bonds = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    return MolecularGraph(drug_id=drug_id, features=features, adjacency=bonds,
+                          degrees=np.bincount(bonds.ravel(), minlength=n_atoms))
 
 
 @dataclass
@@ -97,10 +93,9 @@ def make_benchmark(n_cells: int = 500, cell_dim: int = 64, n_drugs: int = 30,
     raw = np.empty(n_records)
     pairs = []
     for k, flat in enumerate(chosen):
-        d = drug_ids[flat // n_cells]
-        c = cell_ids[flat % n_cells]
-        pairs.append((d, c))
-        raw[k] = w @ np.concatenate([pooled[d], cells.vectors[c]]) + bias
+        d, cell = drug_ids[flat // n_cells], flat % n_cells
+        pairs.append((d, cell_ids[cell]))
+        raw[k] = w @ np.concatenate([pooled[d], cells.matrix[cell]]) + bias
     raw = (raw - raw.mean()) / raw.std()
     labels = raw + rng.normal(0.0, noise_std, size=n_records)
 
@@ -148,7 +143,7 @@ def write_embedding_csv(path, cells: CellFeatureSet, pad_to: int | None = None) 
         raise ValueError(f"cannot pad {cells.dim}-dim vectors down to {width}")
     padding = [_fmt(0.0)] * (width - cells.dim)
     header = ["cell_line_id", *(f"e{i}" for i in range(width))]
-    body = ([cid, *map(_fmt, vec), *padding] for cid, vec in cells.vectors.items())
+    body = ([cid, *map(_fmt, vec), *padding] for cid, vec in zip(cells.ids, cells.matrix))
     write_rows(path, chain([header], body))
 
 
@@ -188,7 +183,7 @@ def write_benchmark_files(bench: SyntheticBenchmark, outdir,
     genes = [f"g{i:04d}" for i in range(bench.cells.dim)]
     expression = outdir / "expression.csv"
     counts = ([cid, *np.rint(np.abs(vec) * 100).astype(int).tolist()]
-              for cid, vec in bench.cells.vectors.items())
+              for cid, vec in zip(bench.cells.ids, bench.cells.matrix))
     write_rows(expression, chain([["cell_line_id", *genes]], counts))
     gene_list = outdir / "gene_list.txt"
     write_rows(gene_list, ([gene] for gene in genes + ["g_absent_a", "g_absent_b"]))

@@ -7,6 +7,7 @@ import io
 import json
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,8 +489,96 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"error: {config}: paths.{key} {reason}: {target}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_a_config_path_that_is_a_directory_exits_2_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "data"
+        config.mkdir()
+        code = cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: config file is not a readable file: {config}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, text", [
+        ("foo = 1", None),  # in the full config it was reported as a key of [model]
+        ("seed = 5", "[paths]\nresponses = r.csv\n"),  # it was taken as paths.seed
+    ], ids=["named_as_model", "taken_as_a_path"])
+    def test_a_default_section_exits_2_naming_it(self, fixture_dir, tmp_path, capsys, key,
+                                                 text):
+        config = write_config(tmp_path / "run.ini", fixture_dir["files"],
+                              fixture_dir["bench"].n_max_atoms)
+        body = config.read_text() if text is None else text
+        config.write_text(f"[DEFAULT]\n{key}\n\n{body}")
+        code = cli.main(["ingest", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: [DEFAULT] is not supported; set each key in its section\n")
+        assert not (tmp_path / "o").exists()
+
+
+class TestOutputLocation:
+    """The output location is checked before any work: a run that could not
+    write its results fails at once, not after the fit or the last fold."""
+
+    @pytest.mark.parametrize("command", ["ingest", "train", "eval", "lodo"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+    def test_an_out_that_is_not_a_directory_exits_2_before_any_work(
+            self, fixture_dir, tmp_path, capsys, monkeypatch, command, below):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "o" if below else afile
+
+        def spy(*args, **kwargs):
+            raise AssertionError("train was called")
+        monkeypatch.setattr(cli, "train", spy)
+        code = cli.main([command, "--config", str(fixture_dir["config"]), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: --out {out}: {afile} is not a directory\n"
+        assert captured.out == ""
+        assert afile.read_text() == "kept\n"
+
+    def test_an_output_dir_that_is_a_file_exits_2_naming_the_config_key(
+            self, fixture_dir, tmp_path, capsys):
+        config = copy_fixture(fixture_dir, tmp_path)[2]
+        (tmp_path / "out").write_text("")  # the config's output_dir
+        code = cli.main(["train", "--config", str(config)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: paths.output_dir {tmp_path / 'out'}: {tmp_path / 'out'} "
+            f"is not a directory\n")
+
+    def test_a_report_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        write_history_csv(run / "history.csv", "m", [EpochRecord(1, 1.0, 0.5)])
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert cli.main(["report", str(run), "--out", str(afile)]) == 2
+        assert capsys.readouterr().err == f"error: --out {afile}: {afile} is not a directory\n"
+
+    def test_an_out_below_missing_directories_is_created(self, fixture_dir, tmp_path):
+        out = tmp_path / "a" / "b" / "o"
+        assert cli.main(["ingest", "--config", str(fixture_dir["config"]),
+                         "--out", str(out)]) == 0
+        assert (out / "ingest_report.txt").is_file()
+
 
 class TestTrain:
+    def test_inputs_are_hashed_in_blocks(self, tmp_path):
+        """The manifest's digests are sha256 of the whole file, read a block
+        at a time, so hashing holds at most two blocks (the last one and the
+        next), never an input whole."""
+        data = np.random.default_rng(0).bytes(6 * cli._HASH_BLOCK + 7)
+        path = tmp_path / "big.bin"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            digest = cli._sha256(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert peak < 3 * cli._HASH_BLOCK
+
     def test_an_unused_input_that_is_a_directory_is_left_out_of_the_manifest(
             self, fixture_dir, tmp_path):
         files = dict(fixture_dir["files"], expression=tmp_path / "expression")

@@ -327,14 +327,20 @@ def vectors_reads(source: str) -> list[str]:
                                        and node.attr == "vectors")]
 
 
-def test_model_and_training_read_cells_from_the_matrix():
-    """The prediction pass and the training loop take cell rows from the
-    feature matrix through a dataset's ``cell_rows``, never per id from the
-    ``vectors`` dict, so the matrix stays the one read path."""
-    reads = {f"{name} {use}"
-             for name in ("model.py", "training.py")
-             for use in vectors_reads((PACKAGE / name).read_text(encoding="utf-8"))}
-    assert not reads
+def test_the_package_reads_cells_from_the_matrix():
+    """Every module finds a cell line's row through the feature set's id ->
+    row index (``rows``, ``in``) and takes it from the matrix, never per id
+    from the ``vectors`` dict, so the matrix stays the one read path. The
+    named exemption is the dict's one definition in omics.py, kept for the
+    benchmark's tracer and input writer and for the tests."""
+    reads = {f"{path.relative_to(PACKAGE)} {use}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for use in vectors_reads(path.read_text(encoding="utf-8"))}
+    omics = (PACKAGE / "omics.py").read_text(encoding="utf-8").splitlines()
+    definition = [n for n, text in enumerate(omics, 1)
+                  if text.strip().startswith("self.vectors = ")]
+    assert len(definition) == 1
+    assert reads == {f"omics.py line {definition[0]}"}
 
 
 def test_the_vectors_guard_sees_every_use_of_the_attribute():

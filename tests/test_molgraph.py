@@ -76,7 +76,8 @@ def graph_or_message(build):
 class TestMolecularGraph:
     def test_bonds_are_held_as_canonical_pairs_in_their_given_order(self):
         g = mg.MolecularGraph("x", np.zeros((3, 75)), [(2, 0), (1, 0)], np.array([2, 1, 1]))
-        assert g.adjacency == [(0, 2), (0, 1)]
+        assert g.adjacency.dtype == np.int64
+        assert g.adjacency.tolist() == [[0, 2], [0, 1]]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(drawn=bond_lists(), as_array=st.booleans())
@@ -92,8 +93,9 @@ class TestMolecularGraph:
         if isinstance(expected, str):
             assert got == expected
         else:
-            assert got.adjacency == expected
-            assert all(type(i) is int and type(j) is int for i, j in got.adjacency)
+            assert got.adjacency.dtype == np.int64
+            assert got.adjacency.shape == (len(expected), 2)
+            assert got.adjacency.tolist() == [list(pair) for pair in expected]
             assert (mg.normalized_adjacency(got).tobytes()
                     == reference_normalized_adjacency(n, expected).tobytes())
 
@@ -105,7 +107,7 @@ class TestLoadGraph:
         paths = write_graph_files(tmp_path, feats, [(0, 1)], [1, 1])
         g = mg.load_graph(*paths, drug_id="d1")
         assert g.n_atoms == 2
-        assert g.adjacency == [(0, 1)]
+        assert g.adjacency.tolist() == [[0, 1]]
         np.testing.assert_allclose(g.features, feats)
 
     def test_degree_mismatch(self, tmp_path):
@@ -176,7 +178,8 @@ class TestLoadGraph:
         paths = (tmp / "f.csv", tmp / "a.csv", tmp / "d.csv")
         mg.save_graph(g, *paths)
         back = mg.load_graph(*paths, drug_id=g.drug_id)
-        assert back.adjacency == g.adjacency
+        assert back.adjacency.dtype == np.int64
+        np.testing.assert_array_equal(back.adjacency, g.adjacency)
         np.testing.assert_array_equal(back.degrees, g.degrees)
         np.testing.assert_array_equal(back.features, g.features)
 
