@@ -238,6 +238,9 @@ def load_cells(cfg: RunConfig, source: str) -> tuple[CellFeatureSet, dict]:
     """Feature vectors for one source plus ingestion-report entries."""
     entries: dict[str, object] = {}
     if source == "raw_expression":
+        # glibc would raise its mmap threshold to the int32 count table's size
+        # when it is freed, and hold later set-up arrays in an untrimmed heap
+        pin_allocator()
         expression = _require_path(cfg, "expression")
         profiles = load_expression(expression)
         gene_list = _require_path(cfg, "gene_list")

@@ -7,9 +7,9 @@ Each expression or embedding table is read into a single matrix by
 one gene list. A plain table is parsed by ``np.loadtxt``; any other goes to
 the row reader, which gives the same values and error messages. A count
 matrix, whose first row's values hold only ASCII digits, ``+``, spaces and
-commas, is read as int64 and widened to float64 in place, skipping strtod;
-a ``-`` in any value sends it back to the float64 read, since int64 would
-read ``-0`` as ``+0.0`` where strtod gives ``-0.0``.
+commas, is read as int32, skipping strtod, and its profiles are int32 views
+of that matrix; a ``-`` in any value, or a count of 2**31 or more, sends it
+to the float64 read, which is exact to 2**53.
 Every error names the line its row starts on. Gene alignment zero-pads genes
 missing from a table and drops genes outside the canonical list;
 dropped/padded counts are surfaced so dataset shrinkage stays visible.
@@ -58,14 +58,16 @@ class IngestError(ValueError):
 
 @dataclass
 class ExpressionProfile:
-    """One cell line's finite, non-negative expression values over a gene list."""
+    """One cell line's finite, non-negative expression values over a gene
+    list: an int32 array, a count table's row, as it is, else float64."""
 
     cell_line_id: str
     values: np.ndarray
     gene_ids: list[str]
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        if not (isinstance(self.values, np.ndarray) and self.values.dtype == np.int32):
+            self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (len(self.gene_ids),):
             raise IngestError(
                 f"cell line {self.cell_line_id!r}: {self.values.shape[0]} values for "
@@ -278,9 +280,9 @@ def expression_feature_set(profiles: Iterable[ExpressionProfile],
     apply the same CPM+log1p scaling the embedding pipeline used. The
     profiles must share one gene list, as those of one table do.
 
-    The features are built in one (cells x canonical genes) matrix: each
-    row is copied from its profile's values, and the matrix is scaled in
-    place, so the step holds one matrix-sized array, the result. Dividing
+    The features are built in one (cells x canonical genes) float64 matrix:
+    each row is copied from its profile's values, the only place int32
+    counts are widened (exactly), and the matrix is scaled in place. Dividing
     by each row's total makes a row invariant to exact rescaling of its
     counts. A cell line with no counts on the canonical genes, or whose
     counts there sum past float64 (the division would then give zeros),

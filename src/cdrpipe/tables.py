@@ -22,14 +22,16 @@ reads (``1_0``, non-ASCII digits), or a row of another width, makes
 
 An integer table keyed by its first column, such as a count matrix, skips
 strtod: where the first data line's values hold only ASCII digits, ``+``,
-spaces and commas, ``_parse`` reads the table as int64 and widens it to
-float64 in place, row block by row block, in the same buffer, so no second
-matrix-sized array exists. int64 and strtod give every int64 value the same
-float64, with one exception: ``-0`` reads as ``+0.0`` through int64 and as
-``-0.0`` through strtod. So a ``-`` in any value, or a value int64 rejects
-(``1.5``, ``1e3``, 2**63 or more), sends the table back to the float64
-read, which gives every value, error and message as before. numpy releases
-that read such a value through a float, with only a DeprecationWarning, are
+spaces and commas, ``_parse`` reads the table as int32 and hands it on as
+int32, half the bytes of float64. Every int32 value is exact in float64. A
+count matrix is widened only by ``omics.expression_feature_set``, row by
+row into the aligned matrix; an integer embedding table becomes float64 in
+``omics.CellFeatureSet``. A ``-`` in any value, a value that is not an
+integer (``1.5``, ``1e3``) or one of 2**31 or more sends the table to the
+float64 read that every other plain table takes, which reads counts
+exactly up to 2**53. A ``-`` does so because int32 reads
+``-0`` as ``0`` where strtod gives ``-0.0``. numpy releases that read a
+value int32 rejects through a float, with only a DeprecationWarning, are
 held to the same rule: the warning is raised as an error there. Headerless
 tables, a drug's small graph files, are always read as float64.
 
@@ -111,12 +113,12 @@ def read_table(path, error: type[Exception], required: Sequence[str] = ()):
 def read_matrix(path, error: type[Exception], key: str):
     """Read a numeric table whose first header column is ``key`` into
     ``(ids, columns, matrix, lines)``: the row ids in file order, the other
-    header columns, a float64 matrix with one row per id, and the physical
-    line each row starts on.
+    header columns, a matrix with one row per id, and the physical line
+    each row starts on. The matrix is int32 where the integer rule (see the
+    module docstring) reads the table so, float64 otherwise.
 
     The header is read through csv. When every data line is plain, the
-    data are parsed by ``np.loadtxt``, numpy's C reader, as int64 or
-    float64 under the integer rule (see the module docstring). Any other
+    data are parsed by ``np.loadtxt``, numpy's C reader. Any other
     table is read again from the start by the row reader: one with a line
     holding ``"``, a field over ``csv.field_size_limit()``, a repeated id, a
     row of another width, a value ``loadtxt`` rejects (``1_0`` or non-ASCII
@@ -190,14 +192,12 @@ class _NotPlain(Exception):
 
 
 class _NotInteger(Exception):
-    """A table left to the float64 read: a value holding ``-`` or one that
-    int64 rejects."""
+    """A table left to the float64 read: a value holding ``-``, one that is
+    not an integer, or one of 2**31 or more."""
 
 
-# a table whose first data line's values hold only these is read as int64
+# a table whose first data line's values hold only these is read as int32
 _INTEGER_CHARS = frozenset("0123456789+ ,")
-# values widened from int64 to float64 at a time
-_WIDEN_BLOCK = 1 << 16
 
 
 def _unsigned(lines):
@@ -209,26 +209,20 @@ def _unsigned(lines):
 
 
 def _parse(lines, integer: bool) -> np.ndarray:
-    """Plain ``lines`` of values parsed by one ``np.loadtxt`` call into a
-    float64 matrix. With ``integer`` they are read as int64 and widened in
-    place, ``_WIDEN_BLOCK`` values at a time through a float64 view of the
-    same buffer; a ``-`` or a value int64 rejects raises
-    :class:`_NotInteger`."""
+    """Plain ``lines`` of values parsed by one ``np.loadtxt`` call: into an
+    int32 matrix with ``integer``, where a ``-``, a value that is not an
+    integer or one of 2**31 or more raises :class:`_NotInteger`; else into
+    a float64 one."""
     if not integer:
         return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
     with warnings.catch_warnings():
-        # where numpy reads a value int64 rejects through a float and warns
+        # where numpy reads a value int32 rejects through a float and warns
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            counts = np.loadtxt(_unsigned(lines), delimiter=",", comments=None,
-                                dtype=np.int64, ndmin=2)
+            return np.loadtxt(_unsigned(lines), delimiter=",", comments=None,
+                              dtype=np.int32, ndmin=2)
         except (ValueError, DeprecationWarning):
             raise _NotInteger from None
-    matrix = counts.view(np.float64)
-    step = max(1, _WIDEN_BLOCK // counts.shape[1])
-    for start in range(0, len(counts), step):
-        matrix[start:start + step] = counts[start:start + step]
-    return matrix
 
 
 # ASCII controls that loadtxt strips around a number as whitespace and

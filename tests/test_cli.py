@@ -18,7 +18,7 @@ from cdrpipe.evaluation import (ranked_gains, read_history_csv, summary_entries,
                                 write_grouped_csv, write_history_csv, write_lodo_gains_csv,
                                 write_predictions_csv, write_summary)
 from cdrpipe.model import ModelConfig, init_params, load_checkpoint, predict_records, save_checkpoint
-from cdrpipe.omics import ResponseDataset
+from cdrpipe.omics import ResponseDataset, load_expression
 from cdrpipe.synthetic import make_benchmark, write_benchmark_files, write_response_csv
 from cdrpipe.training import EpochRecord, SplitSpec, TrainConfig
 
@@ -119,6 +119,43 @@ class TestIngest:
                       for line in (out / "ingest_report.txt").read_text().splitlines())
         assert report["genes.padded"] == "2"  # two canonical genes absent from the matrix
         assert report["cells.dim"] == "14"
+
+    def test_raw_expression_ingest_holds_the_counts_at_four_bytes(self, tmp_path):
+        """One raw-expression ``load_cells`` of an n x g count table and c
+        canonical genes peaks below the int32 counts and the float64
+        features, n*g*4 + n*c*8 bytes, plus 10%: the counts are widened
+        only into the aligned matrix."""
+        n, g, absent = 300, 2000, 2
+        counts = np.random.default_rng(36).integers(0, 10**6, size=(n, g))
+        genes = [f"g{j:05d}" for j in range(g)]
+        (tmp_path / "expression.csv").write_text("\n".join(
+            ["cell_line_id," + ",".join(genes)]
+            + [f"C{i}," + ",".join(map(str, row)) for i, row in enumerate(counts)]) + "\n")
+        canonical = genes + [f"g_absent_{i}" for i in range(absent)]
+        (tmp_path / "genes.txt").write_text("\n".join(canonical) + "\n")
+        config = tmp_path / "run.ini"
+        config.write_text("[paths]\nexpression = expression.csv\ngene_list = genes.txt\n")
+        cfg = cli.load_run_config(config)
+        tracemalloc.start()
+        try:
+            cells, entries = cli.load_cells(cfg, "raw_expression")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        c = len(canonical)
+        assert entries["genes.padded"] == absent and cells.matrix.shape == (n, c)
+        assert cells.matrix.dtype == np.float64 and np.isfinite(cells.matrix).all()
+        assert peak < 1.1 * (n * g * 4 + n * c * 8)
+
+    def test_raw_expression_ingest_pins_the_allocator_first(self, fixture_dir, monkeypatch):
+        """Pinned before the count table is read, glibc does not raise its
+        mmap threshold to the table's size when the table is freed."""
+        calls = []
+        monkeypatch.setattr(cli, "pin_allocator", lambda: calls.append("pin"))
+        monkeypatch.setattr(cli, "load_expression",
+                            lambda path: calls.append("read") or load_expression(path))
+        cli.load_cells(cli.load_run_config(fixture_dir["config"]), "raw_expression")
+        assert calls == ["pin", "read"]
 
     def test_missing_embedding_file_names_the_path(self, fixture_dir, tmp_path, capsys):
         files = dict(fixture_dir["files"])

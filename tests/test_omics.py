@@ -24,11 +24,30 @@ def write_csv(path, text):
 
 
 class TestExpressionProfile:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0,
+                                     np.array([-1, 1], dtype=np.int32)])
     def test_a_value_outside_the_domain_names_the_cell_line(self, bad):
+        values = bad if isinstance(bad, np.ndarray) else [bad, 1.0]
+        with pytest.raises(omics.IngestError, match=re.escape(
+                "cell line 'c1': expression value outside the non-negative finite domain")):
+            omics.ExpressionProfile("c1", values, ["a", "b"])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float64])
+    def test_a_wrong_length_names_the_cell_line(self, dtype):
         with pytest.raises(omics.IngestError,
-                           match="cell line 'c1': expression value outside the non-negative"):
-            omics.ExpressionProfile("c1", [bad, 1.0], ["a", "b"])
+                           match=re.escape("cell line 'c1': 3 values for 2 genes")):
+            omics.ExpressionProfile("c1", np.array([1, 2, 3], dtype=dtype), ["a", "b"])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float64])
+    def test_an_int32_or_float64_array_is_kept_as_it_is(self, dtype):
+        values = np.array([3, 0], dtype=dtype)
+        assert omics.ExpressionProfile("c1", values, ["a", "b"]).values is values
+
+    @pytest.mark.parametrize("values", [[3, 0], [3.0, 0.0], np.array([3, 0], dtype=np.int64),
+                                        np.array([3, 0], dtype=np.float32)])
+    def test_any_other_input_becomes_float64(self, values):
+        got = omics.ExpressionProfile("c1", values, ["a", "b"]).values
+        assert got.dtype == np.float64 and got.tolist() == [3.0, 0.0]
 
 
 class TestLoadExpression:
@@ -38,6 +57,20 @@ class TestLoadExpression:
         assert [pr.cell_line_id for pr in profiles] == ["A", "B"]
         np.testing.assert_array_equal(profiles[0].values, [1.0, 2.0, 3.0])
         assert profiles[1].gene_ids == ["g1", "g2", "g3"]
+
+    @pytest.mark.parametrize("body, dtype", [("A,1,2\nB,4,5\nC,0,7\n", np.int32),
+                                             ("A,1,2\nB,4,5.5\nC,0,7\n", np.float64)])
+    def test_profiles_are_views_of_one_matrix(self, tmp_path, body, dtype):
+        """A count table's profiles are int32 rows of the table; any other
+        table's are float64 rows."""
+        profiles = omics.load_expression(write_csv(tmp_path / "e.csv", "cell_line_id,g1,g2\n"
+                                                   + body))
+        table = profiles[0].values.base
+        assert table.dtype == dtype and table.shape == (3, 2)
+        for row, profile in zip(table, profiles):
+            assert profile.values.dtype == dtype and np.shares_memory(profile.values, table)
+            assert profile.values.tobytes() == row.tobytes()
+        assert table.tolist() == [[1, 2], [4, 5 if dtype == np.int32 else 5.5], [0, 7]]
 
     def test_negative_value(self, tmp_path):
         p = write_csv(tmp_path / "e.csv", "cell_line_id,g1\nA,-2\n")
@@ -362,18 +395,21 @@ class TestReadMatrix:
 
 
 
-INTEGER_EDGES = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**62 + 1, 2**63 - 2, 2**63 - 1]
-# tokens that send an integer table back to the float64 read: a -0 int64
-# would read as +0.0, a float, an int64 overflow, a negative count, a value
-# only float() reads, and one no reader takes
-LATE_TOKENS = ["-0", "-00", "1.5", "1e3", str(2**63), str(2**64 + 1), "-7", "1_0", "oops"]
+INTEGER_EDGES = [0, 1, 2**31 - 1, 2**31, 2**31 + 1, 2**53 - 1, 2**53, 2**53 + 1, 2**62 + 1,
+                 2**63 - 2, 2**63 - 1]
+# tokens that send an integer table back to the float64 read: a -0 int32
+# would read as +0.0, a float, an int32 overflow, an int64 one, a negative
+# count, a value only float() reads, and one no reader takes
+LATE_TOKENS = ["-0", "-00", "1.5", "1e3", str(2**31), str(2**63), str(2**64 + 1), "-7", "1_0",
+               "oops"]
 
 
 @st.composite
-def integer_tokens(draw):
-    """An integer from 0 to 2**63 - 1, maybe zero-padded or ``+``-signed,
+def integer_tokens(draw, top):
+    """An integer from 0 to ``top``, maybe zero-padded or ``+``-signed,
     with spaces or a tab around it."""
-    text = str(draw(st.one_of(st.integers(0, 2**63 - 1), st.sampled_from(INTEGER_EDGES))))
+    edges = [edge for edge in INTEGER_EDGES if edge <= top]
+    text = str(draw(st.one_of(st.integers(0, top), st.sampled_from(edges))))
     text = "0" * draw(st.integers(0, 2)) + text
     text = draw(st.sampled_from(["", "+"])) + text
     pad = st.sampled_from(["", "", "", " ", "  ", "\t"])
@@ -383,11 +419,13 @@ def integer_tokens(draw):
 @st.composite
 def integer_tables(draw, keyed):
     """The text of an integer table, keyed by cell_line_id or headerless,
-    with blank lines, LF or CRLF line ends and maybe a byte-order mark; one
-    row after the first may hold one of LATE_TOKENS."""
+    with blank lines, LF or CRLF line ends and maybe a byte-order mark. Its
+    values are below 2**31 or below 2**63, and one row after the first may
+    hold one of LATE_TOKENS."""
     late = draw(st.none() | st.sampled_from(LATE_TOKENS))
+    top = draw(st.sampled_from([2**31 - 1, 2**63 - 1]))
     n, m = draw(st.integers(1 if late is None else 2, 6)), draw(st.integers(1, 4))
-    rows = [[draw(integer_tokens()) for _ in range(m)] for _ in range(n)]
+    rows = [[draw(integer_tokens(top)) for _ in range(m)] for _ in range(n)]
     if late is not None:
         rows[draw(st.integers(1, n - 1))][draw(st.integers(0, m - 1))] = late
     lines = [",".join(row) for row in rows]
@@ -400,6 +438,19 @@ def integer_tables(draw, keyed):
     end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
     text = end.join(lines) + (end if draw(st.booleans()) else "")
     return m, ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def read_as_int32(text):
+    """Whether a keyed integer table's text falls under the int32 rule:
+    its first data row's values hold only ASCII digits, ``+``, spaces and
+    commas, and every value is an unsigned integer below 2**31, maybe
+    padded with spaces or tabs."""
+    rows = [line.split(",", 1)[1] for line in text.lstrip("\ufeff").split("\n")[1:]
+            if line.rstrip("\r")]
+    values = [v.rstrip("\r") for row in rows for v in row.split(",")]
+    return (set(rows[0].rstrip("\r")) <= set("0123456789+ ,")
+            and all(re.fullmatch(r"[ \t]*\+?[0-9]+[ \t]*", v) and int(v) < 2**31
+                    for v in values))
 
 
 def headerless_read(path, width):
@@ -421,13 +472,16 @@ def same_read(got, want):
 
 
 class TestIntegerTables:
-    """Integer tables are read as int64 and widened to float64 in place,
-    with the bytes, ids, lines and messages of the float64 read."""
+    """Integer tables below 2**31 are read as int32 and handed on as int32,
+    with the values, ids, lines and messages of the float64 read."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), keyed=st.booleans())
     @pytest.mark.filterwarnings("error::UserWarning")  # loadtxt's warning on an empty table
     def test_both_readers_give_the_float64_read(self, tmp_path_factory, data, keyed):
+        """A keyed read is int32 exactly where the int32 rule holds, and
+        its bytes widened to float64 are those of the float64 read; a
+        headerless read is always float64."""
         width, text = data.draw(integer_tables(keyed))
         path = tmp_path_factory.mktemp("i") / "t.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -436,30 +490,34 @@ class TestIntegerTables:
                 got = omics._read_cells(path)
             except omics.IngestError as exc:
                 got = str(exc)
+            if not isinstance(got, str):
+                ids, columns, matrix, lines = got
+                assert matrix.dtype == (np.int32 if read_as_int32(text) else np.float64)
+                got = ids, columns, matrix.astype(np.float64), lines
         else:
             got = headerless_read(path, width)
         assert same_read(got, float64_table(path, keyed))
 
-    def test_a_count_table_is_parsed_as_int64(self, tmp_path):
+    def test_a_count_table_is_parsed_as_int32(self, tmp_path):
         """Ids may hold ``-``; only the values decide."""
         p = write_csv(tmp_path / "e.csv", "cell_line_id,g1,g2\nACH-1,+1, 2\nACH-2,3,04\n")
         with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             ids, _, matrix, _ = omics._read_cells(p)
-        assert [call.kwargs["dtype"] for call in loadtxt.call_args_list] == [np.int64]
+        assert [call.kwargs["dtype"] for call in loadtxt.call_args_list] == [np.int32]
         assert ids == ["ACH-1", "ACH-2"]
-        assert matrix.dtype == np.float64 and matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert matrix.dtype == np.int32 and matrix.tolist() == [[1, 2], [3, 4]]
 
     @pytest.mark.parametrize("numpy_reads", ["as installed", "integers through float"])
-    @pytest.mark.parametrize("late", ["1.5", str(2**63)])
+    @pytest.mark.parametrize("late", ["1.5", str(2**31), str(2**63)])
     def test_a_plain_caller_gets_the_float64_read(self, tmp_path, numpy_reads, late):
         """Outside pytest's warning filters, which hide a DeprecationWarning
-        raised in library code, a value int64 rejects still sends the table
+        raised in library code, a value int32 rejects still sends the table
         to the float64 read, also where numpy reads it through a float and
         only warns, as releases did while that parse was deprecated."""
         loadtxt = np.loadtxt
 
         def loadtxt_reading_integers_through_float(lines, **kw):
-            if kw["dtype"] is not np.int64:
+            if kw["dtype"] is not np.int32:
                 return loadtxt(lines, **kw)
             lines = list(lines)
             try:
@@ -467,7 +525,7 @@ class TestIntegerTables:
             except ValueError:
                 warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                               DeprecationWarning, stacklevel=2)
-                return loadtxt(lines, **{**kw, "dtype": np.float64}).astype(np.int64)
+                return loadtxt(lines, **{**kw, "dtype": np.float64}).astype(np.int32)
 
         p = write_csv(tmp_path / "e.csv", f"cell_line_id,g1,g2\nA,1,2\nB,3,{late}\n")
         with contextlib.ExitStack() as stack:
@@ -477,11 +535,15 @@ class TestIntegerTables:
             stack.enter_context(warnings.catch_warnings())
             warnings.simplefilter("ignore")
             matrix = tables.read_matrix(p, omics.IngestError, "cell_line_id")[2]
+        assert matrix.dtype == np.float64
         assert matrix.tolist() == [[1.0, 2.0], [3.0, float(late)]]
 
-    def test_the_widening_stays_in_place(self, tmp_path):
-        """An integer table's read peaks within one widening block of the
-        same table's float64 read: no second matrix-sized array exists."""
+    def test_an_int32_read_saves_half_the_float64_matrix(self, tmp_path):
+        """An integer table's read peaks at no more than the same table's
+        float64 read less half the float64 matrix, plus 64 KiB: it holds
+        the values at 4 bytes each and makes no 8-byte copy of them. The
+        bytes beyond the matrix (header, ids, loadtxt's growth slack) are
+        not halved, so the bound is on the matrix's share."""
         rng = np.random.default_rng(34)
         counts = rng.integers(0, 10**6, size=(300, 1000))
         p = write_csv(tmp_path / "t.csv", "\n".join(
@@ -496,11 +558,13 @@ class TestIntegerTables:
             finally:
                 tracemalloc.stop()
 
+        peak_of_read()  # the first read's one-time costs
         matrix, peak = peak_of_read()
         with mock.patch.object(tables, "_INTEGER_CHARS", frozenset()):
             floats, float_peak = peak_of_read()
-        assert matrix.tobytes() == floats.tobytes() == counts.astype(np.float64).tobytes()
-        assert peak <= float_peak + tables._WIDEN_BLOCK * 8 + 64 * 1024
+        assert matrix.dtype == np.int32 and matrix.tobytes() == counts.astype(np.int32).tobytes()
+        assert floats.tobytes() == counts.astype(np.float64).tobytes()
+        assert peak <= float_peak - floats.nbytes / 2 + 64 * 1024
 
 
 class TestLoadResponses:
