@@ -46,9 +46,12 @@ from .evaluation import (EpochRecord, EvalReport, PredictionRow, ReportError,
 from .model import (CheckpointError, ModelConfig, ModelParams, load_checkpoint,
                     save_checkpoint)
 from .molgraph import GraphError, load_drug_manifest, pad_graph
+# load_expression, alignment_stats and expression_feature_set stay imported
+# for the benchmark's tracer, which wraps them here by name (ROADMAP item 8)
 from .omics import (FEATURE_SOURCES, CellFeatureSet, IngestError, ResponseDataset,
                     alignment_stats, expression_feature_set, join_dataset,
-                    load_embeddings, load_expression, load_gene_list, load_responses)
+                    load_embeddings, load_expression, load_expression_features,
+                    load_gene_list, load_responses)
 from .seeding import derive_seed
 from .tables import text_input
 from .training import (DivergenceError, SplitError, SplitSpec, TrainConfig,
@@ -238,22 +241,18 @@ def load_cells(cfg: RunConfig, source: str) -> tuple[CellFeatureSet, dict]:
     """Feature vectors for one source plus ingestion-report entries."""
     entries: dict[str, object] = {}
     if source == "raw_expression":
-        # glibc would raise its mmap threshold to the int32 count table's size
-        # when it is freed, and hold later set-up arrays in an untrimmed heap
+        # glibc would raise its mmap threshold to the size of a block of the
+        # count table when it is freed, and hold later set-up arrays in an
+        # untrimmed heap
         pin_allocator()
         expression = _require_path(cfg, "expression")
-        profiles = load_expression(expression)
         gene_list = _require_path(cfg, "gene_list")
         genes = load_gene_list(gene_list)
-        padded, dropped = alignment_stats(profiles[0], genes)
-        if padded == len(genes):
-            raise IngestError(f"{expression}: no gene of its header is in the gene list "
-                              f"{gene_list}")
-        entries["expression.rows"] = len(profiles)
+        cells, (padded, dropped) = load_expression_features(expression, genes, gene_list)
+        entries["expression.rows"] = len(cells.ids)
         entries["genes.canonical"] = len(genes)
         entries["genes.padded"] = padded
         entries["genes.dropped"] = dropped
-        cells = expression_feature_set(profiles, genes)
     else:
         cells = load_embeddings(_require_path(cfg, f"embeddings_{source}"), source)
     entries["cells.rows"] = len(cells.ids)
@@ -350,7 +349,22 @@ def lodo_fold(cfg: RunConfig, datasets: dict[str, ResponseDataset], drug: str,
     return pccs
 
 
+def _blas() -> str:
+    """The BLAS numpy was built with, as its name and version, from
+    ``np.show_config``; ``unknown`` where that call is unavailable (numpy
+    before 1.26) or fails."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except Exception:
+        return "unknown"
+
+
 def write_run_manifest(path: Path, cfg: RunConfig, extra: dict) -> None:
+    """What a command's outputs came from: the package, seed, config and
+    input digests and environment, then the command's ``extra`` entries.
+    Each command writes its own file, so commands that share an output
+    directory keep each other's manifests."""
     entries: dict[str, object] = {
         "package_version": __version__,
         "seed": cfg.seed,
@@ -358,6 +372,7 @@ def write_run_manifest(path: Path, cfg: RunConfig, extra: dict) -> None:
         "config_sha256": _sha256(cfg.config_path),
         "env.python": platform.python_version(),
         "env.numpy": np.__version__,
+        "env.blas": _blas(),
         "env.allocator": pin_allocator(),
     }
     for key in sorted(cfg.paths):
@@ -425,6 +440,11 @@ def cmd_eval(cfg: RunConfig, checkpoint: Path | None) -> int:
     for kind, stats in report.grouped.items():
         write_grouped_csv(cfg.output_dir / f"grouped_pcc_{kind}.csv", stats)
     write_summary(cfg.output_dir / "summary.txt", summary_entries(report))
+    write_run_manifest(cfg.output_dir / "run_manifest.eval.txt", cfg, {
+        "eval.checkpoint": ckpt_path,
+        "eval.checkpoint_sha256": _sha256(ckpt_path),
+        "eval.records": len(rows),
+    })
     overall = "undefined" if report.overall_pcc is None else f"{report.overall_pcc:.4f}"
     print(f"evaluated {report.n_predictions} predictions; overall pcc {overall}")
     return EXIT_OK
@@ -459,6 +479,10 @@ def cmd_lodo(cfg: RunConfig) -> int:
         "folds_scored": len(scored),
         "folds_undefined": ";".join(undefined) if undefined else "none",
         **dropped,
+    })
+    write_run_manifest(cfg.output_dir / "run_manifest.lodo.txt", cfg, {
+        "lodo.sources": ",".join(sources),
+        "lodo.fold_drugs": ",".join(fold_drugs),
     })
     print(f"lodo finished: {len(scored)} of {len(fold_drugs)} folds scored")
     return EXIT_OK

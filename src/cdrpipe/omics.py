@@ -2,7 +2,8 @@
 files, response tables, and the join that assembles a training dataset.
 
 All inputs are comma-separated UTF-8 tables read through :mod:`tables`.
-Each expression or embedding table is read into a single matrix by
+Each embedding table, and an expression table read by
+:func:`load_expression`, is read into a single matrix by
 :func:`tables.read_matrix`, so the profiles of one expression table share
 one gene list. A plain table is parsed by ``np.loadtxt``; any other goes to
 the row reader, which gives the same values and error messages. A count
@@ -14,13 +15,17 @@ Every error names the line its row starts on. Gene alignment zero-pads genes
 missing from a table and drops genes outside the canonical list;
 dropped/padded counts are surfaced so dataset shrinkage stays visible.
 
-The raw-expression features are built in one matrix. The profiles' values
-are copied row by row into a preallocated (cells x canonical genes) matrix,
-through two index arrays computed once, and CPM-log1p then scales that
-matrix in place. Stacking, fancy-indexing and scaling whole matrices would
-make about five matrix-sized copies (a stacked table, a fancy-index
-temporary, the zeroed aligned matrix and three scaling temporaries); for a
-1000 x 5000 table that step set the peak memory of a raw-expression run.
+The raw-expression features are built in one matrix. Values are copied row
+by row into a preallocated (cells x canonical genes) matrix, through two
+index arrays computed once, and CPM-log1p then scales that matrix in place.
+Stacking, fancy-indexing and scaling whole matrices would make about five
+matrix-sized copies (a stacked table, a fancy-index temporary, the zeroed
+aligned matrix and three scaling temporaries); for a 1000 x 5000 table that
+step set the peak memory of a raw-expression run. The command line's read,
+:func:`load_expression_features`, holds no count table either: it copies
+each block of :func:`tables.read_blocks` into the matrix as the block is
+parsed. Only float64 blocks are scanned for values outside the expression
+domain: by the integer rule an int32 block holds only digits and ``+``.
 
 A :class:`CellFeatureSet` keeps its vectors as the rows of one matrix,
 the one that :func:`load_embeddings` reads or :func:`expression_feature_set`
@@ -44,7 +49,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .molgraph import PaddedGraph
-from .tables import read_matrix, read_table, text_input
+from .tables import NotPlain, read_blocks, read_matrix, read_table, text_input
 
 FEATURE_SOURCES = ("scgpt", "scfoundation", "raw_expression")
 
@@ -226,16 +231,28 @@ def _reject_first(path, bad: np.ndarray, lines: Sequence[int], what: str) -> Non
         raise IngestError(f"{path}: row {lines[row]} column {col + 2} is {what}")
 
 
-def load_expression(matrix_file) -> list[ExpressionProfile]:
-    """Load an expression matrix: header of gene ids, one row per cell line.
-    The profiles are the rows of one matrix and share the header's gene list."""
-    ids, genes, matrix, lines = _read_cells(matrix_file)
+def _check_genes(matrix_file, genes: Sequence[str]) -> None:
     repeated = [gene for gene, count in Counter(genes).items() if count > 1]
     if repeated:
         raise IngestError(f"{matrix_file}: gene {repeated[0]!r} appears more than once "
                           f"in the header")
-    _reject_first(matrix_file, ~(np.isfinite(matrix) & (matrix >= 0)), lines,
-                  "outside the non-negative expression domain")
+
+
+def _out_of_domain(path, block: np.ndarray, lines: Sequence[int]) -> None:
+    """Raise naming the first value of ``block`` that is negative or not
+    finite. An int32 block, read so by the integer rule, holds only digits
+    and ``+``, so it is not scanned."""
+    if block.dtype != np.int32:
+        _reject_first(path, ~(np.isfinite(block) & (block >= 0)), lines,
+                      "outside the non-negative expression domain")
+
+
+def load_expression(matrix_file) -> list[ExpressionProfile]:
+    """Load an expression matrix: header of gene ids, one row per cell line.
+    The profiles are the rows of one matrix and share the header's gene list."""
+    ids, genes, matrix, lines = _read_cells(matrix_file)
+    _check_genes(matrix_file, genes)
+    _out_of_domain(matrix_file, matrix, lines)
     return [ExpressionProfile(cid, values, genes) for cid, values in zip(ids, matrix)]
 
 
@@ -278,15 +295,8 @@ def expression_feature_set(profiles: Iterable[ExpressionProfile],
                            canonical: Sequence[str]) -> CellFeatureSet:
     """Raw-expression baseline features: align to the canonical list, then
     apply the same CPM+log1p scaling the embedding pipeline used. The
-    profiles must share one gene list, as those of one table do.
-
-    The features are built in one (cells x canonical genes) float64 matrix:
-    each row is copied from its profile's values, the only place int32
-    counts are widened (exactly), and the matrix is scaled in place. Dividing
-    by each row's total makes a row invariant to exact rescaling of its
-    counts. A cell line with no counts on the canonical genes, or whose
-    counts there sum past float64 (the division would then give zeros),
-    raises IngestError naming it, before any value is scaled.
+    profiles must share one gene list, as those of one table do; the
+    features are :func:`_features` of their rows.
     """
     profiles = list(profiles)
     genes = profiles[0].gene_ids if profiles else []
@@ -294,6 +304,75 @@ def expression_feature_set(profiles: Iterable[ExpressionProfile],
         if p.gene_ids != genes:
             raise IngestError(f"cell line {p.cell_line_id!r}: gene list differs from that "
                               f"of {profiles[0].cell_line_id!r}")
+    at, take = _gene_columns(genes, canonical)
+    return _features([p.cell_line_id for p in profiles], at, take, len(canonical),
+                     len(profiles), ((i, p.values[None]) for i, p in enumerate(profiles)))
+
+
+def load_expression_features(matrix_file, canonical: Sequence[str],
+                             gene_list) -> tuple[CellFeatureSet, tuple[int, int]]:
+    """The features ``expression_feature_set(load_expression(matrix_file),
+    canonical)`` gives, and the (padded, dropped) counts ``alignment_stats``
+    gives, read without holding the count table.
+
+    The header is checked before any value is read: a repeated gene, or
+    none of its genes in ``canonical`` (read from the file ``gene_list``),
+    raises IngestError. A plain table is read by :func:`tables.read_blocks`
+    a block of rows at a time, each block copied into the aligned matrix
+    as it is read. Any other table is read whole by ``load_expression``'s
+    reader, and a matrix the blocks partly filled is dropped. Either way
+    the bytes and the error messages are ``load_expression``'s.
+    """
+    ids: dict[str, None] = {}
+    lines: list[int] = []
+    try:
+        with read_blocks(matrix_file, "cell_line_id", ids, lines) as (genes, rows, blocks):
+            at, take = _header_columns(matrix_file, genes, canonical, gene_list)
+            cells = _features(ids, at, take, len(canonical), rows,
+                              _in_domain(matrix_file, blocks, lines))
+    except NotPlain:
+        names, genes, table, lines = _read_cells(matrix_file)
+        at, take = _header_columns(matrix_file, genes, canonical, gene_list)
+        cells = _features(names, at, take, len(canonical), len(names),
+                          _in_domain(matrix_file, [(0, table)], lines))
+    return cells, (len(canonical) - len(at), len(genes) - len(at))
+
+
+def _header_columns(matrix_file, genes: Sequence[str], canonical: Sequence[str],
+                    gene_list) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_gene_columns` of a count table's header, which must repeat no
+    gene and hold one of ``canonical``."""
+    _check_genes(matrix_file, genes)
+    at, take = _gene_columns(genes, canonical)
+    if not at.size:
+        raise IngestError(f"{matrix_file}: no gene of its header is in the gene list "
+                          f"{gene_list}")
+    return at, take
+
+
+def _in_domain(path, blocks, lines: Sequence[int]):
+    """``blocks``, ``(start, block)`` pairs of a table whose row ``i``
+    starts on line ``lines[i]``; once they are all read, raise naming the
+    first value outside the expression domain. Raising at the end leaves a
+    later row the row reader rejects to report first, as it does when the
+    whole table is read before the values are checked."""
+    first = None
+    for start, block in blocks:
+        if first is None:
+            try:
+                _out_of_domain(path, block, lines[start:])
+            except IngestError as exc:
+                first = exc
+        yield start, block
+        del block  # not held while the next block is read
+    if first is not None:
+        raise first
+
+
+def _gene_columns(genes: Sequence[str],
+                  canonical: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``(at, take)``: the positions in ``canonical`` of the genes ``genes``
+    holds, and each one's position in ``genes``, as ``np.intp``."""
     if len(set(canonical)) != len(canonical):
         raise IngestError("canonical gene list has duplicate entries")
     # np.intp index arrays computed once; list indices made a 1000-row fill
@@ -301,14 +380,36 @@ def expression_feature_set(profiles: Iterable[ExpressionProfile],
     index = {g: j for j, g in enumerate(genes)}
     at = np.array([i for i, gene in enumerate(canonical) if gene in index], dtype=np.intp)
     take = np.array([index[canonical[i]] for i in at], dtype=np.intp)
-    matrix = np.zeros((len(profiles), len(canonical)))
-    for row, p in zip(matrix, profiles):
-        row[at] = p.values[take]
+    return at, take
+
+
+def _features(ids: Iterable[str], at: np.ndarray, take: np.ndarray, dim: int, rows: int,
+              blocks) -> CellFeatureSet:
+    """The raw-expression features of a table of at most ``rows`` rows:
+    ``blocks`` gives them as ``(start, block)`` pairs, and ``ids``, which
+    need be complete only once ``blocks`` is, names them.
+
+    The features are built in one (rows x ``dim``) float64 matrix: row by
+    row, column ``take[k]`` of a block is copied to column ``at[k]``, the
+    only place int32 counts are widened (exactly), and the rows that ``ids``
+    name are scaled in place. Dividing by each row's total makes a row
+    invariant to exact rescaling of its counts. A cell line with no counts
+    on the canonical genes, or whose counts there sum past float64 (the
+    division would then give zeros), raises IngestError naming it, before
+    any value is scaled.
+    """
+    matrix = np.zeros((rows, dim))
+    for start, block in blocks:
+        for row, values in zip(matrix[start:], block):
+            row[at] = values[take]
+        del block, values  # not held while the next block is read
+    ids = list(ids)
+    matrix = matrix[:len(ids)]  # rows left for blank lines
     with np.errstate(over="ignore"):  # an overflowing total is reported below
         total = matrix.sum(axis=1, keepdims=True)
     bad = np.flatnonzero(~((total > 0) & np.isfinite(total)))
     if bad.size:
-        cell, t = profiles[bad[0]].cell_line_id, total[bad[0], 0]
+        cell, t = ids[bad[0]], total[bad[0], 0]
         why = ("no counts (an all-zero vector)" if t <= 0 else
                f"the counts do not sum to a finite float64 (got {t})")
         raise IngestError(f"cell line {cell!r}: {why}, so cpm normalization is undefined")
@@ -317,8 +418,7 @@ def expression_feature_set(profiles: Iterable[ExpressionProfile],
     matrix /= total
     matrix *= 1e6
     np.log1p(matrix, out=matrix)
-    return CellFeatureSet(source="raw_expression", dim=len(canonical),
-                          ids=[p.cell_line_id for p in profiles], matrix=matrix)
+    return CellFeatureSet(source="raw_expression", dim=dim, ids=ids, matrix=matrix)
 
 
 def load_responses(path) -> list[ResponseRecord]:

@@ -23,17 +23,23 @@ reads (``1_0``, non-ASCII digits), or a row of another width, makes
 An integer table keyed by its first column, such as a count matrix, skips
 strtod: where the first data line's values hold only ASCII digits, ``+``,
 spaces and commas, ``_parse`` reads the table as int32 and hands it on as
-int32, half the bytes of float64. Every int32 value is exact in float64. A
-count matrix is widened only by ``omics.expression_feature_set``, row by
-row into the aligned matrix; an integer embedding table becomes float64 in
-``omics.CellFeatureSet``. A ``-`` in any value, a value that is not an
-integer (``1.5``, ``1e3``) or one of 2**31 or more sends the table to the
-float64 read that every other plain table takes, which reads counts
-exactly up to 2**53. A ``-`` does so because int32 reads
-``-0`` as ``0`` where strtod gives ``-0.0``. numpy releases that read a
-value int32 rejects through a float, with only a DeprecationWarning, are
-held to the same rule: the warning is raised as an error there. Headerless
-tables, a drug's small graph files, are always read as float64.
+int32, half the bytes of float64. Every int32 value is exact in float64. An
+integer embedding table becomes float64 in ``omics.CellFeatureSet``. A
+``-`` in any value, a value that is not an integer (``1.5``, ``1e3``) or one
+of 2**31 or more sends the table to the float64 read that every other plain
+table takes, which reads counts exactly up to 2**53. A ``-`` does so because
+int32 reads ``-0`` as ``0`` where strtod gives ``-0.0``. numpy releases that
+read a value int32 rejects through a float, with only a DeprecationWarning,
+are held to the same rule: the warning is raised as an error there.
+Headerless tables, a drug's small graph files, are always read as float64.
+
+A count matrix need not be held whole: ``read_blocks`` yields its header,
+then its rows in blocks of about ``BLOCK_BYTES``, one ``np.loadtxt`` call
+each. Each block decides the integer rule for itself, so a block holding
+``-``, a non-integer or a value of 2**31 or more is read as float64 and the
+others as int32; widened to float64, the values are the whole-table read's.
+A table that is not plain raises ``NotPlain``, to be read by
+``read_matrix``.
 
 Every output is written to a temporary file beside its target and moved over
 it in one ``os.replace``, so it appears whole or not at all; CSV outputs are
@@ -148,12 +154,12 @@ def _plain_headerless(path, width: int):
     """``read_headerless``'s result through ``np.loadtxt``, or None where
     the file is not plain."""
     try:
-        with text_input(path, _NotPlain) as fh:
+        with text_input(path, NotPlain) as fh:
             lines = _plain_lines(fh.read(), csv.field_size_limit())
         if lines is None:
             return None
         matrix = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except (_NotPlain, ValueError):
+    except (NotPlain, ValueError):
         return None
     if matrix.shape != (len(lines), width):
         return None
@@ -186,9 +192,14 @@ def _floats(path, error: type[Exception], rows, lines, first_column: int):
         raise
 
 
-class _NotPlain(Exception):
+class NotPlain(Exception):
     """A table left to the row reader: a data line that is not plain, or
     text that is not UTF-8."""
+
+
+# about the bytes of one read_blocks block, its first line's text and float64
+# values times its rows; also the bytes its line count reads at a time
+BLOCK_BYTES = 1 << 20
 
 
 class _NotInteger(Exception):
@@ -253,7 +264,7 @@ def _plain_lines(text: str, limit: int) -> list[str] | None:
 def _plain_values(fh, header_lines: int, ids: dict[str, None], lines: list[int]):
     """The values part of each data line of ``fh``, which follows
     ``header_lines`` lines of header, recording each row's id and line; a
-    line that is not plain raises :class:`_NotPlain`."""
+    line that is not plain raises :class:`NotPlain`."""
     limit = csv.field_size_limit()
     for line, text in enumerate(fh, header_lines + 1):
         text = text.rstrip("\r\n")
@@ -261,7 +272,7 @@ def _plain_values(fh, header_lines: int, ids: dict[str, None], lines: list[int])
             continue
         row_id, _, values = text.partition(",")
         if not values or _plain_lines(text, limit) is None:
-            raise _NotPlain
+            raise NotPlain
         ids[row_id] = None
         lines.append(line)
         yield values
@@ -274,7 +285,7 @@ def _read_plain(path, key: str, integer: bool = True):
     ids: dict[str, None] = {}
     lines: list[int] = []
     try:
-        with text_input(path, _NotPlain) as fh:
+        with text_input(path, NotPlain) as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             if header[:1] != [key]:
@@ -287,11 +298,80 @@ def _read_plain(path, key: str, integer: bool = True):
                             integer and _INTEGER_CHARS.issuperset(first))
     except _NotInteger:
         return _read_plain(path, key, integer=False)
-    except (_NotPlain, ValueError, csv.Error):
+    except (NotPlain, ValueError, csv.Error):
         return None
     if matrix.shape != (len(ids), len(header) - 1):  # a repeated id or another width
         return None
     return list(ids), header[1:], matrix, lines
+
+
+def _line_count(path) -> int:
+    """The lines of ``path`` as its ``\\n`` bytes count them, a last line
+    without one included; read a block of bytes at a time."""
+    count, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while block := fh.read(BLOCK_BYTES):
+            count += block.count(b"\n")
+            last = block[-1:]
+    return count + (last != b"\n")
+
+
+@contextmanager
+def read_blocks(path, key: str, ids: dict[str, None], lines: list[int]):
+    """Yield ``(columns, rows, blocks)`` for a numeric table whose first
+    header column is ``key``: the other header columns, read before any
+    value; an upper bound on its data rows, from a count of its line ends;
+    and an iterator of ``(start, block)``, where ``block`` holds the rows
+    from row ``start`` on, in file order. Each block, a fixed number of
+    rows whose text and float64 values come to about ``BLOCK_BYTES``, is
+    parsed by one ``np.loadtxt`` call, int32 or float64 by the integer rule,
+    which each block decides for itself. As a block is read, ``ids`` and
+    ``lines`` gain its rows' ids and physical lines.
+
+    A table ``read_matrix`` would not read through ``np.loadtxt`` raises
+    :class:`NotPlain`, at its header or at the first block that shows it:
+    a line that is not plain, a repeated id, a row of another width, a
+    value ``loadtxt`` rejects, no data rows, or more rows than ``\\n`` line
+    ends (a carriage-return line end). ``read_matrix`` then gives its values
+    or its error."""
+    count = _line_count(path)
+    with text_input(path, NotPlain) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+        except csv.Error:
+            raise NotPlain from None
+        if header[:1] != [key]:
+            raise NotPlain
+        rows = count - reader.line_num
+        yield header[1:], rows, _blocks(fh, reader.line_num, len(header) - 1, rows, ids, lines)
+
+
+def _blocks(fh, header_lines: int, width: int, rows: int, ids: dict[str, None],
+            lines: list[int]):
+    """``read_blocks``' blocks of the data lines of ``fh``."""
+    values = _plain_values(fh, header_lines, ids, lines)
+    first = next(values, None)
+    if first is None:  # loadtxt warns on a table with no rows
+        raise NotPlain
+    size = max(1, BLOCK_BYTES // (len(first) + 8 * width))
+    values = itertools.chain([first], values)
+    start = 0
+    while text := list(itertools.islice(values, size)):
+        try:
+            try:
+                block = _parse(text, _INTEGER_CHARS.issuperset(text[0]))
+            except _NotInteger:
+                block = _parse(text, integer=False)
+        except ValueError:
+            raise NotPlain from None
+        del text  # not held while the caller copies the block
+        end = start + len(block)
+        if block.shape[1] != width or len(ids) != end or end > rows:
+            raise NotPlain
+        yield start, block
+        del block  # not held while the next block is parsed
+        start = end
 
 
 def _read_rows(path, error: type[Exception], key: str):

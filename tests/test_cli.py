@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdrpipe import cli
+from cdrpipe import cli, tables
 from cdrpipe.evaluation import (ranked_gains, read_history_csv, summary_entries,
                                 write_grouped_csv, write_history_csv, write_lodo_gains_csv,
                                 write_predictions_csv, write_summary)
 from cdrpipe.model import ModelConfig, init_params, load_checkpoint, predict_records, save_checkpoint
-from cdrpipe.omics import ResponseDataset, load_expression
+from cdrpipe.omics import ResponseDataset, load_expression_features
 from cdrpipe.synthetic import make_benchmark, write_benchmark_files, write_response_csv
 from cdrpipe.training import EpochRecord, SplitSpec, TrainConfig
 
@@ -120,11 +120,11 @@ class TestIngest:
         assert report["genes.padded"] == "2"  # two canonical genes absent from the matrix
         assert report["cells.dim"] == "14"
 
-    def test_raw_expression_ingest_holds_the_counts_at_four_bytes(self, tmp_path):
+    def test_raw_expression_ingest_peaks_at_the_features_and_one_block(self, tmp_path):
         """One raw-expression ``load_cells`` of an n x g count table and c
-        canonical genes peaks below the int32 counts and the float64
-        features, n*g*4 + n*c*8 bytes, plus 10%: the counts are widened
-        only into the aligned matrix."""
+        canonical genes peaks below the float64 features and one block of
+        the streamed read, n*c*8 + tables.BLOCK_BYTES bytes, plus 10%: no
+        count table is held, whatever its dtype."""
         n, g, absent = 300, 2000, 2
         counts = np.random.default_rng(36).integers(0, 10**6, size=(n, g))
         genes = [f"g{j:05d}" for j in range(g)]
@@ -145,15 +145,15 @@ class TestIngest:
         c = len(canonical)
         assert entries["genes.padded"] == absent and cells.matrix.shape == (n, c)
         assert cells.matrix.dtype == np.float64 and np.isfinite(cells.matrix).all()
-        assert peak < 1.1 * (n * g * 4 + n * c * 8)
+        assert peak < 1.1 * (n * c * 8 + tables.BLOCK_BYTES)
 
     def test_raw_expression_ingest_pins_the_allocator_first(self, fixture_dir, monkeypatch):
         """Pinned before the count table is read, glibc does not raise its
-        mmap threshold to the table's size when the table is freed."""
+        mmap threshold to a block's size when the block is freed."""
         calls = []
         monkeypatch.setattr(cli, "pin_allocator", lambda: calls.append("pin"))
-        monkeypatch.setattr(cli, "load_expression",
-                            lambda path: calls.append("read") or load_expression(path))
+        monkeypatch.setattr(cli, "load_expression_features", lambda *args: calls.append("read")
+                            or load_expression_features(*args))
         cli.load_cells(cli.load_run_config(fixture_dir["config"]), "raw_expression")
         assert calls == ["pin", "read"]
 
@@ -597,6 +597,60 @@ class TestOutputLocation:
         assert cli.main(["ingest", "--config", str(fixture_dir["config"]),
                          "--out", str(out)]) == 0
         assert (out / "ingest_report.txt").is_file()
+
+
+def key_values(path):
+    return dict(line.split("=", 1) for line in path.read_text(encoding="utf-8").splitlines())
+
+
+class TestRunManifests:
+    def test_train_eval_and_lodo_keep_one_manifest_each_in_a_shared_directory(
+            self, fixture_dir, tmp_path):
+        """Each command writes its own manifest, so ``eval`` and ``lodo``
+        into ``train``'s directory leave its manifest as it was; each names
+        the seed, the config and every input by sha256."""
+        config, out = fixture_dir["config"], tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command in ("train", "eval", "lodo"):
+                assert cli.main([command, "--config", str(config), "--seed", "3",
+                                 "--out", str(out)]) == 0
+                if command == "train":
+                    trained = (out / "run_manifest.txt").read_bytes()
+        assert (out / "run_manifest.txt").read_bytes() == trained
+        inputs = {f"data.{key}.sha256": sha(path)
+                  for key, path in cli.load_run_config(config).paths.items()}
+        manifests = {name: key_values(out / name) for name in
+                     ("run_manifest.txt", "run_manifest.eval.txt", "run_manifest.lodo.txt")}
+        for manifest in manifests.values():
+            assert manifest["seed"] == "3" and manifest["config_sha256"] == sha(config)
+            assert {k: v for k, v in manifest.items() if k.startswith("data.")} == inputs
+            assert manifest["env.blas"] == cli._blas()
+        ckpt = out / "checkpoint.ckpt"
+        predictions = (out / "predictions.csv").read_text(encoding="utf-8").splitlines()
+        assert {k: v for k, v in manifests["run_manifest.eval.txt"].items()
+                if k.startswith("eval.")} == {
+            "eval.checkpoint": str(ckpt), "eval.checkpoint_sha256": sha(ckpt),
+            "eval.records": str(len(predictions) - 1)}
+        lodo = manifests["run_manifest.lodo.txt"]
+        assert lodo["lodo.sources"] == "raw_expression,scgpt"
+        folds = key_values(out / "lodo_summary.txt")["folds"]
+        assert len(lodo["lodo.fold_drugs"].split(",")) == int(folds) == 1
+        assert lodo["lodo.fold_drugs"] in fixture_dir["bench"].graphs
+
+    @pytest.mark.parametrize("show_config, blas", [
+        (lambda mode: {"Build Dependencies": {"blas": {"name": "openblas",
+                                                       "version": "0.3.27"}}},
+         "openblas 0.3.27"),
+        (lambda: None, "unknown"),  # numpy before 1.26 takes no mode
+        (lambda mode: {"Build Dependencies": {}}, "unknown"),
+    ], ids=["reported", "no-mode", "no-blas"])
+    def test_env_blas_names_numpys_blas_or_unknown(self, monkeypatch, show_config, blas):
+        monkeypatch.setattr(np, "show_config", show_config)
+        assert cli._blas() == blas
+
+    def test_env_blas_reads_the_installed_numpy(self):
+        reported = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert cli._blas() == f"{reported['name']} {reported['version']}"
 
 
 class TestTrain:

@@ -357,6 +357,11 @@ def test_the_vectors_guard_sees_every_use_of_the_attribute():
 UNCALLED_PUBLIC_FUNCTIONS = {
     "autodiff.finite_diff_check": "demo 01 checks a gradient with it",
     "evaluation.grouped_pcc": "perfbench/tracing.py patches it by name (ROADMAP item 8)",
+    "omics.alignment_stats": "perfbench/tracing.py patches it by name (ROADMAP items 8, 9)",
+    "omics.expression_feature_set": "perfbench/tracing.py patches it by name (ROADMAP items 8, "
+                                    "9); the whole-table oracle of the streamed read",
+    "omics.load_expression": "perfbench/tracing.py patches it by name and reads its profiles "
+                             "(ROADMAP items 8, 9); the whole-table oracle of the streamed read",
     "synthetic.make_benchmark": "the synthetic fixture the tests, demos and benchmark build on",
     "synthetic.noisy_projection_set": "the degraded cell source of the fixture's comparisons",
     "synthetic.write_benchmark_files": "writes the fixture as the CLI's input files",

@@ -796,6 +796,119 @@ class TestExpressionFeatureMatrix:
             np.testing.assert_array_equal(p.values, row)
 
 
+# every value of a drawn streamed table is this wide, so every line's values
+# part is 11 * width - 1 characters and the rows of a block are known
+TOKEN = 10
+# tokens that make a block take the float64 read, right-aligned to TOKEN
+FLOAT_READ_TOKENS = ["-0", "1.5", str(2**31)]
+
+
+def whole_table_features(path, canonical):
+    """``expression_feature_set(load_expression(path), canonical)``, the
+    features' ids and bytes and alignment_stats' counts, or the message."""
+    try:
+        profiles = omics.load_expression(path)
+        cells = omics.expression_feature_set(profiles, canonical)
+    except omics.IngestError as exc:
+        return str(exc)
+    return cells.ids, cells.matrix.tobytes(), omics.alignment_stats(profiles[0], canonical)
+
+
+def streamed_features(path, canonical):
+    """The same read through ``load_expression_features``."""
+    try:
+        cells, counts = omics.load_expression_features(path, canonical, "genes.txt")
+    except omics.IngestError as exc:
+        return str(exc)
+    assert cells.matrix.shape == (len(cells.ids), len(canonical))
+    return cells.ids, cells.matrix.tobytes(), counts
+
+
+class TestStreamedExpression:
+    """``load_expression_features`` reads a count table a block of rows at
+    a time into the features, the counts and the messages of the
+    whole-table path."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), width=st.integers(1, 40), blocks=st.integers(1, 3),
+           fault=st.sampled_from([None, None, "oops", "-3"]))
+    @pytest.mark.filterwarnings("error::UserWarning")  # loadtxt's warning on an empty table
+    def test_equals_the_whole_table_path(self, tmp_path_factory, data, width, blocks, fault):
+        per_block = tables.BLOCK_BYTES // ((TOKEN + 1) * width - 1 + 8 * width)
+        n = (blocks - 1) * per_block + data.draw(st.integers(1, per_block))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cells = [[f"{v:0{TOKEN}d}" for v in row]
+                 for row in rng.integers(1, 10**6, size=(n, width)).tolist()]
+        for token in data.draw(st.lists(st.sampled_from(FLOAT_READ_TOKENS), max_size=3)):
+            block = data.draw(st.integers(0, blocks - 1))
+            row = data.draw(st.integers(block * per_block, min(n, (block + 1) * per_block) - 1))
+            cells[row][data.draw(st.integers(0, width - 1))] = token.rjust(TOKEN)
+        if fault is not None:
+            cells[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, width - 1))] = (
+                fault.rjust(TOKEN))
+        genes = [f"g{j}" for j in range(width)]
+        kept = data.draw(st.lists(st.sampled_from(genes), min_size=1, unique=True))
+        canonical = data.draw(st.permutations(kept + [f"absent{k}" for k in range(
+            data.draw(st.integers(0, 3)))]))
+        lines = ["cell_line_id," + ",".join(genes)]
+        lines += [f"C{i}," + ",".join(row) for i, row in enumerate(cells)]
+        if data.draw(st.booleans()):
+            lines.insert(data.draw(st.integers(1, len(lines))), "")
+        path = tmp_path_factory.mktemp("s") / "expression.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        with mock.patch.object(tables, "_parse", wraps=tables._parse) as parse:
+            got = streamed_features(path, canonical)
+        assert got == whole_table_features(path, canonical)
+        if fault is not None:
+            assert isinstance(got, str)
+        elif not isinstance(got, str):  # both refuse a row that -0 left without counts
+            # one list of lines per block, parsed again where int32 gave up
+            assert len({id(call.args[0]) for call in parse.call_args_list}) == blocks
+
+    @pytest.mark.parametrize("text, refused", [
+        ('cell_line_id,g1,g2\nA,1,2\n"B",3,4\n', False),
+        ("cell_line_id,g1,g2\nA,1,2\nB,1_0,4\n", False),
+        ("cell_line_id,g1,g2\rA,1,2\rB,3,4\r", False),
+        ("cell_line_id,g1,g2\r\nA,1,2\r\nB,3,4", False),
+        ("cell_line_id,g1,g2\nA,1,2\nA,3,4\n", True),
+        ("cell_line_id,g1,g2\nA,1,2\nB,3\n", True),
+        ("cell_line_id,g1,g2\nA,1,2\nB,3,-4\nC,x,1\n", True)])
+    def test_a_table_that_is_not_plain_gives_the_whole_table_read(self, tmp_path, text,
+                                                                  refused):
+        """A quoted field, a value only ``float`` reads, carriage-return
+        line ends and CRLF ones without a last one load; a repeated id, a
+        row of another width, and a domain error ahead of a value no reader
+        takes are refused as the row reader refuses them."""
+        path = tmp_path / "expression.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = streamed_features(path, ["g2", "g1", "g3"])
+        assert got == whole_table_features(path, ["g2", "g1", "g3"])
+        assert isinstance(got, str) == refused
+
+    def test_a_domain_error_waits_for_a_later_block_the_row_reader_rejects(self, tmp_path):
+        """The whole-table path parses every row before it checks a value,
+        so a value no reader takes in a later block is reported, not the
+        negative count in the first block."""
+        width = 500
+        per_block = tables.BLOCK_BYTES // (2 * width - 1 + 8 * width)
+        rows = [["1"] * width for _ in range(per_block + 1)]
+        rows[0][3], rows[per_block][7] = "-4", "x"
+        path = write_table(tmp_path / "expression.csv", rows)
+        got = streamed_features(path, ["g1"])
+        assert got == whole_table_features(path, ["g1"])
+        assert got == f"{path}: row {per_block + 2} column 9 is not numeric: 'x'"
+
+    def test_the_header_is_checked_before_any_value(self, tmp_path):
+        path = write_csv(tmp_path / "e.csv", "cell_line_id,g1,g2\nA,1,oops\n")
+        with pytest.raises(omics.IngestError, match=re.escape(
+                f"{path}: no gene of its header is in the gene list genes.txt")):
+            omics.load_expression_features(path, ["g3"], "genes.txt")
+        path = write_csv(tmp_path / "r.csv", "cell_line_id,g1,g1\nA,1,oops\n")
+        with pytest.raises(omics.IngestError, match="gene 'g1' appears more than once"):
+            omics.load_expression_features(path, ["g1"], "genes.txt")
+
+
 class TestCellFeatureSet:
     """The vectors are the rows of one matrix, shared and read-only."""
 
