@@ -3,14 +3,10 @@ files, response tables, and the join that assembles a training dataset.
 
 All inputs are comma-separated UTF-8 tables read through :mod:`tables`.
 Each embedding table, and an expression table read by
-:func:`load_expression`, is read into a single matrix by
+:func:`load_expression`, is read into a single float64 matrix by
 :func:`tables.read_matrix`, so the profiles of one expression table share
 one gene list. A plain table is parsed by ``np.loadtxt``; any other goes to
-the row reader, which gives the same values and error messages. A count
-matrix, whose first row's values hold only ASCII digits, ``+``, spaces and
-commas, is read as int32, skipping strtod, and its profiles are int32 views
-of that matrix; a ``-`` in any value, or a count of 2**31 or more, sends it
-to the float64 read, which is exact to 2**53.
+the row reader, which gives the same values and error messages.
 Every error names the line its row starts on. Gene alignment zero-pads genes
 missing from a table and drops genes outside the canonical list;
 dropped/padded counts are surfaced so dataset shrinkage stays visible.
@@ -63,16 +59,15 @@ class IngestError(ValueError):
 
 @dataclass
 class ExpressionProfile:
-    """One cell line's finite, non-negative expression values over a gene
-    list: an int32 array, a count table's row, as it is, else float64."""
+    """One cell line's finite, non-negative float64 expression values over
+    a gene list."""
 
     cell_line_id: str
     values: np.ndarray
     gene_ids: list[str]
 
     def __post_init__(self):
-        if not (isinstance(self.values, np.ndarray) and self.values.dtype == np.int32):
-            self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (len(self.gene_ids),):
             raise IngestError(
                 f"cell line {self.cell_line_id!r}: {self.values.shape[0]} values for "
@@ -390,13 +385,12 @@ def _features(ids: Iterable[str], at: np.ndarray, take: np.ndarray, dim: int, ro
     need be complete only once ``blocks`` is, names them.
 
     The features are built in one (rows x ``dim``) float64 matrix: row by
-    row, column ``take[k]`` of a block is copied to column ``at[k]``, the
-    only place int32 counts are widened (exactly), and the rows that ``ids``
-    name are scaled in place. Dividing by each row's total makes a row
-    invariant to exact rescaling of its counts. A cell line with no counts
-    on the canonical genes, or whose counts there sum past float64 (the
-    division would then give zeros), raises IngestError naming it, before
-    any value is scaled.
+    row, column ``take[k]`` of a block is copied to column ``at[k]``, which
+    widens int32 counts exactly, and the rows that ``ids`` name are scaled
+    in place. Dividing by each row's total makes a row invariant to exact
+    rescaling of its counts. A cell line with no counts on the canonical
+    genes, or whose counts there sum past float64 (the division would then
+    give zeros), raises IngestError naming it, before any value is scaled.
     """
     matrix = np.zeros((rows, dim))
     for start, block in blocks:

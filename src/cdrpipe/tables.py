@@ -5,12 +5,12 @@ Inputs are UTF-8 text, with or without a byte-order mark, decoded by
 than the header is an error naming the file and row. This is the only module
 that opens text or parses CSV, so decoding, quoting, the field-size limit and
 blank lines follow one set of rules. A numeric table keyed by its first
-column is parsed by numpy's C reader where every data line is plain; any
-other table goes to the row reader, which takes every decision and raises
-every error. A headerless numeric table of a fixed width, such as a drug's
-graph files, is read by ``read_headerless`` under the same rules: one
-``np.loadtxt`` call where every line of the file is plain, else the row
-reader.
+column is parsed by numpy's C reader, a block of rows at a time, where every
+data line is plain; any other table goes to the row reader, which takes
+every decision and raises every error. A headerless numeric table of a fixed
+width, such as a drug's graph files, is read by ``read_headerless`` under
+the same rules: one ``np.loadtxt`` call where every line of the file is
+plain, else the row reader. ``_parse`` holds the one ``np.loadtxt`` call.
 
 A plain line is one that ``np.loadtxt`` reads exactly as the row reader
 does. It is not blank and not whitespace only, holds no ``"``, no carriage
@@ -20,26 +20,21 @@ states this rule for both readers. A value ``loadtxt`` rejects but ``float``
 reads (``1_0``, non-ASCII digits), or a row of another width, makes
 ``loadtxt`` fail, and the table goes to the row reader as well.
 
-An integer table keyed by its first column, such as a count matrix, skips
-strtod: where the first data line's values hold only ASCII digits, ``+``,
-spaces and commas, ``_parse`` reads the table as int32 and hands it on as
-int32, half the bytes of float64. Every int32 value is exact in float64. An
-integer embedding table becomes float64 in ``omics.CellFeatureSet``. A
-``-`` in any value, a value that is not an integer (``1.5``, ``1e3``) or one
-of 2**31 or more sends the table to the float64 read that every other plain
-table takes, which reads counts exactly up to 2**53. A ``-`` does so because
-int32 reads ``-0`` as ``0`` where strtod gives ``-0.0``. numpy releases that
-read a value int32 rejects through a float, with only a DeprecationWarning,
-are held to the same rule: the warning is raised as an error there.
-Headerless tables, a drug's small graph files, are always read as float64.
-
-A count matrix need not be held whole: ``read_blocks`` yields its header,
-then its rows in blocks of about ``BLOCK_BYTES``, one ``np.loadtxt`` call
-each. Each block decides the integer rule for itself, so a block holding
-``-``, a non-integer or a value of 2**31 or more is read as float64 and the
-others as int32; widened to float64, the values are the whole-table read's.
-A table that is not plain raises ``NotPlain``, to be read by
-``read_matrix``.
+``read_blocks`` yields a keyed table's header, then its rows in blocks of
+about ``BLOCK_BYTES``, one ``np.loadtxt`` call each, so that a count matrix
+need not be held whole. Each block decides the integer rule for itself: a
+block whose first line's values hold only ASCII digits, ``+``, spaces and
+commas is read as int32, skipping strtod. A ``-`` in any of its values, a
+value that is not an integer (``1.5``, ``1e3``) or one of 2**31 or more
+sends the block to the float64 read, exact for counts up to 2**53. A ``-``
+does so because int32 reads ``-0`` as ``0`` where strtod gives ``-0.0``.
+numpy releases that read a value int32 rejects through a float, with only a
+DeprecationWarning, are held to the same rule: the warning is raised as an
+error there. Every int32 value is exact in float64, so widened, the blocks
+hold the float64 read's values. ``read_matrix`` copies the blocks into one
+float64 matrix; headerless tables are always read as float64. A table that
+is not plain raises ``NotPlain`` in ``read_blocks``, to be read by the row
+reader.
 
 Every output is written to a temporary file beside its target and moved over
 it in one ``os.replace``, so it appears whole or not at all; CSV outputs are
@@ -119,22 +114,30 @@ def read_table(path, error: type[Exception], required: Sequence[str] = ()):
 def read_matrix(path, error: type[Exception], key: str):
     """Read a numeric table whose first header column is ``key`` into
     ``(ids, columns, matrix, lines)``: the row ids in file order, the other
-    header columns, a matrix with one row per id, and the physical line
-    each row starts on. The matrix is int32 where the integer rule (see the
-    module docstring) reads the table so, float64 otherwise.
+    header columns, a float64 matrix with one row per id, and the physical
+    line each row starts on.
 
-    The header is read through csv. When every data line is plain, the
-    data are parsed by ``np.loadtxt``, numpy's C reader. Any other
-    table is read again from the start by the row reader: one with a line
-    holding ``"``, a field over ``csv.field_size_limit()``, a repeated id, a
-    row of another width, a value ``loadtxt`` rejects (``1_0`` or non-ASCII
-    digits, which ``float`` reads) or no data rows. The row reader is the
-    only one that raises ``error``, naming the file, row and column, so both
-    give the same bytes and the same messages. A table with no data rows
-    gives an empty matrix.
+    A plain table is read by :func:`read_blocks`, each block copied into
+    one matrix sized by its row bound; an int32 block widens exactly. Any
+    other table is read again from the start by the row reader: one with a
+    line holding ``"``, a field over ``csv.field_size_limit()``, a repeated
+    id, a row of another width, a value ``loadtxt`` rejects (``1_0`` or
+    non-ASCII digits, which ``float`` reads) or no data rows. The row
+    reader is the only one that raises ``error``, naming the file, row and
+    column, so both give the same bytes and the same messages. A table with
+    no data rows gives an empty matrix.
     """
-    plain = _read_plain(path, key)
-    return plain if plain is not None else _read_rows(path, error, key)
+    ids: dict[str, None] = {}
+    lines: list[int] = []
+    try:
+        with read_blocks(path, key, ids, lines) as (columns, rows, blocks):
+            matrix = np.empty((rows, len(columns)))
+            for start, block in blocks:
+                matrix[start:start + len(block)] = block
+                del block  # not held while the next block is parsed
+    except NotPlain:
+        return _read_rows(path, error, key)
+    return list(ids), columns, matrix[:len(ids)], lines  # rows left for blank lines
 
 
 def read_headerless(path, error: type[Exception], width: int):
@@ -158,7 +161,7 @@ def _plain_headerless(path, width: int):
             lines = _plain_lines(fh.read(), csv.field_size_limit())
         if lines is None:
             return None
-        matrix = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        matrix = _parse(lines, integer=False)
     except (NotPlain, ValueError):
         return None
     if matrix.shape != (len(lines), width):
@@ -203,11 +206,11 @@ BLOCK_BYTES = 1 << 20
 
 
 class _NotInteger(Exception):
-    """A table left to the float64 read: a value holding ``-``, one that is
+    """A block left to the float64 read: a value holding ``-``, one that is
     not an integer, or one of 2**31 or more."""
 
 
-# a table whose first data line's values hold only these is read as int32
+# a block whose first line's values hold only these is read as int32
 _INTEGER_CHARS = frozenset("0123456789+ ,")
 
 
@@ -278,33 +281,6 @@ def _plain_values(fh, header_lines: int, ids: dict[str, None], lines: list[int])
         yield values
 
 
-def _read_plain(path, key: str, integer: bool = True):
-    """``read_matrix``'s result through ``np.loadtxt``, or None where the
-    table is not plain; without ``integer`` it is read as float64 whatever
-    its first data line holds."""
-    ids: dict[str, None] = {}
-    lines: list[int] = []
-    try:
-        with text_input(path, NotPlain) as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if header[:1] != [key]:
-                return None
-            values = _plain_values(fh, reader.line_num, ids, lines)
-            first = next(values, None)
-            if first is None:  # loadtxt warns on a table with no rows
-                return None
-            matrix = _parse(itertools.chain([first], values),
-                            integer and _INTEGER_CHARS.issuperset(first))
-    except _NotInteger:
-        return _read_plain(path, key, integer=False)
-    except (NotPlain, ValueError, csv.Error):
-        return None
-    if matrix.shape != (len(ids), len(header) - 1):  # a repeated id or another width
-        return None
-    return list(ids), header[1:], matrix, lines
-
-
 def _line_count(path) -> int:
     """The lines of ``path`` as its ``\\n`` bytes count them, a last line
     without one included; read a block of bytes at a time."""
@@ -328,12 +304,12 @@ def read_blocks(path, key: str, ids: dict[str, None], lines: list[int]):
     which each block decides for itself. As a block is read, ``ids`` and
     ``lines`` gain its rows' ids and physical lines.
 
-    A table ``read_matrix`` would not read through ``np.loadtxt`` raises
-    :class:`NotPlain`, at its header or at the first block that shows it:
-    a line that is not plain, a repeated id, a row of another width, a
-    value ``loadtxt`` rejects, no data rows, or more rows than ``\\n`` line
-    ends (a carriage-return line end). ``read_matrix`` then gives its values
-    or its error."""
+    A table left to the row reader raises :class:`NotPlain`, at its header
+    or at the first block that shows it: a line that is not plain, a
+    repeated id, a row of another width, a value ``loadtxt`` rejects, no
+    data rows, or more rows than ``\\n`` line ends (a carriage-return line
+    end). ``read_matrix``'s row reader then gives its values or its
+    error."""
     count = _line_count(path)
     with text_input(path, NotPlain) as fh:
         reader = csv.reader(fh)
@@ -343,7 +319,8 @@ def read_blocks(path, key: str, ids: dict[str, None], lines: list[int]):
             raise NotPlain from None
         if header[:1] != [key]:
             raise NotPlain
-        rows = count - reader.line_num
+        # a header over a quoted carriage return spans more lines than "\n"s
+        rows = max(count - reader.line_num, 0)
         yield header[1:], rows, _blocks(fh, reader.line_num, len(header) - 1, rows, ids, lines)
 
 

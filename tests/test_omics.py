@@ -38,12 +38,12 @@ class TestExpressionProfile:
                            match=re.escape("cell line 'c1': 3 values for 2 genes")):
             omics.ExpressionProfile("c1", np.array([1, 2, 3], dtype=dtype), ["a", "b"])
 
-    @pytest.mark.parametrize("dtype", [np.int32, np.float64])
-    def test_an_int32_or_float64_array_is_kept_as_it_is(self, dtype):
-        values = np.array([3, 0], dtype=dtype)
+    def test_a_float64_array_is_kept_as_it_is(self):
+        values = np.array([3, 0], dtype=np.float64)
         assert omics.ExpressionProfile("c1", values, ["a", "b"]).values is values
 
-    @pytest.mark.parametrize("values", [[3, 0], [3.0, 0.0], np.array([3, 0], dtype=np.int64),
+    @pytest.mark.parametrize("values", [[3, 0], [3.0, 0.0], np.array([3, 0], dtype=np.int32),
+                                        np.array([3, 0], dtype=np.int64),
                                         np.array([3, 0], dtype=np.float32)])
     def test_any_other_input_becomes_float64(self, values):
         got = omics.ExpressionProfile("c1", values, ["a", "b"]).values
@@ -58,19 +58,18 @@ class TestLoadExpression:
         np.testing.assert_array_equal(profiles[0].values, [1.0, 2.0, 3.0])
         assert profiles[1].gene_ids == ["g1", "g2", "g3"]
 
-    @pytest.mark.parametrize("body, dtype", [("A,1,2\nB,4,5\nC,0,7\n", np.int32),
-                                             ("A,1,2\nB,4,5.5\nC,0,7\n", np.float64)])
-    def test_profiles_are_views_of_one_matrix(self, tmp_path, body, dtype):
-        """A count table's profiles are int32 rows of the table; any other
-        table's are float64 rows."""
+    @pytest.mark.parametrize("five", ["5", "5.5"])
+    def test_profiles_are_views_of_one_matrix(self, tmp_path, five):
+        """A count table's profiles, and any other table's, are float64 rows
+        of one matrix."""
         profiles = omics.load_expression(write_csv(tmp_path / "e.csv", "cell_line_id,g1,g2\n"
-                                                   + body))
+                                                   f"A,1,2\nB,4,{five}\nC,0,7\n"))
         table = profiles[0].values.base
-        assert table.dtype == dtype and table.shape == (3, 2)
+        assert table.dtype == np.float64 and table.shape == (3, 2)
         for row, profile in zip(table, profiles):
-            assert profile.values.dtype == dtype and np.shares_memory(profile.values, table)
+            assert profile.values.dtype == np.float64 and np.shares_memory(profile.values, table)
             assert profile.values.tobytes() == row.tobytes()
-        assert table.tolist() == [[1, 2], [4, 5 if dtype == np.int32 else 5.5], [0, 7]]
+        assert table.tolist() == [[1, 2], [4, float(five)], [0, 7]]
 
     def test_negative_value(self, tmp_path):
         p = write_csv(tmp_path / "e.csv", "cell_line_id,g1\nA,-2\n")
@@ -288,13 +287,17 @@ def number_texts(draw):
 
 @st.composite
 def numeric_tables(draw, plain=True):
-    """(header, rows) of a valid table keyed by cell_line_id. A table that
-    is not plain holds one thing np.loadtxt must not see: an id csv quotes,
-    or a value only float() reads."""
+    """(header, rows) of a valid table keyed by cell_line_id. Each row holds
+    floats or, as a count table's rows do, integers below 2**31, so a table
+    read in small blocks mixes int32 and float64 blocks. A table that is
+    not plain holds one thing np.loadtxt must not see: an id csv quotes, or
+    a value only float() reads."""
     n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     # the index keeps the ids distinct
     ids = [draw(st.text("aB #._-\u00e9", max_size=3)) + str(i) for i in range(n)]
-    rows = [[ids[i]] + draw(st.lists(number_texts(), min_size=m, max_size=m)) for i in range(n)]
+    rows = [[ids[i]] + draw(st.lists(integer_tokens(2**31 - 1) if draw(st.booleans())
+                                     else number_texts(), min_size=m, max_size=m))
+            for i in range(n)]
     if not plain:
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(1, m))
         kind = draw(st.sampled_from(["quoted_id", "underscore", "arabic"]))
@@ -334,33 +337,44 @@ def no_row_reader(path, error, key):
     raise AssertionError("a plain table reached the row reader")
 
 
+def not_plain(*args):
+    raise tables.NotPlain
+
+
 # leaves every table to the row reader
-ROW_READER = dict(_read_plain=lambda path, key: None)
+ROW_READER = dict(read_blocks=not_plain)
+# block sizes at which the drawn tables span one block or up to one per row
+SMALL_BLOCKS = st.integers(4, 11).map(lambda k: 2**k)
 
 
 class TestReadMatrix:
-    """np.loadtxt reads plain tables; every other table goes to the row
-    reader, and both readers give the same result."""
+    """np.loadtxt reads plain tables a block at a time; every other table
+    goes to the row reader, and both readers give the same result."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), plain=st.booleans())
+    @given(data=st.data(), plain=st.booleans(), block_bytes=SMALL_BLOCKS)
     @pytest.mark.filterwarnings("error::UserWarning")  # loadtxt's warning on an empty table
-    def test_both_readers_return_the_same_table(self, tmp_path_factory, data, plain):
+    def test_both_readers_return_the_same_table(self, tmp_path_factory, data, plain,
+                                                block_bytes):
         header, rows = data.draw(numeric_tables(plain))
         path = write_csv(tmp_path_factory.mktemp("m") / "t.csv",
                          data.draw(table_texts(header, rows)))
-        read = read_cells(path, **({"_read_rows": no_row_reader} if plain else {}))
-        assert not isinstance(read, str)
-        assert read == read_cells(path, **ROW_READER)
+        row_reader = no_row_reader if plain else mock.Mock(wraps=tables._read_rows)
+        with mock.patch.object(tables, "BLOCK_BYTES", block_bytes):
+            read = read_cells(path, _read_rows=row_reader)
+            assert not isinstance(read, str)
+            assert read == read_cells(path, **ROW_READER)
         assert read[0] == [row[0] for row in rows]
-        assert plain or tables._read_plain(path, "cell_line_id") is None
+        assert read[2] == np.float64
+        assert plain or row_reader.called
 
     @pytest.mark.parametrize("defect", ["short", "long", "non_numeric", "repeated_id",
                                         "over_limit", "header_only", "bad_header"])
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-    @given(data=st.data())
+    @given(data=st.data(), block_bytes=SMALL_BLOCKS)
     @pytest.mark.filterwarnings("error::UserWarning")  # loadtxt's warning on an empty table
-    def test_both_readers_raise_the_same_error(self, tmp_path_factory, data, defect):
+    def test_both_readers_raise_the_same_error(self, tmp_path_factory, data, defect,
+                                               block_bytes):
         header, rows = data.draw(numeric_tables())
         i = data.draw(st.integers(0, len(rows) - 1))
         j = data.draw(st.integers(1, len(header) - 1))
@@ -381,9 +395,10 @@ class TestReadMatrix:
             header[0] = data.draw(st.sampled_from(["", "cell", " cell_line_id", '"cell_line_id"']))
         path = write_csv(tmp_path_factory.mktemp("m") / "t.csv",
                          data.draw(table_texts(header, rows)))
-        message = read_cells(path)
-        assert isinstance(message, str)
-        assert message == read_cells(path, **ROW_READER)
+        with mock.patch.object(tables, "BLOCK_BYTES", block_bytes):
+            message = read_cells(path)
+            assert isinstance(message, str)
+            assert message == read_cells(path, **ROW_READER)
 
     @pytest.mark.parametrize("value", ["\x1c1", "1\x1f"])
     def test_a_value_only_loadtxt_reads_is_not_numeric(self, tmp_path, value):
@@ -441,10 +456,10 @@ def integer_tables(draw, keyed):
 
 
 def read_as_int32(text):
-    """Whether a keyed integer table's text falls under the int32 rule:
-    its first data row's values hold only ASCII digits, ``+``, spaces and
-    commas, and every value is an unsigned integer below 2**31, maybe
-    padded with spaces or tabs."""
+    """Whether a keyed integer table's text, read as one block, falls under
+    the int32 rule: its first data row's values hold only ASCII digits,
+    ``+``, spaces and commas, and every value is an unsigned integer below
+    2**31, maybe padded with spaces or tabs."""
     rows = [line.split(",", 1)[1] for line in text.lstrip("\ufeff").split("\n")[1:]
             if line.rstrip("\r")]
     values = [v.rstrip("\r") for row in rows for v in row.split(",")]
@@ -471,29 +486,40 @@ def same_read(got, want):
             == (want[-2].dtype, want[-2].shape, want[-2].tobytes()))
 
 
+def block_dtypes(path):
+    """The dtype of each block ``tables.read_blocks`` reads of a keyed
+    table, or None where it leaves the table to the row reader."""
+    try:
+        with tables.read_blocks(path, "cell_line_id", {}, []) as (_, _, blocks):
+            return [block.dtype for _, block in blocks]
+    except tables.NotPlain:
+        return None
+
+
 class TestIntegerTables:
-    """Integer tables below 2**31 are read as int32 and handed on as int32,
-    with the values, ids, lines and messages of the float64 read."""
+    """Integer blocks below 2**31 are parsed as int32, and every read
+    gives the float64 read's values, ids, lines and messages."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), keyed=st.booleans())
     @pytest.mark.filterwarnings("error::UserWarning")  # loadtxt's warning on an empty table
     def test_both_readers_give_the_float64_read(self, tmp_path_factory, data, keyed):
-        """A keyed read is int32 exactly where the int32 rule holds, and
-        its bytes widened to float64 are those of the float64 read; a
-        headerless read is always float64."""
+        """A keyed table's one block is int32 exactly where the int32 rule
+        holds, and its read is float64 with the float64 read's bytes; a
+        headerless read is float64 too."""
         width, text = data.draw(integer_tables(keyed))
         path = tmp_path_factory.mktemp("i") / "t.csv"
         path.write_bytes(text.encode("utf-8"))
         if keyed:
+            dtypes = block_dtypes(path)
+            if read_as_int32(text):
+                assert dtypes == [np.int32]
+            else:
+                assert dtypes in (None, [np.float64])
             try:
                 got = omics._read_cells(path)
             except omics.IngestError as exc:
                 got = str(exc)
-            if not isinstance(got, str):
-                ids, columns, matrix, lines = got
-                assert matrix.dtype == (np.int32 if read_as_int32(text) else np.float64)
-                got = ids, columns, matrix.astype(np.float64), lines
         else:
             got = headerless_read(path, width)
         assert same_read(got, float64_table(path, keyed))
@@ -505,7 +531,7 @@ class TestIntegerTables:
             ids, _, matrix, _ = omics._read_cells(p)
         assert [call.kwargs["dtype"] for call in loadtxt.call_args_list] == [np.int32]
         assert ids == ["ACH-1", "ACH-2"]
-        assert matrix.dtype == np.int32 and matrix.tolist() == [[1, 2], [3, 4]]
+        assert matrix.dtype == np.float64 and matrix.tolist() == [[1, 2], [3, 4]]
 
     @pytest.mark.parametrize("numpy_reads", ["as installed", "integers through float"])
     @pytest.mark.parametrize("late", ["1.5", str(2**31), str(2**63)])
@@ -538,17 +564,19 @@ class TestIntegerTables:
         assert matrix.dtype == np.float64
         assert matrix.tolist() == [[1.0, 2.0], [3.0, float(late)]]
 
-    def test_an_int32_read_saves_half_the_float64_matrix(self, tmp_path):
-        """An integer table's read peaks at no more than the same table's
-        float64 read less half the float64 matrix, plus 64 KiB: it holds
-        the values at 4 bytes each and makes no 8-byte copy of them. The
-        bytes beyond the matrix (header, ids, loadtxt's growth slack) are
-        not halved, so the bound is on the matrix's share."""
-        rng = np.random.default_rng(34)
-        counts = rng.integers(0, 10**6, size=(300, 1000))
+    @pytest.mark.parametrize("kind", ["counts", "floats"])
+    def test_a_keyed_read_peaks_at_the_matrix_and_one_block(self, tmp_path, kind):
+        """A keyed read of an n x g table peaks below its float64 matrix and
+        one block, n*g*8 + tables.BLOCK_BYTES bytes, plus 10%: it holds one
+        block's text and values at a time, whether the blocks are int32 or
+        float64, and makes no copy of the matrix."""
+        n, g = 1000, 512
+        rng = np.random.default_rng(38)
+        table = (rng.integers(0, 10**6, size=(n, g)) if kind == "counts"
+                 else rng.normal(size=(n, g))).tolist()
         p = write_csv(tmp_path / "t.csv", "\n".join(
-            ["cell_line_id," + ",".join(f"g{j}" for j in range(1000))]
-            + [f"C{i}," + ",".join(map(str, row)) for i, row in enumerate(counts)]) + "\n")
+            ["cell_line_id," + ",".join(f"g{j}" for j in range(g))]
+            + [f"C{i}," + ",".join(map(repr, row)) for i, row in enumerate(table)]) + "\n")
 
         def peak_of_read():
             tracemalloc.start()
@@ -560,11 +588,9 @@ class TestIntegerTables:
 
         peak_of_read()  # the first read's one-time costs
         matrix, peak = peak_of_read()
-        with mock.patch.object(tables, "_INTEGER_CHARS", frozenset()):
-            floats, float_peak = peak_of_read()
-        assert matrix.dtype == np.int32 and matrix.tobytes() == counts.astype(np.int32).tobytes()
-        assert floats.tobytes() == counts.astype(np.float64).tobytes()
-        assert peak <= float_peak - floats.nbytes / 2 + 64 * 1024
+        assert matrix.dtype == np.float64
+        assert matrix.tobytes() == np.array(table, dtype=np.float64).tobytes()
+        assert peak < 1.1 * (n * g * 8 + tables.BLOCK_BYTES)
 
 
 class TestLoadResponses:
@@ -907,6 +933,18 @@ class TestStreamedExpression:
         path = write_csv(tmp_path / "r.csv", "cell_line_id,g1,g1\nA,1,oops\n")
         with pytest.raises(omics.IngestError, match="gene 'g1' appears more than once"):
             omics.load_expression_features(path, ["g1"], "genes.txt")
+
+
+@pytest.mark.parametrize("rows", ["", "\nA,1,2\n"])
+def test_a_header_over_a_carriage_return_gives_the_row_readers_read(tmp_path, rows):
+    """A quoted carriage return makes the header span more lines than its
+    ``\\n``s count, so the row bound undercounts: the streamed and the
+    keyed reads leave such a table to the row reader, with or without
+    rows, and size no matrix from a negative bound."""
+    path = tmp_path / "expression.csv"
+    path.write_bytes(('cell_line_id,"g\r1",g2' + rows).encode("utf-8"))
+    assert streamed_features(path, ["g2"]) == whole_table_features(path, ["g2"])
+    assert read_cells(path) == read_cells(path, **ROW_READER)
 
 
 class TestCellFeatureSet:
