@@ -41,11 +41,12 @@ with tempfile.TemporaryDirectory() as tmp:
 # ---------------------------------------------------------------------------
 # 2. The encoder record checks the graph against a capacity and keeps only
 #    the real atoms: nothing is padded. The mask spans the capacity. The
-#    record also holds the first GCN layer's propagation A_hat @ X, built
-#    once here, since the atom features never change.
+#    record holds the first GCN layer's propagation A_hat @ X, built once
+#    here since the atom features never change, and A_hat; it does not keep
+#    the features X themselves.
 # ---------------------------------------------------------------------------
 padded = pad_graph(graph, n_max=6)
-print("mask:", padded.mask, "- features", padded.features.shape,
+print("mask:", padded.mask, "- atoms", padded.n_atoms,
       "- adjacency", padded.norm_adjacency.shape, "- propagated", padded.propagated.shape)
 
 # ---------------------------------------------------------------------------

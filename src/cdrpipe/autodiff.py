@@ -8,7 +8,8 @@ two for graphs packed as one disjoint union of row segments:
 each graph's adjacency block, bias and relu, as one node) and
 ``segment_max`` (column-wise max-pool per graph). An Adam optimizer and a
 central-finite-difference gradient checker complete it, and
-:func:`pin_allocator` keeps the memory a step frees for the next step.
+:func:`pin_allocator` keeps the memory a step frees for the next step;
+:func:`blas_threads` reads the BLAS thread count for run manifests.
 Everything is float64 and at most rank 2, recorded on an explicit
 :class:`Tape` so independent runs share no mutable state; an operation
 given the tape ``None`` records nothing, and its output requires no
@@ -26,6 +27,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -534,6 +536,21 @@ def pin_allocator() -> str:
     return _allocator
 
 
+def blas_threads() -> str:
+    """The thread count of the OpenBLAS bundled with numpy, read (never set)
+    through that library's ``scipy_openblas_get_num_threads64_``;
+    ``unknown`` where numpy bundles no such library or it lacks the call."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            get = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        return str(get())
+    return "unknown"
+
+
 # ---------------------------------------------------------------------------
 # gradient checking
 # ---------------------------------------------------------------------------
@@ -569,3 +586,4 @@ def finite_diff_check(f, x: Tensor, epsilon: float = 1e-5) -> float:
 
     denom = np.maximum(np.maximum(np.abs(auto), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(auto - numeric) / denom))
+

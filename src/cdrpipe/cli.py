@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .autodiff import pin_allocator
+from .autodiff import blas_threads, pin_allocator
 from .evaluation import (EpochRecord, EvalReport, PredictionRow, ReportError,
                          build_eval_report, pearson, ranked_gains, read_history_csv,
                          stability_report, summary_entries, write_grouped_csv, write_history_csv,
@@ -264,9 +264,11 @@ def assemble_datasets(cfg: RunConfig,
                       sources: list[str]) -> dict[str, tuple[ResponseDataset, dict]]:
     """Each source's joined dataset plus ingestion-report entries. The drug
     graphs and the responses are read once and joined with every source's
-    cells."""
+    cells. Each parsed graph is taken out of the manifest as it is padded,
+    in file order, so its features, bonds and degrees are freed one graph
+    at a time; the datasets hold only the padded records."""
     graphs = load_drug_manifest(_require_path(cfg, "drug_manifest"))
-    padded = {d: pad_graph(g, cfg.model.n_max_atoms) for d, g in graphs.items()}
+    padded = {d: pad_graph(graphs.pop(d), cfg.model.n_max_atoms) for d in list(graphs)}
     cells = {source: load_cells(cfg, source) for source in sources}
     responses = load_responses(_require_path(cfg, "responses"))
     joined = {}
@@ -373,6 +375,7 @@ def write_run_manifest(path: Path, cfg: RunConfig, extra: dict) -> None:
         "env.python": platform.python_version(),
         "env.numpy": np.__version__,
         "env.blas": _blas(),
+        "env.blas_threads": blas_threads(),
         "env.allocator": pin_allocator(),
     }
     for key in sorted(cfg.paths):

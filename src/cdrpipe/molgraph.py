@@ -9,8 +9,9 @@ names them. All are written through :func:`tables.write_rows`. This module
 loads and validates that representation, builds the symmetrically
 normalized adjacency (with self loops) used by the graph encoder, and
 enforces the atom capacity. The encoder's input record holds the real atoms
-only, nothing padded to the capacity, and their features already propagated
-once over the normalized adjacency.
+only, nothing padded to the capacity: their features propagated once over the
+normalized adjacency, ``ÂX``, and that adjacency, ``Â``. It does not keep the
+atom features themselves, which the encoder never reads.
 
 The bond checks run on the whole bond array at once: range and self-loop
 masks, duplicates (in either orientation) found among the canonical
@@ -24,7 +25,7 @@ the normalized adjacency is filled by fancy indexing on it, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -103,21 +104,23 @@ class PaddedGraph:
 
     ``propagated`` is the first GCN layer's propagation, ``ÂX``, built once
     here: the atom features need no gradient, so that layer's ``Â(XW)``
-    equals ``(ÂX)W``. ``mask`` stays only for the benchmark's
+    equals ``(ÂX)W``. The record holds ``ÂX`` and ``Â``, the two arrays
+    the encoder reads; the features ``X`` are a constructor argument only
+    and are not kept. ``mask`` stays only for the benchmark's
     ``molgraph.pad_fill_ratio``, until that metric moves onto the run's
     event recorder."""
 
-    features: np.ndarray        # n_atoms x ATOM_FEATURE_DIM, the graph's own array
-    norm_adjacency: np.ndarray  # n_atoms x n_atoms, symmetric
-    mask: np.ndarray            # bool, length n_max, true on the first n_atoms
+    features: InitVar[np.ndarray]  # n_atoms x ATOM_FEATURE_DIM, read once, not kept
+    norm_adjacency: np.ndarray     # n_atoms x n_atoms, symmetric
+    mask: np.ndarray               # bool, length n_max, true on the first n_atoms
     propagated: np.ndarray = field(init=False)  # norm_adjacency @ features
 
-    def __post_init__(self):
-        self.propagated = self.norm_adjacency @ self.features
+    def __post_init__(self, features):
+        self.propagated = self.norm_adjacency @ features
 
     @property
     def n_atoms(self) -> int:
-        return self.features.shape[0]
+        return self.propagated.shape[0]
 
 
 def normalized_adjacency(graph: MolecularGraph) -> np.ndarray:

@@ -129,10 +129,13 @@ def finite_diff_params(loss_fn, tensors, grads, epsilon=1e-5, informative=1e-4):
     return worst_rel, worst_small
 
 
-def reference_forward(graphs, cells, params, cfg):
+def reference_forward(graphs, features, cells, params, cfg):
     """Plain-numpy replication of the batched train-mode regression forward.
 
-    Each graph's features and adjacency are zero-padded to its capacity
+    ``features`` holds each graph's atom features, in the order of
+    ``graphs``: the records keep only their propagated features, and this
+    reference runs the first layer from the atoms themselves. Each graph's
+    features and adjacency are zero-padded to its capacity
     (the mask's length), as in DeepCDR, and the mask selects the real atoms
     for the readout. Returns (predictions, kink margin): the margin is the
     smallest distance of any relu input from zero, together with the
@@ -142,12 +145,12 @@ def reference_forward(graphs, cells, params, cfg):
     margins = [np.inf]
     pooled_by_graph = {}
     rows = []
-    for g in graphs:
+    for g, x in zip(graphs, features, strict=True):
         key = id(g)
         if key not in pooled_by_graph:
             n_max = g.mask.shape[0]
-            h = np.zeros((n_max, g.features.shape[1]))
-            h[g.mask] = g.features
+            h = np.zeros((n_max, x.shape[1]))
+            h[g.mask] = x
             adj = np.zeros((n_max, n_max))
             adj[np.ix_(g.mask, g.mask)] = g.norm_adjacency
             for layer in params.gcn:
@@ -182,11 +185,13 @@ def reference_forward(graphs, cells, params, cfg):
     return out, float(min(margins))
 
 
-def reference_predict(dataset, params):
+def reference_predict(dataset, params, features):
     """Plain-numpy eval-mode predictions for a joined dataset, one record at
     a time, in record order.
 
-    Each record's graph runs every GCN layer over its own normalized
+    ``features`` maps each drug id to its atom features, which the
+    dataset's records do not keep. Each record's graph runs every GCN layer,
+    the first included, from those features over its own normalized
     adjacency and is max-pooled; its cell vector runs the cell branch; their
     concatenation runs the whole head. Batch norm uses the running
     statistics and dropout is the identity. Nothing is packed, factorized,
@@ -207,7 +212,7 @@ def reference_predict(dataset, params):
     out = []
     for record in dataset.records:
         graph = dataset.graphs[record.drug_id]
-        h = graph.features
+        h = features[record.drug_id]
         for layer in params.gcn:
             h = np.maximum(graph.norm_adjacency @ (h @ layer.weight.data) + layer.bias.data[0], 0.0)
         cell = dense_stack(dataset.cells.vectors[record.cell_line_id], params.cell, True)
@@ -236,7 +241,8 @@ def reference_expression_features(profiles, canonical):
 
 def random_padded_graph(rng, n_atoms, n_max, feat_dim):
     """A random connected graph, symmetrically normalized by hand, as the
-    encoder's real-atom record with capacity n_max."""
+    encoder's real-atom record with capacity n_max, and the atom features
+    the record was built from (it keeps only their propagation)."""
     adj = np.zeros((n_atoms, n_atoms))
     for i in range(1, n_atoms):
         j = int(rng.integers(0, i))
@@ -248,7 +254,7 @@ def random_padded_graph(rng, n_atoms, n_max, feat_dim):
     features = rng.normal(size=(n_atoms, feat_dim))
     mask = np.zeros(n_max, dtype=bool)
     mask[:n_atoms] = True
-    return PaddedGraph(features=features, norm_adjacency=norm, mask=mask)
+    return PaddedGraph(features=features, norm_adjacency=norm, mask=mask), features
 
 
 def graph_conv_point(rng, n, d, k, blocks, margin=0.05):

@@ -134,12 +134,12 @@ def _check_full_model(seed):
         for layer in (*params.gcn, *params.cell, *params.head):
             b = layer.bias.data
             b[:] = np.sign(rng.normal(size=b.shape)) * rng.uniform(0.05, 0.2, size=b.shape)
-        g1 = random_padded_graph(rng, 3, 5, 6)
-        g2 = random_padded_graph(rng, 4, 5, 6)
+        g1, x1 = random_padded_graph(rng, 3, 5, 6)
+        g2, x2 = random_padded_graph(rng, 4, 5, 6)
         graphs = [g1, g2, g1]
         cells = rng.normal(size=(3, 4))
         target = ad.Tensor(rng.normal(size=(3, 1)))
-        reference, margin = reference_forward(graphs, cells, params, cfg)
+        reference, margin = reference_forward(graphs, [x1, x2, x1], cells, params, cfg)
         if margin >= 1e-4:
             break
     else:
@@ -369,7 +369,7 @@ def test_criterion_6_invariances():
                             n_max_atoms=37, cell_input_dim=4)
     worst_perm = 0.0
     worst_pad = 0.0
-    graphs = []
+    graphs, features = [], []
     rng = np.random.default_rng(0)
     for i in range(100):
         g = random_graph(rng, f"d{i}", int(rng.integers(2, 16)))
@@ -384,6 +384,7 @@ def test_criterion_6_invariances():
         worst_perm = max(worst_perm, float(np.max(np.abs(base.data - out_perm.data))))
         worst_pad = max(worst_pad, float(np.max(np.abs(base.data - out_pad.data))))
         graphs.append(pad_graph(g, 20))
+        features.append(g.features)
     assert worst_perm < 1e-10
     assert worst_pad < 1e-10
 
@@ -395,7 +396,7 @@ def test_criterion_6_invariances():
     cells = rng.normal(size=(len(batch), 4))
     params = init_params(cfg_packed, seed=100)
     packed = forward_batch(ad.Tape(), batch, cells, params, cfg_packed, "train")
-    reference, _ = reference_forward(batch, cells, params, cfg_packed)
+    reference, _ = reference_forward(batch, features + features[:20], cells, params, cfg_packed)
     worst_packed = float(np.max(np.abs(packed.data - reference)))
     assert worst_packed < 1e-10
 

@@ -5,9 +5,14 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from cdrpipe.evaluation import (ranked_gains, read_history_csv, summary_entries,
                                 write_grouped_csv, write_history_csv, write_lodo_gains_csv,
                                 write_predictions_csv, write_summary)
 from cdrpipe.model import ModelConfig, init_params, load_checkpoint, predict_records, save_checkpoint
+from cdrpipe.molgraph import load_drug_manifest, normalized_adjacency, pad_graph
 from cdrpipe.omics import ResponseDataset, load_expression_features
 from cdrpipe.synthetic import make_benchmark, write_benchmark_files, write_response_csv
 from cdrpipe.training import EpochRecord, SplitSpec, TrainConfig
@@ -156,6 +162,36 @@ class TestIngest:
                             or load_expression_features(*args))
         cli.load_cells(cli.load_run_config(fixture_dir["config"]), "raw_expression")
         assert calls == ["pin", "read"]
+
+    def test_each_parsed_graph_is_freed_as_it_is_padded(self, fixture_dir, monkeypatch):
+        """The drug records keep ``ÂX``, not the atom features, and each
+        parsed graph is dropped once its record is built, in file order:
+        when a drug is padded no earlier drug's features are alive, and none
+        are once ``assemble_dataset`` returns. Each record's ``propagated``
+        is ``normalized_adjacency(g) @ g.features`` bit for bit, in memory
+        of its own."""
+        features, padded = {}, []
+
+        def loading(path):
+            graphs = load_drug_manifest(path)
+            features.update((d, weakref.ref(g.features)) for d, g in graphs.items())
+            return graphs
+
+        def padding(graph, n_max):
+            assert [d for d in padded if features[d]() is not None] == []
+            record = pad_graph(graph, n_max)
+            expected = normalized_adjacency(graph) @ graph.features
+            assert record.propagated.tobytes() == expected.tobytes()
+            assert not np.shares_memory(record.propagated, graph.features)
+            padded.append(graph.drug_id)
+            return record
+
+        monkeypatch.setattr(cli, "load_drug_manifest", loading)
+        monkeypatch.setattr(cli, "pad_graph", padding)
+        dataset, _ = cli.assemble_dataset(cli.load_run_config(fixture_dir["config"]), "scgpt")
+        assert padded == list(features) and len(padded) == len(fixture_dir["bench"].graphs)
+        assert [d for d, ref in features.items() if ref() is not None] == []
+        assert set(dataset.graphs) == set(padded)
 
     def test_missing_embedding_file_names_the_path(self, fixture_dir, tmp_path, capsys):
         files = dict(fixture_dir["files"])
@@ -625,6 +661,7 @@ class TestRunManifests:
             assert manifest["seed"] == "3" and manifest["config_sha256"] == sha(config)
             assert {k: v for k, v in manifest.items() if k.startswith("data.")} == inputs
             assert manifest["env.blas"] == cli._blas()
+            assert manifest["env.blas_threads"] == cli.blas_threads()
         ckpt = out / "checkpoint.ckpt"
         predictions = (out / "predictions.csv").read_text(encoding="utf-8").splitlines()
         assert {k: v for k, v in manifests["run_manifest.eval.txt"].items()
@@ -651,6 +688,32 @@ class TestRunManifests:
     def test_env_blas_reads_the_installed_numpy(self):
         reported = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert cli._blas() == f"{reported['name']} {reported['version']}"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_train_manifest_records_the_blas_thread_count(self, fixture_dir, tmp_path, threads):
+        """A seeded ``train`` started with ``OPENBLAS_NUM_THREADS`` records
+        that count, capped at the CPUs it may run on, as ``env.blas_threads``."""
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(p for p in path if p))
+        out = tmp_path / "out"
+        subprocess.run([sys.executable, "-c", "import sys; from cdrpipe import cli; "
+                        "sys.exit(cli.main(sys.argv[1:]))", "train", "--config",
+                        str(fixture_dir["config"]), "--seed", "3", "--out", str(out)],
+                       env=env, capture_output=True, timeout=120, check=True)
+        recorded = key_values(out / "run_manifest.txt")["env.blas_threads"]
+        if recorded == "unknown":
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count call")
+        assert recorded == str(min(threads, len(os.sched_getaffinity(0))))
+
+    def test_env_blas_threads_is_unknown_without_numpys_openblas(self, monkeypatch, tmp_path):
+        """No bundled library, or a file of that name that does not load,
+        reads ``unknown``."""
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert cli.blas_threads() == "unknown"
+        (tmp_path / "numpy.libs").mkdir()
+        (tmp_path / "numpy.libs" / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
+        assert cli.blas_threads() == "unknown"
 
 
 class TestTrain:

@@ -112,9 +112,8 @@ class TestEncodeDrug:
                             atom_input_dim=6)
         params = m.init_params(cfg, seed=3)
         rng = np.random.default_rng(0)
-        g = random_padded_graph(rng, 1, 1, 6)
+        g, h = random_padded_graph(rng, 1, 1, 6)
         out = m.encode_drug(ad.Tape(), [g], params, cfg)
-        h = g.features
         for layer in params.gcn:
             h = np.maximum(h @ layer.weight.data + layer.bias.data, 0.0)
         np.testing.assert_allclose(out.data, h, atol=1e-12)
@@ -131,7 +130,7 @@ class TestEncodeDrug:
         np.testing.assert_allclose(out_twin.data, out_solo.data, atol=1e-12)
 
     def test_wrong_feature_width_is_a_shape_error(self):
-        g = random_padded_graph(np.random.default_rng(0), 2, 5, 7)
+        g, _ = random_padded_graph(np.random.default_rng(0), 2, 5, 7)
         with pytest.raises(ValueError, match="width 7, model expects 6"):
             m.encode_drug(ad.Tape(), [g], m.init_params(TINY, 0), TINY)
 
@@ -223,8 +222,8 @@ class TestEncodeCell:
 class TestPredict:
     def batch(self, cfg, n=3, seed=0):
         rng = np.random.default_rng(seed)
-        g1 = random_padded_graph(rng, 3, cfg.n_max_atoms, cfg.atom_input_dim)
-        g2 = random_padded_graph(rng, 4, cfg.n_max_atoms, cfg.atom_input_dim)
+        g1, _ = random_padded_graph(rng, 3, cfg.n_max_atoms, cfg.atom_input_dim)
+        g2, _ = random_padded_graph(rng, 4, cfg.n_max_atoms, cfg.atom_input_dim)
         graphs = [g1, g2, g1][:n]
         cells = rng.normal(size=(n, cfg.cell_input_dim))
         return graphs, cells
@@ -478,7 +477,7 @@ class TestPredictRecords:
         width = max(gcn_layer_dims)
         rng = np.random.default_rng(seed)
         n_big = data.draw(st.integers(max_rows + 1, max_rows + 6))
-        big = random_padded_graph(rng, n_big, n_big, ATOM_FEATURE_DIM)
+        big, _ = random_padded_graph(rng, n_big, n_big, ATOM_FEATURE_DIM)
         graphs = {**bench.padded, "big": big}
         pairs = data.draw(st.lists(st.tuples(st.sampled_from(sorted(bench.padded)),
                                              st.sampled_from(sorted(bench.cells.vectors))),
@@ -547,8 +546,10 @@ class TestPredictRecords:
                             n_max_atoms=bench.n_max_atoms, cell_input_dim=4)
         params = m.init_params(cfg, seed)
         perturb(params.gcn + params.cell + params.head, np.random.default_rng(seed))
+        features = {d: g.features for d, g in bench.graphs.items()}
         np.testing.assert_allclose(m.predict_records(params, cfg, dataset, batch_size),
-                                   reference_predict(dataset, params), rtol=0, atol=1e-10)
+                                   reference_predict(dataset, params, features),
+                                   rtol=0, atol=1e-10)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data(),

@@ -288,15 +288,15 @@ class TestPadGraph:
         padded = mg.pad_graph(g, 4)
         np.testing.assert_array_equal(padded.mask, [True, True, False, False])
         assert padded.n_atoms == 2
-        assert padded.features.shape == (2, 75)
-        assert padded.features is g.features  # shared, not copied
+        assert padded.propagated.shape == (2, 75)
+        assert not hasattr(padded, "features")  # the record keeps ÂX, not X
         assert padded.norm_adjacency.shape == (2, 2)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_record_holds_the_first_propagation(self, seed):
-        padded = mg.pad_graph(random_graph(np.random.default_rng(seed), "d", 3 + 4 * seed), 20)
-        np.testing.assert_array_equal(padded.propagated,
-                                      padded.norm_adjacency @ padded.features)
+        g = random_graph(np.random.default_rng(seed), "d", 3 + 4 * seed)
+        padded = mg.pad_graph(g, 20)
+        np.testing.assert_array_equal(padded.propagated, padded.norm_adjacency @ g.features)
         assert padded.propagated.shape == (padded.n_atoms, 75)
 
     def test_exact_fit(self):
